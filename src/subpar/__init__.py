@@ -27,7 +27,8 @@ from .instances import (CoverageInstance, CutInstance, MultilinearQuadraticInsta
                         NonNegativityViolation, OutOfBox, dump_instance,
                         generate_random_instance, load_instance)
 from .multilinear import ExactTooLarge, MultilinearOracle, lovasz_value, sample_set
-from .oracles import InvalidElement, OracleAccounting, SetOracle, ids_of, mask_of
+from .oracles import (InvalidElement, NonFiniteValue, OracleAccounting, SetOracle, ids_of,
+                      mask_of)
 from .reports import DiscreteIterationTrace, IterationTrace, RunReport
 from .verify import Finding, run_verify
 
@@ -36,7 +37,7 @@ __all__ = [
     "BoxDomain", "ContinuousState", "CoverageInstance", "CutInstance",
     "DiscreteIterationTrace", "DiscreteParams", "ExactTooLarge", "Finding",
     "InvalidElement", "IterationTrace", "MultilinearOracle",
-    "MultilinearQuadraticInstance", "NonNegativityViolation",
+    "MultilinearQuadraticInstance", "NonFiniteValue", "NonNegativityViolation",
     "OracleAccounting", "OutOfBox", "ParamOutOfRange",
     "QuadraticContinuousOracle", "RunReport", "SetOracle",
     "StateInvariantViolation", "TooLarge",

@@ -24,7 +24,7 @@ from .drbox import BoxDomain, grid_search_optimum, run_dr
 from .instances import (MultilinearQuadraticInstance, NonNegativityViolation,
                         generate_random_instance, load_instance)
 from .multilinear import MultilinearOracle
-from .oracles import SetOracle, ids_of
+from .oracles import InvalidThreads, SetOracle, default_threads, ids_of
 from .reports import CSV_COLUMNS, RunReport, csv_row, with_ratio
 
 ALGORITHMS = ("continuous", "discrete", "dr", "double-greedy",
@@ -105,11 +105,11 @@ def _u64(text):
     return v
 
 
-def _threads(args):
-    env = os.environ.get("SUBPAR_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return args.threads
+def _threads(args, parser):
+    try:
+        return default_threads(args.threads)
+    except InvalidThreads as e:
+        parser.error(str(e))
 
 
 def _parse_oracle(spec, parser, allow_auto=False):
@@ -185,7 +185,7 @@ def execute(instance, box_spec, instance_id, args, parser):
     alg = args.algorithm
     n = instance.n
     oracle_mode, oracle_k = _parse_oracle(args.oracle, parser)
-    threads = _threads(args)
+    threads = _threads(args, parser)
     t0 = time.perf_counter()
 
     if alg == "dr":

@@ -6,6 +6,12 @@ All instances are immutable after construction and expose
     evaluate_batch(m)  -- vectorized set evaluation over a boolean (B, n)
                           membership matrix, returning a float vector
 
+and may expose
+
+    marginals(m)       -- the (B, n) matrix of f(S+u) - f(S-u) in closed
+                          form; SetOracle.eval_marginals uses it in place
+                          of evaluating the 2n forced rows
+
 Quadratic instances additionally support fractional evaluation and an
 exact gradient; because their Hessian has zero diagonal they are
 multilinear, so the set evaluation is just the vertex restriction of the
@@ -64,6 +70,10 @@ class CutInstance:
             return np.zeros(m.shape[0])
         mf = m.astype(np.float64)
         return mf @ self._d - ((mf @ self._W) * mf).sum(axis=1)
+
+    def marginals(self, m):
+        # W has a zero diagonal, so u's own membership drops out
+        return self._d - 2.0 * (m.astype(np.float64) @ self._W)
 
     def total_weight(self):
         return float(self._w.sum())

@@ -14,8 +14,12 @@ arguments in a single adaptive round of the underlying set oracle:
 
 Gradients use the defining identity of multilinear functions: the u-th
 partial at x equals F at (x with u forced to 1) minus F at (x with u
-forced to 0).  Exact and sampled modes therefore share one code path --
-a gradient is just 2n more extension arguments in the same round.
+forced to 0), priced as 2n extension arguments per point.  Exact mode
+reads them all off the power-set table in one adjoint fold.  In sampled
+mode, thresholding the shared panel at those forced arguments gives the
+panel's base set S with u added or removed, so the estimate is the mean
+over draws of the marginal f(S+u) - f(S-u): one marginal-gain round of
+the set oracle.
 """
 
 import numpy as np
@@ -67,7 +71,6 @@ class MultilinearOracle:
         self.exact_threshold = int(exact_threshold)
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.F_queries = 0
-        self.grad_queries = 0
 
     @property
     def n(self):
@@ -96,8 +99,7 @@ class MultilinearOracle:
             table = self.set_oracle.eval_batch(all_subsets_matrix(n))
             grads, _ = _fold_grad_eval(table, pts)
             return grads
-        vals = self._sampled(_gradient_args(pts))
-        return _grads_from_values(vals, P, n)
+        return self._sampled_marginals(pts, values=False)
 
     def grad_and_value_batch(self, points):
         """Gradients and values of the same points in one round."""
@@ -107,19 +109,7 @@ class MultilinearOracle:
         if self.mode == "exact":
             table = self.set_oracle.eval_batch(all_subsets_matrix(n))
             return _fold_grad_eval(table, pts)
-        args = np.concatenate([_gradient_args(pts), pts], axis=0)
-        vals = self._sampled(args)
-        return _grads_from_values(vals[:2 * n * P], P, n), vals[2 * n * P:]
-
-    def partial_derivative(self, x, u):
-        """Single partial: F(x with u->1) - F(x with u->0), one round."""
-        x = clamp01(x, self.n)
-        assert 0 <= u < self.n
-        up, down = x.copy(), x.copy()
-        up[u], down[u] = 1.0, 0.0
-        self.F_queries += 2
-        vals = self._answer(np.stack([up, down]))
-        return float(vals[0] - vals[1])
+        return self._sampled_marginals(pts, values=True)
 
     # -- internals -------------------------------------------------------
 
@@ -137,6 +127,22 @@ class MultilinearOracle:
         return self._sampled(args)
 
     def _sampled(self, args):
+        vals = self.set_oracle.eval_batch(self._draws(args))
+        return vals.reshape(args.shape[0], self.samples).mean(axis=1)
+
+    def _sampled_marginals(self, pts, values):
+        # thresholding the panel at a point's coordinate-forced arguments
+        # gives each draw S of the point itself with u added or removed,
+        # so the partials are mean marginals over the point's draws
+        P, n = pts.shape
+        k = self.samples
+        out = self.set_oracle.eval_marginals(self._draws(pts), values=values)
+        if not values:
+            return out.reshape(P, k, n).mean(axis=1)
+        marg, vals = out
+        return marg.reshape(P, k, n).mean(axis=1), vals.reshape(P, k).mean(axis=1)
+
+    def _draws(self, args):
         # One uniform panel (k, n) is shared by every argument in the
         # batch: common random numbers keep each estimate unbiased while
         # coupling the noise of nearby arguments (and of the paired
@@ -151,24 +157,7 @@ class MultilinearOracle:
             hi = min(lo + chunk, A)
             blk = panel[None, :, :] < args[lo:hi, None, :]
             draws[lo * k:hi * k] = blk.reshape((hi - lo) * k, n)
-        vals = self.set_oracle.eval_batch(draws)
-        return vals.reshape(A, k).mean(axis=1)
-
-
-def _gradient_args(pts):
-    """Per point, the 2n extension arguments of the partial-derivative
-    identity: n rows with coordinate u forced to 1, then n rows forced to 0."""
-    P, n = pts.shape
-    args = np.repeat(pts, 2 * n, axis=0).reshape(P, 2, n, n)
-    idx = np.arange(n)
-    args[:, 0, idx, idx] = 1.0
-    args[:, 1, idx, idx] = 0.0
-    return args.reshape(2 * n * P, n)
-
-
-def _grads_from_values(vals, P, n):
-    blocks = vals.reshape(P, 2, n)
-    return blocks[:, 0, :] - blocks[:, 1, :]
+        return draws
 
 
 def _fold_eval(table, args, flop_budget=1 << 24):

@@ -8,6 +8,11 @@ meter therefore have to gather every independently-computable query of a
 phase into a single batch -- issuing them one by one inflates the meter,
 which is the point of the instrument.
 
+A marginal-gain round (eval_marginals) asks, for every base set S of a
+batch and every element u, for f(S+u) - f(S-u); it is priced as the 2n
+explicit rows it stands for, so an instance with a closed form for its
+marginals changes the cost of evaluation but never the meters.
+
 Subsets are represented as boolean membership matrices of shape
 (batch, n).  Helpers accept iterables of element ids or python ints used
 as bitmasks and normalize them.
@@ -21,6 +26,14 @@ import numpy as np
 
 class InvalidElement(ValueError):
     """A subset references an element id outside 0..n-1."""
+
+
+class NonFiniteValue(ValueError):
+    """The instance answered a round with NaN or an infinity."""
+
+
+class InvalidThreads(ValueError):
+    """SUBPAR_THREADS is set to something other than an integer."""
 
 
 class OracleAccounting:
@@ -109,10 +122,18 @@ def all_subsets_matrix(n):
 _EVAL_CHUNK = 1 << 21  # rows per evaluation slice, keeps memory bounded
 
 
-def default_threads():
+def default_threads(fallback=None):
+    """Gateway threads: SUBPAR_THREADS when set, else `fallback`, else
+    the core count."""
     env = os.environ.get("SUBPAR_THREADS")
     if env is not None:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise InvalidThreads(
+                f"SUBPAR_THREADS must be an integer, got {env!r}") from None
+    if fallback is not None:
+        return max(1, int(fallback))
     return os.cpu_count() or 1
 
 
@@ -120,9 +141,11 @@ class SetOracle:
     """Round-counting batched gateway in front of a set-function instance.
 
     The instance must expose `n` and a pure, vectorized
-    `evaluate_batch(members)` taking a boolean (B, n) matrix.  All
-    mutability lives in the accounting record, updated once per batch,
-    so in-batch evaluation may run concurrently.
+    `evaluate_batch(members)` taking a boolean (B, n) matrix.  It may
+    also expose `marginals(members)`, returning the (B, n) matrix of
+    f(S+u) - f(S-u); eval_marginals then uses it instead of evaluating
+    the 2n forced rows.  All mutability lives in the accounting record,
+    updated once per batch, so in-batch evaluation may run concurrently.
     """
 
     def __init__(self, instance, threads=None):
@@ -140,7 +163,42 @@ class SetOracle:
         if m.shape[0] == 0:
             raise ValueError("empty batch")
         self.accounting.charge(m.shape[0])
-        return self._evaluate(m)
+        return self._finite(self._evaluate(m))
+
+    def eval_marginals(self, bases, values=False):
+        """Marginals f(S+u) - f(S-u) of every element u at every base S.
+
+        One adaptive round, charged as the explicit rows it replaces:
+        2n per base, plus one per base when values=True, which also
+        returns f(S).  Returns the (B, n) marginals, or (marginals,
+        values) when values=True.
+        """
+        m = members_matrix(bases, self.n)
+        B, n = m.shape
+        if B == 0:
+            raise ValueError("empty batch")
+        width = 2 * n + int(values)
+        self.accounting.charge(B * width)
+        kernel = getattr(self.instance, "marginals", None)
+        marg = np.empty((B, n))
+        vals = np.empty(B) if values else None
+        # slices of about one evaluation chunk per gateway thread keep
+        # the forced rows of the fallback bounded in memory
+        step = max(1, (_EVAL_CHUNK * self.threads) // width)
+        for lo in range(0, B, step):
+            blk = m[lo:lo + step]
+            if kernel is not None:
+                marg[lo:lo + step] = kernel(blk)
+                if values:
+                    vals[lo:lo + step] = self._evaluate(blk)
+            else:
+                out = self._evaluate(_forced_rows(blk, values)).reshape(-1, width)
+                np.subtract(out[:, :n], out[:, n:2 * n], out=marg[lo:lo + step])
+                if values:
+                    vals[lo:lo + step] = out[:, 2 * n]
+        if values:
+            return self._finite(marg), self._finite(vals)
+        return self._finite(marg)
 
     def eval_single(self, subset):
         """Evaluate one subset.  Costs a full round, like any batch."""
@@ -150,6 +208,13 @@ class SetOracle:
         self.accounting.reset()
 
     # -- internal ------------------------------------------------------
+
+    def _finite(self, vals):
+        if not np.isfinite(vals).all():
+            raise NonFiniteValue(
+                f"round {self.accounting.rounds}: the instance returned a "
+                f"non-finite value")
+        return vals
 
     def _evaluate(self, m):
         rows = m.shape[0]
@@ -182,3 +247,14 @@ class SetOracle:
             for (lo, hi), fut in zip(slices, futures):
                 out[lo:hi] = fut.result()
         return out
+
+
+def _forced_rows(m, values):
+    """Per base S, the n rows S+u, then the n rows S-u, then S itself
+    when values is set."""
+    B, n = m.shape
+    rows = np.repeat(m[:, None, :], 2 * n + int(values), axis=1)
+    idx = np.arange(n)
+    rows[:, idx, idx] = True
+    rows[:, n + idx, idx] = False
+    return rows.reshape(-1, n)

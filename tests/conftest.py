@@ -42,18 +42,27 @@ class SpySetOracle(SetOracle):
     """SetOracle that independently counts batches and rows.
 
     The accounting record is the instrument under test; the spy counts
-    at the call boundary so the two can be cross-checked.
+    at the call boundary so the two can be cross-checked.  A marginal
+    round counts as one batch of the 2n (+1) rows per base it stands
+    for; marginal_batches counts those rounds on their own.
     """
 
     def __init__(self, instance, **kw):
         super().__init__(instance, **kw)
         self.batches = 0
         self.rows = 0
+        self.marginal_batches = 0
 
     def eval_batch(self, subsets):
         self.batches += 1
         self.rows += members_matrix(subsets, self.n).shape[0]
         return super().eval_batch(subsets)
+
+    def eval_marginals(self, bases, values=False):
+        self.batches += 1
+        self.marginal_batches += 1
+        self.rows += members_matrix(bases, self.n).shape[0] * (2 * self.n + int(values))
+        return super().eval_marginals(bases, values=values)
 
 
 @pytest.fixture

@@ -141,6 +141,13 @@ def test_threads_env_override(k2_path):
     assert r.returncode == 0, r.stderr
 
 
+def test_bad_threads_env_names_variable(k2_path):
+    r = run_cli("run", "--instance", k2_path, "--algorithm", "brute-force",
+                env_extra={"SUBPAR_THREADS": "abc"})
+    assert r.returncode == 2
+    assert "SUBPAR_THREADS" in r.stderr and "Traceback" not in r.stderr
+
+
 # -- flag errors (exit 2, message names the flag) -----------------------------------
 
 def test_bad_epsilon_names_flag(k2_path):

@@ -13,8 +13,7 @@ import pytest
 
 from subpar import (ExactTooLarge, MultilinearOracle, SetOracle,
                     generate_random_instance, lovasz_value, sample_set)
-from subpar.multilinear import (_fold_eval, _fold_grad_eval, _gradient_args,
-                                _grads_from_values, clamp01)
+from subpar.multilinear import _fold_eval, _fold_grad_eval, clamp01
 from subpar.oracles import all_subsets_matrix
 
 
@@ -100,7 +99,13 @@ def test_adjoint_fold_matches_forced_coordinate_folds():
     pts = np.random.default_rng(5).random((7, 8))
     grads, vals = _fold_grad_eval(table, pts)
     ref_vals = _fold_eval(table, pts)
-    ref_grads = _grads_from_values(_fold_eval(table, _gradient_args(pts)), 7, 8)
+    # per point, 2n forced arguments: u -> 1 in block 0, u -> 0 in block 1
+    forced = np.repeat(pts[:, None, None, :], 2, axis=1).repeat(8, axis=2)
+    idx = np.arange(8)
+    forced[:, 0, idx, idx] = 1.0
+    forced[:, 1, idx, idx] = 0.0
+    folded = _fold_eval(table, forced.reshape(-1, 8)).reshape(7, 2, 8)
+    ref_grads = folded[:, 0] - folded[:, 1]
     assert np.abs(vals - ref_vals).max() < 1e-12
     assert np.abs(grads - ref_grads).max() < 1e-12
 
@@ -115,12 +120,6 @@ def test_fold_chunking_is_invisible():
     g1, v1 = _fold_grad_eval(table, pts)
     g2, v2 = _fold_grad_eval(table, pts, elem_budget=1)
     assert np.array_equal(g1, g2) and np.array_equal(v1, v2)
-
-
-def test_partial_derivative(k2):
-    oracle = MultilinearOracle(SetOracle(k2), mode="exact")
-    assert oracle.partial_derivative([0.0, 1.0], 0) == pytest.approx(-1.0)
-    assert oracle.partial_derivative([0.0, 1.0], 1) == pytest.approx(1.0)
 
 
 # -- accounting ------------------------------------------------------------------
@@ -150,6 +149,46 @@ def test_sampled_round_and_query_accounting(k2):
     assert so.accounting.rounds == 1
     assert so.accounting.queries == 3 * 50    # k draws per argument
     assert oracle.F_queries == 3
+
+
+@pytest.mark.parametrize("kind", ["cut", "coverage"])
+def test_sampled_gradient_accounting(spy_oracle, kind):
+    # one marginal-gain round per call, priced as the explicit forced
+    # rows: 2n per draw per point, plus one per draw for the values
+    n, k, P = 5, 40, 3
+    so = spy_oracle(generate_random_instance(kind, n, 4))
+    oracle = MultilinearOracle(so, mode="sampled", samples=k,
+                               rng=np.random.default_rng(18))
+    pts = np.random.default_rng(19).random((P, n))
+    oracle.gradient_batch(pts)
+    assert so.accounting.snapshot() == (1, 2 * n * k * P)
+    assert oracle.F_queries == 2 * n * P
+    oracle.grad_and_value_batch(pts)
+    assert so.accounting.snapshot() == (2, 2 * n * k * P + (2 * n + 1) * k * P)
+    assert oracle.F_queries == 2 * n * P + (2 * n + 1) * P
+    assert so.marginal_batches == so.batches == 2
+    assert so.rows == so.accounting.queries
+
+
+def test_sampled_gradient_is_the_forced_argument_difference():
+    # the forced arguments threshold the shared panel to S+u and S-u, so
+    # the marginal round must agree with evaluating them explicitly on
+    # the panel that the same seed draws
+    inst = generate_random_instance("coverage", 6, 20)
+    pts = np.random.default_rng(21).random((2, 6))
+    k = 64
+    oracle = MultilinearOracle(SetOracle(inst), mode="sampled", samples=k,
+                               rng=np.random.default_rng(22))
+    grads, vals = oracle.grad_and_value_batch(pts)
+    panel = np.random.default_rng(22).random((k, 6))
+    for i in range(2):
+        for u in range(6):
+            up, dn = pts[i].copy(), pts[i].copy()
+            up[u], dn[u] = 1.0, 0.0
+            want = (inst.evaluate_batch(panel < up).mean()
+                    - inst.evaluate_batch(panel < dn).mean())
+            assert grads[i, u] == pytest.approx(want, abs=1e-9)
+        assert vals[i] == pytest.approx(inst.evaluate_batch(panel < pts[i]).mean(), abs=1e-12)
 
 
 def test_exact_threshold_enforced():

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subpar.oracles as oracles
-from subpar import CutInstance, InvalidElement, OracleAccounting, SetOracle, ids_of, mask_of
-from subpar.oracles import all_subsets_matrix, default_threads, members_matrix, single_members
+from subpar import (CutInstance, InvalidElement, MultilinearOracle, NonFiniteValue,
+                    OracleAccounting, SetOracle, generate_random_instance, ids_of, mask_of,
+                    run_continuous)
+from subpar.oracles import (InvalidThreads, all_subsets_matrix, default_threads,
+                            members_matrix, single_members)
 
 
 def test_members_matrix_accepts_bool_matrix():
@@ -118,6 +123,13 @@ def test_default_threads_env_override(monkeypatch):
     assert default_threads() == 1             # clamped to at least one
     monkeypatch.delenv("SUBPAR_THREADS")
     assert default_threads() >= 1
+    assert default_threads(5) == 5            # the fallback when unset
+
+
+def test_default_threads_rejects_non_integer(monkeypatch):
+    monkeypatch.setenv("SUBPAR_THREADS", "abc")
+    with pytest.raises(InvalidThreads, match="SUBPAR_THREADS"):
+        default_threads()
 
 
 def test_spy_matches_accounting(k2, spy_oracle):
@@ -126,3 +138,98 @@ def test_spy_matches_accounting(k2, spy_oracle):
     spy.eval_batch(np.array([[True, False]]))
     assert spy.accounting.rounds == spy.batches == 2
     assert spy.accounting.queries == spy.rows == 5
+
+
+# -- marginal-gain rounds ----------------------------------------------------------
+
+class WithoutKernel:
+    """An instance's set function with no closed-form marginals, so the
+    gateway's forced-row fallback answers eval_marginals."""
+
+    def __init__(self, inst):
+        self.n = inst.n
+        self.evaluate_batch = inst.evaluate_batch
+
+
+def explicit_marginals(inst, bases):
+    up, down = bases.copy(), bases.copy()
+    out = np.empty(bases.shape)
+    for u in range(inst.n):
+        up[:, u], down[:, u] = True, False
+        out[:, u] = inst.evaluate_batch(up) - inst.evaluate_batch(down)
+        up[:, u] = down[:, u] = bases[:, u]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["cut", "coverage", "quadratic"]), n=st.integers(1, 9),
+       rows=st.integers(1, 12), seed=st.integers(0, 10 ** 6),
+       kernel=st.booleans(), values=st.booleans())
+def test_eval_marginals_equals_explicit_differences(kind, n, rows, seed, kernel, values):
+    inst = generate_random_instance(kind, n, seed)
+    if not kernel:
+        inst = WithoutKernel(inst)
+    bases = np.random.default_rng(seed).random((rows, n)) < 0.5
+    so = SetOracle(inst)
+    out = so.eval_marginals(bases, values=values)
+    marg, vals = out if values else (out, None)
+    assert marg.shape == (rows, n)
+    np.testing.assert_allclose(marg, explicit_marginals(inst, bases), rtol=0, atol=1e-9)
+    if values:
+        np.testing.assert_allclose(vals, inst.evaluate_batch(bases), rtol=0, atol=1e-9)
+    assert so.accounting.snapshot() == (1, rows * (2 * n + int(values)))
+
+
+def test_cut_marginals_are_a_closed_form(triangle, spy_oracle):
+    spy = spy_oracle(triangle)
+    bases = members_matrix([set(), {0}, {0, 1}], 3)
+    marg, vals = spy.eval_marginals(bases, values=True)
+    # unit triangle: f(S+u) - f(S-u) = 2 - 2 * |S - u|
+    assert marg.tolist() == [[2, 2, 2], [2, 0, 0], [0, 0, -2]]
+    assert vals.tolist() == [0, 2, 2]
+    assert spy.accounting.snapshot() == (1, 3 * 7)
+    assert (spy.batches, spy.marginal_batches, spy.rows) == (1, 1, 21)
+
+
+def test_eval_marginals_slicing_is_invisible(monkeypatch):
+    inst = WithoutKernel(generate_random_instance("coverage", 7, 2))
+    bases = np.random.default_rng(4).random((50, 7)) < 0.5
+    whole = SetOracle(inst, threads=1).eval_marginals(bases, values=True)
+    monkeypatch.setattr(oracles, "_EVAL_CHUNK", 20)   # one base per slice
+    sliced = SetOracle(inst, threads=1).eval_marginals(bases, values=True)
+    threaded = SetOracle(inst, threads=3).eval_marginals(bases, values=True)
+    for got in (sliced, threaded):
+        assert np.array_equal(got[0], whole[0]) and np.array_equal(got[1], whole[1])
+
+
+def test_eval_marginals_rejects_empty(k2):
+    with pytest.raises(ValueError):
+        SetOracle(k2).eval_marginals(np.zeros((0, 2), dtype=bool))
+
+
+class PoisonedInstance:
+    """f = |S| except that sets containing `bad` answer `value`."""
+
+    def __init__(self, n, bad, value):
+        self.n, self.bad, self.value = n, bad, value
+
+    def evaluate_batch(self, m):
+        return np.where(m[:, self.bad], self.value, m.sum(axis=1).astype(float))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_gateway_rejects_non_finite_values(value):
+    so = SetOracle(PoisonedInstance(3, 2, value))
+    assert so.eval_batch(np.array([[True, True, False]])).tolist() == [2.0]
+    with pytest.raises(NonFiniteValue, match="round 2"):
+        so.eval_batch(np.array([[False, False, True]]))
+    with pytest.raises(NonFiniteValue, match="round 3"):
+        so.eval_marginals(np.array([[True, False, False]]))
+
+
+def test_non_finite_oracle_fails_the_driver_by_name():
+    # the all-halves tau round meets the poisoned sets first
+    oracle = MultilinearOracle(SetOracle(PoisonedInstance(4, 1, np.nan)),
+                               mode="sampled", samples=20)
+    with pytest.raises(NonFiniteValue, match="round 1"):
+        run_continuous(oracle, 0.1)
