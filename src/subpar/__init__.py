@@ -23,9 +23,9 @@ from .discrete import (DiscreteParams, discrete_preprocess, discrete_update,
                        round_step, run_discrete)
 from .drbox import (BoxDomain, QuadraticContinuousOracle, grid_search_optimum,
                     rescale_to_cube, run_dr)
-from .instances import (CoverageInstance, CutInstance, MultilinearQuadraticInstance,
-                        NonNegativityViolation, OutOfBox, dump_instance,
-                        generate_random_instance, load_instance)
+from .instances import (CoverageInstance, CutInstance, InvalidInstance,
+                        MultilinearQuadraticInstance, NonNegativityViolation, OutOfBox,
+                        dump_instance, generate_random_instance, load_instance)
 from .multilinear import ExactTooLarge, MultilinearOracle, lovasz_value, sample_set
 from .oracles import (InvalidElement, NonFiniteValue, OracleAccounting, SetOracle, ids_of,
                       mask_of)
@@ -36,7 +36,7 @@ __all__ = [
     "__version__",
     "BoxDomain", "ContinuousState", "CoverageInstance", "CutInstance",
     "DiscreteIterationTrace", "DiscreteParams", "ExactTooLarge", "Finding",
-    "InvalidElement", "IterationTrace", "MultilinearOracle",
+    "InvalidElement", "InvalidInstance", "IterationTrace", "MultilinearOracle",
     "MultilinearQuadraticInstance", "NonFiniteValue", "NonNegativityViolation",
     "OracleAccounting", "OutOfBox", "ParamOutOfRange",
     "QuadraticContinuousOracle", "RunReport", "SetOracle",

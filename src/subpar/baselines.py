@@ -9,7 +9,7 @@ benchmark sweep contrasts against the constant-round driver.
 
 import numpy as np
 
-from .oracles import all_subsets_matrix, ids_of
+from .oracles import all_subsets_matrix, ids_of, pair_rows
 
 
 class TooLarge(ValueError):
@@ -30,10 +30,8 @@ def double_greedy(set_oracle, randomized=True, rng=None):
     X = np.zeros(n, dtype=bool)
     Y = np.ones(n, dtype=bool)
     for u in range(n):
-        batch = np.stack([X, X, Y, Y])
-        batch[0, u] = True            # X + u
-        batch[2, u] = False           # Y - u
-        fXu, fX, fYu, fY = set_oracle.eval_batch(batch)
+        rows = pair_rows(np.stack([X, Y]), [u]).reshape(4, n)
+        fXu, fX, fY, fYu = set_oracle.eval_batch(rows)
         a = fXu - fX
         b = fYu - fY
         if randomized:

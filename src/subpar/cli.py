@@ -21,10 +21,10 @@ from .baselines import TooLarge, brute_force, double_greedy, random_half
 from .continuous import ParamOutOfRange, run_continuous
 from .discrete import THEOREM_EPS_MAX, DiscreteParams, run_discrete
 from .drbox import BoxDomain, grid_search_optimum, run_dr
-from .instances import (MultilinearQuadraticInstance, NonNegativityViolation,
-                        generate_random_instance, load_instance)
+from .instances import (InvalidInstance, MultilinearQuadraticInstance,
+                        NonNegativityViolation, generate_random_instance, load_instance)
 from .multilinear import MultilinearOracle
-from .oracles import InvalidThreads, SetOracle, default_threads, ids_of
+from .oracles import SetOracle, ids_of
 from .reports import CSV_COLUMNS, RunReport, csv_row, with_ratio
 
 ALGORITHMS = ("continuous", "discrete", "dr", "double-greedy",
@@ -105,13 +105,6 @@ def _u64(text):
     return v
 
 
-def _threads(args, parser):
-    try:
-        return default_threads(args.threads)
-    except InvalidThreads as e:
-        parser.error(str(e))
-
-
 def _parse_oracle(spec, parser, allow_auto=False):
     """Returns (mode, samples) with mode in {exact, sampled, auto}."""
     if spec == "exact":
@@ -120,8 +113,9 @@ def _parse_oracle(spec, parser, allow_auto=False):
         if spec.startswith(prefix + ":"):
             try:
                 k = int(spec.split(":", 1)[1])
-                assert k >= 1
-            except (ValueError, AssertionError):
+            except ValueError:
+                k = 0
+            if k < 1:
                 parser.error(f"--oracle: sample count in {spec!r} must be a "
                              f"positive integer")
             return prefix, k
@@ -148,7 +142,7 @@ def _load(path, parser):
         parser.error(f"--instance: file not found: {path}")
     try:
         return load_instance(path)
-    except NonNegativityViolation as e:
+    except (InvalidInstance, NonNegativityViolation) as e:
         parser.error(f"--instance: invalid instance: {e}")
     except (KeyError, ValueError, TypeError) as e:
         parser.error(f"--instance: cannot parse {path}: {e}")
@@ -185,7 +179,6 @@ def execute(instance, box_spec, instance_id, args, parser):
     alg = args.algorithm
     n = instance.n
     oracle_mode, oracle_k = _parse_oracle(args.oracle, parser)
-    threads = _threads(args, parser)
     t0 = time.perf_counter()
 
     if alg == "dr":
@@ -213,7 +206,7 @@ def execute(instance, box_spec, instance_id, args, parser):
         delegated = alg
         alg = "brute-force"
 
-    set_oracle = SetOracle(instance, threads=threads)
+    set_oracle = SetOracle(instance, threads=args.threads)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0xA15)))
 
     if alg == "continuous":
@@ -306,20 +299,22 @@ def _csv_strs(row):
 def _int_list(text, parser, flag):
     try:
         vals = [int(t) for t in text.split(",") if t.strip()]
-        assert vals and all(v >= 1 for v in vals)
-        return vals
-    except (ValueError, AssertionError):
+    except ValueError:
+        vals = []
+    if not vals or min(vals) < 1:
         parser.error(f"{flag}: expected comma-separated positive integers, "
                      f"got {text!r}")
+    return vals
 
 
 def _float_list(text, parser, flag):
     try:
         vals = [float(t) for t in text.split(",") if t.strip()]
-        assert vals
-        return vals
-    except (ValueError, AssertionError):
+    except ValueError:
+        vals = []
+    if not vals:
         parser.error(f"{flag}: expected comma-separated floats, got {text!r}")
+    return vals
 
 
 def cmd_sweep(args, parser):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .continuous import ParamOutOfRange, StateInvariantViolation, compute_rates, preprocess_grid
-from .oracles import ids_of
+from .oracles import ids_of, pair_rows
 from .reports import DiscreteIterationTrace
 
 THEOREM_EPS_MAX = 1.0 / 208.0
@@ -125,26 +125,16 @@ def discrete_preprocess(set_oracle, tau, epsilon, seed, m=None):
     if grid.size == 0:
         delta = 0.5
     else:
-        rows_per = 4 * n * m
-        batch = np.empty((grid.size * rows_per, n), dtype=bool)
+        # one pair draw per coordinate u: [grid point, sample, X/Y side, u, element]
+        bases = np.empty((grid.size, m, 2, n, n), dtype=bool)
         for g, d in enumerate(grid):
-            rng = _stream(seed, 2, g)
-            u_mat = rng.random((m, n, n))      # [sample, coordinate u, element]
-            in_x, in_y = _pair_draw(u_mat, d)
-            blk = np.empty((m, n, 4, n), dtype=bool)
-            blk[:, :, 0, :] = in_x
-            blk[:, :, 1, :] = in_x
-            blk[:, :, 2, :] = in_y
-            blk[:, :, 3, :] = in_y
-            uu = np.arange(n)
-            blk[:, uu, 0, uu] = True           # X-draw plus u
-            blk[:, uu, 1, uu] = False          # X-draw minus u
-            blk[:, uu, 2, uu] = True           # Y-draw plus u
-            blk[:, uu, 3, uu] = False          # Y-draw minus u
-            batch[g * rows_per:(g + 1) * rows_per] = blk.reshape(rows_per, n)
-        vals = set_oracle.eval_batch(batch)    # one round
-        vals = vals.reshape(grid.size, m, n, 4)
-        gains = (vals[..., 0] - vals[..., 1]) - (vals[..., 2] - vals[..., 3])
+            u_mat = _stream(seed, 2, g).random((m, n, n))
+            bases[g, :, 0], bases[g, :, 1] = _pair_draw(u_mat, d)
+        rows = pair_rows(bases.reshape(-1, n, n), np.arange(n))
+        vals = set_oracle.eval_batch(rows.reshape(-1, n))   # one round
+        vals = vals.reshape(grid.size, m, 2, 2, n)
+        gains = ((vals[:, :, 0, 0] - vals[:, :, 0, 1])
+                 - (vals[:, :, 1, 0] - vals[:, :, 1, 1]))
         G = gains.sum(axis=2).mean(axis=1)
         delta = 0.5
         for g in range(grid.size):
@@ -203,18 +193,10 @@ def discrete_update(set_oracle, X, Y, epsilon, seed, iteration, m=None):
     k = idx.size
 
     # round 1: marginals a_u = f(u|X), b_u = -f(u|Y-u)
-    batch = np.empty((4 * k, n), dtype=bool)
-    for j, u in enumerate(idx):
-        batch[4 * j] = X
-        batch[4 * j, u] = True
-        batch[4 * j + 1] = X
-        batch[4 * j + 2] = Y
-        batch[4 * j + 2, u] = False
-        batch[4 * j + 3] = Y
-    vals = set_oracle.eval_batch(batch)
-    vals = vals.reshape(k, 4)
-    a = vals[:, 0] - vals[:, 1]
-    b = vals[:, 2] - vals[:, 3]
+    vals = set_oracle.eval_batch(pair_rows(np.stack([X, Y]), idx).reshape(-1, n))
+    vals = vals.reshape(2, 2, k)          # [X/Y, plus/minus u, element]
+    a = vals[0, 0] - vals[0, 1]
+    b = vals[1, 1] - vals[1, 0]
     potential = float((a + b).sum())
     r = compute_rates(a, b)
     gamma = epsilon * float((a + b).sum())
@@ -251,31 +233,20 @@ def g_estimates(set_oracle, X, Y, r, deltas, seed, iteration, m):
     idx = np.flatnonzero(Y & ~X)
     k = idx.size
     assert k > 0 and deltas.size > 0
-    rows_per = 4 * k * m
-    big = np.empty((deltas.size * rows_per, n), dtype=bool)
+    bases = np.empty((deltas.size, m, 2, n), dtype=bool)   # [candidate, sample, X/Y side]
+    bases[:, :, 0] = X
+    bases[:, :, 1] = Y
     for g, d in enumerate(deltas):
         rng = _stream(seed, 4, iteration, g)
         draw_x = rng.random((m, k)) < d * r[None, :]
         draw_y = rng.random((m, k)) < d * (1.0 - r)[None, :]
-        sx = np.repeat(X[None, :], m, axis=0)
-        sx[:, idx] |= draw_x                    # X u R(d*r)
-        sy = np.repeat(Y[None, :], m, axis=0)
-        sy[:, idx] &= ~draw_y                   # Y \ R(d*(1-r))
-        blk = np.empty((m, k, 4, n), dtype=bool)
-        blk[:, :, 0, :] = sx[:, None, :]
-        blk[:, :, 1, :] = sx[:, None, :]
-        blk[:, :, 2, :] = sy[:, None, :]
-        blk[:, :, 3, :] = sy[:, None, :]
-        ar = np.arange(k)
-        blk[:, ar, 0, idx] = True
-        blk[:, ar, 1, idx] = False
-        blk[:, ar, 2, idx] = True
-        blk[:, ar, 3, idx] = False
-        big[g * rows_per:(g + 1) * rows_per] = blk.reshape(rows_per, n)
-    vals = set_oracle.eval_batch(big)           # one round
-    vals = vals.reshape(deltas.size, m, k, 4)
-    per_u = (r[None, None, :] * (vals[..., 0] - vals[..., 1])
-             - (1.0 - r)[None, None, :] * (vals[..., 2] - vals[..., 3]))
+        bases[g, :, 0][:, idx] |= draw_x        # X u R(d*r)
+        bases[g, :, 1][:, idx] &= ~draw_y       # Y \ R(d*(1-r))
+    rows = pair_rows(bases.reshape(-1, n), idx)
+    vals = set_oracle.eval_batch(rows.reshape(-1, n))   # one round
+    vals = vals.reshape(deltas.size, m, 2, 2, k)
+    per_u = (r[None, None, :] * (vals[:, :, 0, 0] - vals[:, :, 0, 1])
+             - (1.0 - r)[None, None, :] * (vals[:, :, 1, 0] - vals[:, :, 1, 1]))
     return per_u.sum(axis=2).mean(axis=1)
 
 
@@ -334,13 +305,10 @@ def finalize(set_oracle, X, Y):
     idx = np.flatnonzero(Y & ~X)
     Z = X.copy()
     if idx.size:
-        n = set_oracle.n
-        batch = np.empty((2 * idx.size, n), dtype=bool)
-        for j, u in enumerate(idx):
-            batch[2 * j] = X
-            batch[2 * j, u] = True
-            batch[2 * j + 1] = X
-        vals = set_oracle.eval_batch(batch).reshape(idx.size, 2)
+        # element-major rows keep each X+u beside its X, so both land in
+        # the same BLAS block and a zero gain comes out exactly zero
+        rows = pair_rows(X[None], idx)[0].swapaxes(0, 1).reshape(-1, X.size)
+        vals = set_oracle.eval_batch(rows).reshape(idx.size, 2)
         gain = vals[:, 0] - vals[:, 1]
         Z[idx[gain > 0]] = True
     return Z

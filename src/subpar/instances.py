@@ -25,6 +25,10 @@ import numpy as np
 from .oracles import all_subsets_matrix
 
 
+class InvalidInstance(ValueError):
+    """Instance data breaks the schema: a bad size, shape, index or sign."""
+
+
 class NonNegativityViolation(ValueError):
     """Instance construction produced a negative value somewhere."""
 
@@ -34,6 +38,11 @@ class OutOfBox(ValueError):
 
 
 _VALIDATE_LIMIT = 20  # exhaustive non-negativity validation up to this n
+
+
+def _require(ok, message):
+    if not ok:
+        raise InvalidInstance(message)
 
 
 class CutInstance:
@@ -46,13 +55,13 @@ class CutInstance:
     kind = "cut"
 
     def __init__(self, n, edges):
-        assert n >= 1
+        _require(n >= 1, f"n must be >= 1, got {n}")
         self.n = int(n)
         clean = []
         for u, v, w in edges:
             u, v, w = int(u), int(v), float(w)
-            assert 0 <= u < n and 0 <= v < n and u != v, "bad edge endpoint"
-            assert w >= 0, "negative edge weight"
+            _require(0 <= u < n and 0 <= v < n and u != v, f"bad edge endpoint in {(u, v)}")
+            _require(w >= 0, f"negative edge weight {w} on {(u, v)}")
             clean.append((u, v, w))
         self.edges = tuple(clean)
         self._u = np.array([e[0] for e in clean], dtype=np.intp)
@@ -95,24 +104,26 @@ class CoverageInstance:
     kind = "coverage"
 
     def __init__(self, n, universe_size, covers, weights, costs):
-        assert n >= 1 and universe_size >= 1
+        _require(n >= 1 and universe_size >= 1,
+                 f"n and universe must be >= 1, got {n} and {universe_size}")
         self.n = int(n)
         self.universe_size = int(universe_size)
         cov = np.zeros((n, universe_size), dtype=bool)
         for u, items in covers.items():
             u = int(u)
-            assert 0 <= u < n, "covering element out of range"
+            _require(0 <= u < n, f"covering element {u} out of range")
             for it in items:
                 it = int(it)
-                assert 0 <= it < universe_size, "universe item out of range"
+                _require(0 <= it < universe_size, f"universe item {it} out of range")
                 cov[u, it] = True
         self.covers = cov
         self.weights = np.asarray(weights, dtype=np.float64)
         self.costs = np.asarray(costs, dtype=np.float64)
-        assert self.weights.shape == (universe_size,)
-        assert self.costs.shape == (n,)
-        assert (self.weights >= 0).all(), "negative universe weight"
-        assert (self.costs >= 0).all(), "negative cost"
+        _require(self.weights.shape == (universe_size,),
+                 f"weights must have length {universe_size}")
+        _require(self.costs.shape == (n,), f"costs must have length {n}")
+        _require((self.weights >= 0).all(), "negative universe weight")
+        _require((self.costs >= 0).all(), "negative cost")
         if n > _VALIDATE_LIMIT:
             if self.costs.any():
                 raise NonNegativityViolation(
@@ -157,16 +168,16 @@ class MultilinearQuadraticInstance:
     kind = "quadratic"
 
     def __init__(self, n, c, h, H, validate=True):
-        assert n >= 1
+        _require(n >= 1, f"n must be >= 1, got {n}")
         self.n = int(n)
         self.c = float(c)
         self.h = np.asarray(h, dtype=np.float64)
         self.H = np.asarray(H, dtype=np.float64)
-        assert self.h.shape == (n,)
-        assert self.H.shape == (n, n)
-        assert np.allclose(self.H, self.H.T), "H must be symmetric"
-        assert (np.diag(self.H) == 0).all(), "H must have zero diagonal"
-        assert (self.H <= 0).all(), "H must be entrywise non-positive"
+        _require(self.h.shape == (n,), f"h must have length {n}")
+        _require(self.H.shape == (n, n), f"H must be {n} x {n}")
+        _require(np.allclose(self.H, self.H.T), "H must be symmetric")
+        _require((np.diag(self.H) == 0).all(), "H must have zero diagonal")
+        _require((self.H <= 0).all(), "H must be entrywise non-positive")
         if validate and n <= _VALIDATE_LIMIT:
             vals = self.evaluate_batch(all_subsets_matrix(n))
             if vals.min() < -1e-12:

@@ -12,6 +12,8 @@ A marginal-gain round (eval_marginals) asks, for every base set S of a
 batch and every element u, for f(S+u) - f(S-u); it is priced as the 2n
 explicit rows it stands for, so an instance with a closed form for its
 marginals changes the cost of evaluation but never the meters.
+pair_rows builds those explicit S+u / S-u rows for every caller that
+evaluates them.
 
 Subsets are represented as boolean membership matrices of shape
 (batch, n).  Helpers accept iterables of element ids or python ints used
@@ -30,10 +32,6 @@ class InvalidElement(ValueError):
 
 class NonFiniteValue(ValueError):
     """The instance answered a round with NaN or an infinity."""
-
-
-class InvalidThreads(ValueError):
-    """SUBPAR_THREADS is set to something other than an integer."""
 
 
 class OracleAccounting:
@@ -122,19 +120,28 @@ def all_subsets_matrix(n):
 _EVAL_CHUNK = 1 << 21  # rows per evaluation slice, keeps memory bounded
 
 
-def default_threads(fallback=None):
-    """Gateway threads: SUBPAR_THREADS when set, else `fallback`, else
-    the core count."""
-    env = os.environ.get("SUBPAR_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InvalidThreads(
-                f"SUBPAR_THREADS must be an integer, got {env!r}") from None
-    if fallback is not None:
-        return max(1, int(fallback))
+def default_threads():
+    """Gateway threads when none are asked for: the core count."""
     return os.cpu_count() or 1
+
+
+def pair_rows(bases, elements):
+    """The rows S+u, then the rows S-u, for every base S and every u in
+    `elements`: the boolean (B, 2, k, n) array whose [b, 0, j] is
+    bases[b] plus elements[j] and whose [b, 1, j] is bases[b] minus it.
+
+    bases is (B, n), one base shared by all k elements, or (B, k, n),
+    one base per element.
+    """
+    elements = np.asarray(elements)
+    k = elements.size
+    B, n = bases.shape[0], bases.shape[-1]
+    rows = np.empty((B, 2, k, n), dtype=bool)
+    rows[:] = bases.reshape(B, 1, -1, n)
+    j = np.arange(k)
+    rows[:, 0, j, elements] = True
+    rows[:, 1, j, elements] = False
+    return rows
 
 
 class SetOracle:
@@ -183,7 +190,7 @@ class SetOracle:
         marg = np.empty((B, n))
         vals = np.empty(B) if values else None
         # slices of about one evaluation chunk per gateway thread keep
-        # the forced rows of the fallback bounded in memory
+        # the pair rows of the fallback bounded in memory
         step = max(1, (_EVAL_CHUNK * self.threads) // width)
         for lo in range(0, B, step):
             blk = m[lo:lo + step]
@@ -192,7 +199,13 @@ class SetOracle:
                 if values:
                     vals[lo:lo + step] = self._evaluate(blk)
             else:
-                out = self._evaluate(_forced_rows(blk, values)).reshape(-1, width)
+                rows = pair_rows(blk, np.arange(n)).reshape(-1, 2 * n, n)
+                if values:
+                    # S rides after its pairs in the same evaluation; a
+                    # one-base slice on its own would be a one-row batch,
+                    # which BLAS sums in another order
+                    rows = np.concatenate([rows, blk[:, None]], axis=1)
+                out = self._evaluate(rows.reshape(-1, n)).reshape(-1, width)
                 np.subtract(out[:, :n], out[:, n:2 * n], out=marg[lo:lo + step])
                 if values:
                     vals[lo:lo + step] = out[:, 2 * n]
@@ -248,13 +261,3 @@ class SetOracle:
                 out[lo:hi] = fut.result()
         return out
 
-
-def _forced_rows(m, values):
-    """Per base S, the n rows S+u, then the n rows S-u, then S itself
-    when values is set."""
-    B, n = m.shape
-    rows = np.repeat(m[:, None, :], 2 * n + int(values), axis=1)
-    idx = np.arange(n)
-    rows[:, idx, idx] = True
-    rows[:, n + idx, idx] = False
-    return rows.reshape(-1, n)

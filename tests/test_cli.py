@@ -18,12 +18,12 @@ from subpar import dump_instance, generate_random_instance
 from subpar.instances import CutInstance
 
 
-def run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "subpar.cli", *argv],
-                          capture_output=True, text=True, env=env,
+def run_cli(*argv, optimize=False):
+    """Run the CLI in a fresh interpreter; optimize=True runs it under
+    `python -O`, where `assert` statements are stripped."""
+    flags = ["-O"] if optimize else []
+    return subprocess.run([sys.executable, *flags, "-m", "subpar.cli", *argv],
+                          capture_output=True, text=True, env=dict(os.environ),
                           timeout=300)
 
 
@@ -135,19 +135,6 @@ def test_run_dr_on_quadratic(quad_path, tmp_path):
     assert "fractional" in rep["solution"]
 
 
-def test_threads_env_override(k2_path):
-    r = run_cli("run", "--instance", k2_path, "--algorithm", "brute-force",
-                env_extra={"SUBPAR_THREADS": "2"})
-    assert r.returncode == 0, r.stderr
-
-
-def test_bad_threads_env_names_variable(k2_path):
-    r = run_cli("run", "--instance", k2_path, "--algorithm", "brute-force",
-                env_extra={"SUBPAR_THREADS": "abc"})
-    assert r.returncode == 2
-    assert "SUBPAR_THREADS" in r.stderr and "Traceback" not in r.stderr
-
-
 # -- flag errors (exit 2, message names the flag) -----------------------------------
 
 def test_bad_epsilon_names_flag(k2_path):
@@ -190,6 +177,33 @@ def test_bad_oracle_spec_names_flag(k2_path):
                 "--oracle", "sampled:zero")
     assert r.returncode == 2
     assert "--oracle" in r.stderr
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_flag_checks_survive_optimize(k2_path, optimize):
+    r = run_cli("run", "--instance", k2_path, "--algorithm", "continuous",
+                "--oracle", "sampled:0", optimize=optimize)
+    assert r.returncode == 2
+    assert "--oracle" in r.stderr
+    r = run_cli("sweep", "--algorithm", "random-half", "--n-values", "0",
+                optimize=optimize)
+    assert r.returncode == 2
+    assert "--n-values" in r.stderr
+    r = run_cli("sweep", "--algorithm", "random-half", "--epsilon-values", ",",
+                optimize=optimize)
+    assert r.returncode == 2
+    assert "--epsilon-values" in r.stderr
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_negative_weight_instance_names_flag(tmp_path, optimize):
+    p = tmp_path / "neg.json"
+    p.write_text(json.dumps({"kind": "cut", "n": 2, "edges": [[0, 1, -0.5]]}) + "\n")
+    r = run_cli("run", "--instance", str(p), "--algorithm", "brute-force",
+                optimize=optimize)
+    assert r.returncode == 2
+    assert "--instance" in r.stderr and "negative edge weight" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_negative_seed_rejected(k2_path):

@@ -20,10 +20,15 @@ from subpar.oracles import OracleAccounting
 
 
 class ScriptedSetOracle:
-    """Duck-typed set oracle returning a fixed per-4-block value pattern.
+    """Duck-typed set oracle that scripts values by pair-row position.
 
-    Call 1 (the marginal round) replays `first` per block; later calls
-    replay `rest`.  Used to steer the update into chosen branches.
+    Every discrete round is pair rows (oracles.pair_rows) laid out as
+    [..., X/Y side, plus/minus u, element].  A pattern gives the values
+    [X+u, X-u, Y+u, Y-u], the same for every element and every leading
+    index; the scripted runs start from X = {} and Y = N, so each round
+    spans all n elements.  Call 1 (the marginal round) replays `first`;
+    later calls replay `rest`.  Used to steer the update into chosen
+    branches.
     """
 
     def __init__(self, n, first, rest):
@@ -38,7 +43,8 @@ class ScriptedSetOracle:
         self.accounting.charge(rows)
         pattern = self.first if self.calls == 0 else self.rest
         self.calls += 1
-        return np.tile(np.asarray(pattern, dtype=float), rows // 4)
+        block = np.repeat(np.asarray(pattern, dtype=float), self.n)
+        return np.tile(block, rows // block.size)
 
 
 # -- parameters -----------------------------------------------------------------
@@ -295,6 +301,29 @@ def test_run_discrete_iteration_count_and_rounds(k2):
     assert len(res.traces) == p.ell
     assert so.accounting.rounds <= 2 * p.ell + 4
     assert res.value in (0.0, 1.0)       # K2 cut takes only these values
+
+
+# (kind, n, seed) -> rounds, f_queries, iterations, value at epsilon 0.1
+# and sample_override 50, from numpy's bundled OpenBLAS on x86-64.  The
+# 52-round runs idle on the |Y \ X| = 1 tie, where G equals rhs in exact
+# arithmetic and the last bit of every evaluated row decides the step, so
+# any change to which rows are evaluated, or how, shows up here.
+GOLDEN = {
+    ("cut", 12, 0): (52, 683456, 24, 11.193885866323168),
+    ("cut", 12, 5): (11, 230896, 24, 13.729790841559915),
+    ("coverage", 12, 0): (52, 985160, 24, 17.001576600973305),
+    ("coverage", 12, 3): (31, 706660, 24, 9.929306486060808),
+    ("cut", 18, 1): (52, 943544, 24, 27.107113189189747),
+    ("coverage", 18, 2): (13, 607024, 24, 21.364527486592543),
+}
+
+
+@pytest.mark.parametrize("kind,n,seed", sorted(GOLDEN))
+def test_run_discrete_golden_meters(kind, n, seed):
+    so = SetOracle(generate_random_instance(kind, n, seed))
+    res = run_discrete(so, DiscreteParams(epsilon=0.1, sample_override=50, seed=seed))
+    got = (so.accounting.rounds, so.accounting.queries, res.iterations, res.value)
+    assert got == GOLDEN[(kind, n, seed)]
 
 
 def test_run_discrete_deterministic():

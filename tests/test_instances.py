@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subpar import (CoverageInstance, CutInstance, MultilinearQuadraticInstance,
+from subpar import (CoverageInstance, CutInstance, InvalidInstance, MultilinearQuadraticInstance,
                     NonNegativityViolation, dump_instance, generate_random_instance,
                     load_instance)
 from subpar.instances import (check_nonnegative_exhaustive, check_submodular_exhaustive,
@@ -48,11 +48,11 @@ def test_cut_empty_edges_is_zero():
 
 
 def test_cut_rejects_bad_edges():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidInstance):
         CutInstance(3, [(0, 0, 1.0)])           # self loop
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidInstance):
         CutInstance(3, [(0, 3, 1.0)])           # endpoint out of range
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidInstance):
         CutInstance(3, [(0, 1, -1.0)])          # negative weight
 
 
@@ -96,11 +96,11 @@ def test_quadratic_frozen(frozen_quad):
 
 
 def test_quadratic_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidInstance):
         MultilinearQuadraticInstance(2, 0.0, [1, 1], [[0, -1], [-0.5, 0]])   # asymmetric
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidInstance):
         MultilinearQuadraticInstance(2, 0.0, [1, 1], [[0.1, -1], [-1, 0]])   # diag != 0
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidInstance):
         MultilinearQuadraticInstance(2, 0.0, [1, 1], [[0, 1], [1, 0]])       # positive entry
 
 

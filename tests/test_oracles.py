@@ -9,8 +9,8 @@ import subpar.oracles as oracles
 from subpar import (CutInstance, InvalidElement, MultilinearOracle, NonFiniteValue,
                     OracleAccounting, SetOracle, generate_random_instance, ids_of, mask_of,
                     run_continuous)
-from subpar.oracles import (InvalidThreads, all_subsets_matrix, default_threads,
-                            members_matrix, single_members)
+from subpar.oracles import (all_subsets_matrix, default_threads, members_matrix, pair_rows,
+                            single_members)
 
 
 def test_members_matrix_accepts_bool_matrix():
@@ -116,20 +116,38 @@ def test_threaded_evaluation_matches_serial(monkeypatch):
     assert np.array_equal(serial, threaded)
 
 
-def test_default_threads_env_override(monkeypatch):
-    monkeypatch.setenv("SUBPAR_THREADS", "3")
-    assert default_threads() == 3
-    monkeypatch.setenv("SUBPAR_THREADS", "0")
-    assert default_threads() == 1             # clamped to at least one
-    monkeypatch.delenv("SUBPAR_THREADS")
+def test_threads_default_to_core_count():
     assert default_threads() >= 1
-    assert default_threads(5) == 5            # the fallback when unset
+    assert SetOracle(CutInstance(2, [(0, 1, 1.0)])).threads == default_threads()
+    assert SetOracle(CutInstance(2, [(0, 1, 1.0)]), threads=0).threads == 1
 
 
-def test_default_threads_rejects_non_integer(monkeypatch):
-    monkeypatch.setenv("SUBPAR_THREADS", "abc")
-    with pytest.raises(InvalidThreads, match="SUBPAR_THREADS"):
-        default_threads()
+def test_pair_rows_shared_base_order():
+    # one base per row of `bases`, shared by every element: [base, +/-, element]
+    bases = np.array([[True, False, False, True],
+                      [False, True, False, False]])
+    rows = pair_rows(bases, [2, 0])
+    assert rows.shape == (2, 2, 2, 4) and rows.dtype == bool
+    want = [[[[1, 0, 1, 1], [1, 0, 0, 1]],       # S0+2, S0+0
+             [[1, 0, 0, 1], [0, 0, 0, 1]]],      # S0-2, S0-0
+            [[[0, 1, 1, 0], [1, 1, 0, 0]],       # S1+2, S1+0
+             [[0, 1, 0, 0], [0, 1, 0, 0]]]]      # S1-2, S1-0
+    assert np.array_equal(rows, np.array(want, dtype=bool))
+    assert not bases[1, 0]                       # the input is not modified
+
+
+def test_pair_rows_per_element_bases():
+    # bases (B, k, n): element j is forced into / out of its own base
+    rng = np.random.default_rng(3)
+    bases = rng.random((3, 5, 5)) < 0.5
+    rows = pair_rows(bases, np.arange(5))
+    assert rows.shape == (3, 2, 5, 5)
+    for b in range(3):
+        for j in range(5):
+            plus, minus = bases[b, j].copy(), bases[b, j].copy()
+            plus[j], minus[j] = True, False
+            assert np.array_equal(rows[b, 0, j], plus)
+            assert np.array_equal(rows[b, 1, j], minus)
 
 
 def test_spy_matches_accounting(k2, spy_oracle):
