@@ -24,7 +24,7 @@ the set oracle.
 
 import numpy as np
 
-from .oracles import OracleAccounting, all_subsets_matrix
+from .oracles import all_subsets_matrix, single_blas_thread
 
 
 class ExactTooLarge(ValueError):
@@ -61,16 +61,21 @@ class MultilinearOracle:
 
     def __init__(self, set_oracle, mode="exact", samples=1000,
                  exact_threshold=20, rng=None):
-        assert mode in ("exact", "sampled")
+        if mode not in ("exact", "sampled"):
+            raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
         if mode == "exact" and set_oracle.n > exact_threshold:
             raise ExactTooLarge(
                 f"exact mode needs n <= {exact_threshold}, got n={set_oracle.n}")
+        if mode == "sampled" and int(samples) < 1:
+            raise ValueError(f"sampled mode needs samples >= 1, got {samples}")
         self.set_oracle = set_oracle
         self.mode = mode
         self.samples = int(samples)
         self.exact_threshold = int(exact_threshold)
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.F_queries = 0
+        self._subsets = None
+        self._fold_work = []          # scratch reused by every exact fold
 
     @property
     def n(self):
@@ -96,8 +101,7 @@ class MultilinearOracle:
         P, n = pts.shape
         self.F_queries += 2 * n * P
         if self.mode == "exact":
-            table = self.set_oracle.eval_batch(all_subsets_matrix(n))
-            grads, _ = _fold_grad_eval(table, pts)
+            grads, _ = _fold_grad_eval(self._power_set_values(), pts, work=self._fold_work)
             return grads
         return self._sampled_marginals(pts, values=False)
 
@@ -107,23 +111,30 @@ class MultilinearOracle:
         P, n = pts.shape
         self.F_queries += (2 * n + 1) * P
         if self.mode == "exact":
-            table = self.set_oracle.eval_batch(all_subsets_matrix(n))
-            return _fold_grad_eval(table, pts)
+            return _fold_grad_eval(self._power_set_values(), pts, work=self._fold_work)
         return self._sampled_marginals(pts, values=True)
 
     # -- internals -------------------------------------------------------
 
     def _as_points(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        out = np.empty_like(pts)
-        for i in range(pts.shape[0]):
-            out[i] = clamp01(pts[i], self.n)
-        return out
+        if pts.ndim != 2 or pts.shape[1] != self.n:
+            raise ValueError(f"points have shape {pts.shape}, expected (P, {self.n})")
+        return clamp01(pts)
+
+    def _power_set_values(self):
+        # one round over the power set; its rows are built once per oracle.
+        # A 2^n x n product on one BLAS thread: threaded, its idle workers
+        # spin beside the single-threaded fold that follows
+        if self._subsets is None:
+            self._subsets = all_subsets_matrix(self.n)
+            self._subsets.setflags(write=False)
+        with single_blas_thread():
+            return self.set_oracle.eval_batch(self._subsets)
 
     def _answer(self, args):
         if self.mode == "exact":
-            table = self.set_oracle.eval_batch(all_subsets_matrix(self.n))
-            return _fold_eval(table, args)
+            return _fold_eval(self._power_set_values(), args)
         return self._sampled(args)
 
     def _sampled(self, args):
@@ -192,45 +203,89 @@ def _fold_eval(table, args, flop_budget=1 << 24):
     return out
 
 
-def _fold_grad_eval(table, pts, elem_budget=1 << 23):
+def _fold_grad_eval(table, pts, elem_budget=1 << 18, work=None):
     """Values and full gradients from one power-set table.
 
     Forward pass: the same per-coordinate contraction as _fold_eval,
-    retaining each level.  Adjoint pass: the contraction is linear in
-    the level values, so one sweep back up the chain yields every
-    partial derivative (the coordinate-u partial is the adjoint-weighted
-    sum of top-half minus bottom-half of level u's input).  Costs a
-    small constant times a single fold, instead of 2n folds.
+    keeping each level's difference b - a.  Adjoint pass: the
+    contraction is linear in the level values, so one sweep back up the
+    chain yields every partial derivative (the coordinate-u partial is
+    the adjoint-weighted sum of level u's difference).  Costs a small
+    constant times a single fold, instead of 2n folds.
+
+    The top level's difference depends only on the table, so every
+    point shares it.  A chunk folds elem_budget // 2^n points, so each
+    of its three buffers (kept differences, and two that take turns as
+    the current level and the adjoint weights) holds at most
+    elem_budget / 2 floats: 1 MB at the default, near L2 size.  All of
+    them are cut, on cache lines, from one scratch array.  `work` may be
+    a list holding that array from an earlier call: it is reused, or
+    replaced by a larger one, so a caller folding round after round
+    allocates nothing big.  Fresh arrays of this size come from malloc
+    either out of warm memory or freshly mapped and faulted in, which
+    depends on the allocation history of the process, so the cost of a
+    fold depended on it too.  Every step is elementwise per point and
+    each partial is a row sum, so a point's answer never depends on the
+    chunk it was folded in.
     """
     P, n = pts.shape
     size = table.size
     assert size == 1 << n
     vals = np.empty(P)
     grads = np.empty((P, n))
-    chunk = min(P, max(1, elem_budget // (2 * size)))
+    top = size >> 1
+    chunk = min(P, max(1, elem_budget // size))
+    lines = -(-top // 8) * 8               # whole cache lines of floats
+    span = -(-chunk * top // 8) * 8
+    need = 7 + lines + 3 * span            # 7: room to start on a line
+    if work is None:
+        work = [np.empty(need)]
+    elif not work or work[0].size < need:
+        work[:] = [np.empty(need)]
+    first = (-work[0].ctypes.data % 64) // 8
+    scratch = work[0][first:first + lines + 3 * span]
+    a_top = table[:top]
+    d_top = scratch[:top]
+    np.subtract(table[top:], a_top, out=d_top)
+    kept, turn0, turn1 = (scratch[lines + i * span:lines + (i + 1) * span] for i in range(3))
+    turns = [turn0, turn1]
     for lo in range(0, P, chunk):
         hi = min(lo + chunk, P)
         rows = hi - lo
         z = pts[lo:hi]
-        levels = []
-        cur = np.broadcast_to(table, (rows, size))
-        for u in range(n - 1, -1, -1):
-            levels.append(cur)
+        diffs = [d_top]
+        cur = turns[0][:rows * top].reshape(rows, top)
+        np.multiply(z[:, n - 1:n], d_top, out=cur)
+        cur += a_top
+        used = 0
+        for u in range(n - 2, -1, -1):
             half = 1 << u
-            a, b = cur[:, :half], cur[:, half:]
-            cur = a + z[:, u:u + 1] * (b - a)
+            a = cur[:, :half]
+            d = kept[used:used + rows * half].reshape(rows, half)
+            used += rows * half
+            np.subtract(cur[:, half:], a, out=d)
+            diffs.append(d)
+            cur = turns[(n - 1 - u) % 2][:rows * half].reshape(rows, half)
+            np.multiply(z[:, u:u + 1], d, out=cur)
+            cur += a
         vals[lo:hi] = cur[:, 0]
-        w = np.ones((rows, 1))
-        for t in range(n - 1, -1, -1):
-            u = n - 1 - t
+        w = turns[0][:rows].reshape(rows, 1)
+        w.fill(1.0)
+        for u in range(n):
             half = 1 << u
-            inp = levels[t]
-            diff = inp[:, half:] - inp[:, :half]
-            grads[lo:hi, u] = (w * diff).sum(axis=1)
-            if t > 0:
+            spare = turns[(u + 1) % 2]
+            if u < n - 1:
+                nxt = spare[:rows * 2 * half].reshape(rows, 2 * half)
+                prod = nxt[:, half:]        # overwritten by the next weights below
+            else:
+                prod = spare[:rows * half].reshape(rows, half)
+            np.multiply(w, diffs[n - 1 - u], out=prod)
+            grads[lo:hi, u] = prod.sum(axis=1)
+            if u < n - 1:
                 zu = z[:, u:u + 1]
-                w = np.concatenate([w * (1.0 - zu), w * zu], axis=1)
-        del levels
+                np.multiply(w, 1.0 - zu, out=nxt[:, :half])
+                np.multiply(w, zu, out=nxt[:, half:])
+                w = nxt
     return grads, vals
 
 

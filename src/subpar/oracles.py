@@ -20,8 +20,10 @@ Subsets are represented as boolean membership matrices of shape
 as bitmasks and normalize them.
 """
 
+import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -118,6 +120,56 @@ def all_subsets_matrix(n):
 
 
 _EVAL_CHUNK = 1 << 21  # rows per evaluation slice, keeps memory bounded
+
+
+def _openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS this process has
+    loaded, or None (another BLAS, or no /proc/self/maps to find it)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh
+                            if "openblas" in ln.lower() and ln.split()[-1].startswith("/")})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    put.argtypes = [ctypes.c_int]
+                    return get, put
+    return None
+
+
+_blas_thread_calls = None     # looked up on first use; False when not found
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the body with BLAS on the calling thread only.
+
+    For small products between single-threaded numpy work: a threaded
+    OpenBLAS call wakes workers that keep spinning on the other cores
+    after it returns, and it stalls until every worker has been
+    scheduled, so load or steal on any core slows the caller.  The
+    thread count is process-wide and restored on exit.  Without OpenBLAS
+    the body runs unchanged.
+    """
+    global _blas_thread_calls
+    if _blas_thread_calls is None:
+        _blas_thread_calls = _openblas_thread_calls() or False
+    if not _blas_thread_calls:
+        yield
+        return
+    get, put = _blas_thread_calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def default_threads():

@@ -27,7 +27,7 @@ import numpy as np
 from .baselines import brute_force
 from .continuous import pre_process, update
 from .drbox import QuadraticContinuousOracle, grid_search_optimum, run_dr
-from .instances import (CutInstance, NonNegativityViolation,
+from .instances import (CutInstance, InvalidInstance, NonNegativityViolation,
                         check_nonnegative_exhaustive, check_submodular_exhaustive,
                         generate_random_instance, load_instance)
 from .multilinear import MultilinearOracle, lovasz_value, sample_set
@@ -317,7 +317,8 @@ def run_verify(suites=None, instance_path=None, epsilon=0.1):
 
     Returns (names_run, findings).  A user-supplied instance file joins
     the exhaustive-check pool; a file whose construction already
-    violates non-negativity is reported as a finding rather than raised.
+    violates non-negativity, or whose data breaks the schema (a negative
+    edge weight, say), is reported as a finding rather than raised.
     """
     extra = None
     findings = []
@@ -325,7 +326,7 @@ def run_verify(suites=None, instance_path=None, epsilon=0.1):
         try:
             inst, _ = load_instance(instance_path)
             extra = (str(instance_path), inst)
-        except NonNegativityViolation as e:
+        except (InvalidInstance, NonNegativityViolation) as e:
             findings.append(Finding("non-negativity", str(instance_path), str(e)))
     names = list(SUITES) if suites is None else list(suites)
     for nm in names:

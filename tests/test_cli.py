@@ -298,3 +298,16 @@ def test_verify_flags_bad_instance(tmp_path):
     assert "non-negativity" in r.stdout    # suite line flips to FAIL
     assert "FAIL" in r.stdout
     assert "violation" in r.stderr
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_verify_flags_negative_weight_instance(tmp_path, optimize):
+    # a schema error in the file is a finding of the suite, not a crash
+    p = tmp_path / "neg_cut.json"
+    p.write_text(json.dumps({"kind": "cut", "n": 2, "edges": [[0, 1, -0.5]]}) + "\n")
+    r = run_cli("verify", "--suite", "non-negativity", "--instance", str(p),
+                optimize=optimize)
+    assert r.returncode == 1
+    assert "non-negativity  FAIL" in r.stdout
+    assert f"[non-negativity] {p}: negative edge weight" in r.stderr
+    assert "error:" not in r.stderr and "Traceback" not in r.stderr

@@ -298,3 +298,32 @@ def test_run_continuous_rounds_and_rounding(k2):
                            0.1, seed=5)
     assert np.array_equal(res.rounded, again.rounded)
     assert res.core.value == again.core.value
+
+
+# (kind, n) -> rounds, f_queries, F_queries, iterations and value.hex() of
+# an exact-mode run at epsilon 0.1 on the instance seeded n, rounding
+# seed n, from numpy's bundled OpenBLAS on x86-64 (the power-set table
+# comes from each instance's evaluate_batch).  A change to how the
+# extension is folded that moves one last bit can move a step choice or
+# the value, and shows up here.
+EXACT_GOLDEN = {
+    ("cut", 8): (20, 4865, 9746, 8, "0x1.007c11b6863c0p+2"),
+    ("cut", 12): (20, 77825, 14610, 8, "0x1.44be54289e7b8p+3"),
+    ("cut", 14): (20, 311297, 17042, 8, "0x1.37fd98c8f9ef8p+4"),
+    ("coverage", 8): (14, 3329, 6188, 5, "0x1.9d7aed853d2d2p+2"),
+    ("coverage", 12): (16, 61441, 12542, 6, "0x1.08ba0c34edaf1p+4"),
+    ("coverage", 14): (16, 245761, 14518, 6, "0x1.e1d583d813044p+3"),
+    ("quadratic", 8): (14, 3329, 6636, 5, "0x1.e846ef19b77dbp+2"),
+    ("quadratic", 12): (14, 53249, 9900, 5, "0x1.54509c04d736dp+3"),
+    ("quadratic", 14): (16, 245761, 13062, 6, "0x1.eccf0bd1e3dd1p+3"),
+}
+
+
+@pytest.mark.parametrize("kind,n", sorted(EXACT_GOLDEN))
+def test_run_continuous_exact_golden_meters(kind, n):
+    so = SetOracle(generate_random_instance(kind, n, n))
+    mo = MultilinearOracle(so, mode="exact")
+    res = run_continuous(mo, 0.1, seed=n)
+    got = (so.accounting.rounds, so.accounting.queries, mo.F_queries,
+           res.core.iterations, res.core.value.hex())
+    assert got == EXACT_GOLDEN[(kind, n)]

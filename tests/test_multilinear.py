@@ -13,6 +13,8 @@ import pytest
 
 from subpar import (ExactTooLarge, MultilinearOracle, SetOracle,
                     generate_random_instance, lovasz_value, sample_set)
+import subpar.multilinear as multilinear
+import subpar.oracles as oracles
 from subpar.multilinear import _fold_eval, _fold_grad_eval, clamp01
 from subpar.oracles import all_subsets_matrix
 
@@ -120,6 +122,43 @@ def test_fold_chunking_is_invisible():
     g1, v1 = _fold_grad_eval(table, pts)
     g2, v2 = _fold_grad_eval(table, pts, elem_budget=1)
     assert np.array_equal(g1, g2) and np.array_equal(v1, v2)
+    # at n=14 the default budget folds 16 points per chunk, so 40 points
+    # really split; one point per chunk and one chunk for all must agree
+    inst = generate_random_instance("cut", 14, 9)
+    table = SetOracle(inst).eval_batch(all_subsets_matrix(14))
+    pts = np.random.default_rng(7).random((40, 14))
+    g1, v1 = _fold_grad_eval(table, pts)
+    for budget in (1, 1 << 30):
+        g2, v2 = _fold_grad_eval(table, pts, elem_budget=budget)
+        assert np.array_equal(g1, g2) and np.array_equal(v1, v2)
+
+
+def level_fold(table, z):
+    """One point's value and gradient by the textbook fold: keep every
+    level, recompute its difference in the adjoint sweep."""
+    n = z.size
+    levels, cur = [], table
+    for u in range(n - 1, -1, -1):
+        levels.append(cur)
+        half = 1 << u
+        cur = cur[:half] + z[u] * (cur[half:] - cur[:half])
+    grad, w = np.empty(n), np.ones(1)
+    for u in range(n):
+        inp, half = levels[n - 1 - u], 1 << u
+        grad[u] = (w * (inp[half:] - inp[:half])).sum()
+        w = np.concatenate([w * (1.0 - z[u]), w * z[u]])
+    return grad, cur[0]
+
+
+@pytest.mark.parametrize("kind,n", [("cut", 10), ("coverage", 9), ("quadratic", 8)])
+def test_grad_fold_is_the_per_point_level_fold(kind, n):
+    # same arithmetic per point, so equal bits, whatever the batch
+    table = SetOracle(generate_random_instance(kind, n, 5)).eval_batch(all_subsets_matrix(n))
+    pts = np.random.default_rng(1).random((12, n))
+    grads, vals = _fold_grad_eval(table, pts)
+    for i in range(12):
+        g, v = level_fold(table, pts[i])
+        assert np.array_equal(grads[i], g) and vals[i] == v
 
 
 # -- accounting ------------------------------------------------------------------
@@ -197,6 +236,79 @@ def test_exact_threshold_enforced():
         MultilinearOracle(SetOracle(inst), mode="exact", exact_threshold=8)
 
 
+def test_bad_mode_names_the_mode():
+    with pytest.raises(ValueError, match="'bogus'"):
+        MultilinearOracle(SetOracle(generate_random_instance("cut", 4, 0)), mode="bogus")
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampled_needs_a_draw(samples):
+    with pytest.raises(ValueError, match="samples >= 1"):
+        MultilinearOracle(SetOracle(generate_random_instance("cut", 4, 0)),
+                          mode="sampled", samples=samples)
+
+
+def test_exact_power_set_rows_built_once(monkeypatch, k2):
+    built = []
+
+    def counting(n):
+        built.append(n)
+        return all_subsets_matrix(n)
+
+    monkeypatch.setattr(multilinear, "all_subsets_matrix", counting)
+    so = SetOracle(k2)
+    oracle = MultilinearOracle(so, mode="exact")
+    pts = np.random.default_rng(3).random((3, 2))
+    oracle.value_batch(pts)
+    oracle.gradient_batch(pts)
+    oracle.grad_and_value_batch(pts)
+    assert built == [2]                       # three rounds, one build
+    assert so.accounting.snapshot() == (3, 12)
+
+
+def test_exact_fold_scratch_is_reused():
+    # the oracle folds every round in one kept scratch array, grown only
+    # for a larger chunk; the answers match a fold with its own scratch
+    inst = generate_random_instance("coverage", 10, 2)
+    so = SetOracle(inst)
+    oracle = MultilinearOracle(so, mode="exact")
+    table = so.eval_batch(all_subsets_matrix(10))
+    rng = np.random.default_rng(8)
+    big, small = rng.random((40, 10)), rng.random((3, 10))
+    g, v = oracle.grad_and_value_batch(big)
+    scratch = oracle._fold_work[0]
+    assert np.array_equal(g, _fold_grad_eval(table, big)[0])
+    assert np.array_equal(v, _fold_grad_eval(table, big)[1])
+    assert np.array_equal(oracle.gradient_batch(small), _fold_grad_eval(table, small)[0])
+    assert oracle._fold_work[0] is scratch
+    work = [np.empty(1)]
+    g2, v2 = _fold_grad_eval(table, big, elem_budget=1 << 12, work=work)
+    assert work[0].size > 1
+    assert np.array_equal(g2, g) and np.array_equal(v2, v)
+
+def test_exact_power_set_round_runs_on_one_blas_thread():
+    calls = oracles._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy is not linked against an OpenBLAS with thread calls")
+    get = calls[0]
+    inst = generate_random_instance("cut", 12, 4)
+    seen = []
+
+    class Spy:
+        n = inst.n
+
+        def evaluate_batch(self, m):
+            seen.append((m.shape[0], get()))
+            return inst.evaluate_batch(m)
+
+    before = get()
+    oracle = MultilinearOracle(SetOracle(Spy()), mode="exact")
+    pts = np.random.default_rng(6).random((5, 12))
+    oracle.value_batch(pts)
+    oracle.grad_and_value_batch(pts)
+    assert seen == [(1 << 12, 1)] * 2
+    assert get() == before
+
 # -- sampled estimator ---------------------------------------------------------
 
 def test_sampled_unbiased_within_four_sigma():
@@ -245,6 +357,18 @@ def test_clamp01():
         clamp01(np.array([0.5, 1.01]))
     with pytest.raises(ValueError):
         clamp01(np.array([0.5]), n=2)
+
+
+def test_as_points_validates_the_batch():
+    oracle = MultilinearOracle(SetOracle(generate_random_instance("cut", 3, 0)))
+    for bad in (np.full((2, 4), 0.5),              # wrong width
+                np.full((2, 2, 3), 0.5),           # 3-D batch
+                np.array([[0.5, 0.5, 1.0 + 1e-9]])):  # beyond tolerance
+        with pytest.raises(ValueError):
+            oracle._as_points(bad)
+    got = oracle._as_points(np.array([[-1e-13, 0.5, 1.0 + 1e-13], [0.2, 0.3, 0.4]]))
+    assert np.array_equal(got, [[0.0, 0.5, 1.0], [0.2, 0.3, 0.4]])
+    assert np.array_equal(oracle._as_points([0.1, 0.2, 0.3]), [[0.1, 0.2, 0.3]])
 
 
 def test_sample_set_extremes():

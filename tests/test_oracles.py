@@ -10,7 +10,7 @@ from subpar import (CutInstance, InvalidElement, MultilinearOracle, NonFiniteVal
                     OracleAccounting, SetOracle, generate_random_instance, ids_of, mask_of,
                     run_continuous)
 from subpar.oracles import (all_subsets_matrix, default_threads, members_matrix, pair_rows,
-                            single_members)
+                            single_blas_thread, single_members)
 
 
 def test_members_matrix_accepts_bool_matrix():
@@ -121,6 +121,37 @@ def test_threads_default_to_core_count():
     assert SetOracle(CutInstance(2, [(0, 1, 1.0)])).threads == default_threads()
     assert SetOracle(CutInstance(2, [(0, 1, 1.0)]), threads=0).threads == 1
 
+
+def openblas_threads():
+    calls = oracles._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy is not linked against an OpenBLAS with thread calls")
+    return calls[0]
+
+
+def test_single_blas_thread_restores_the_count():
+    get = openblas_threads()
+    before = get()
+    with single_blas_thread():
+        assert get() == 1
+    assert get() == before
+    with pytest.raises(RuntimeError):
+        with single_blas_thread():
+            raise RuntimeError("body failed")
+    assert get() == before
+
+
+@pytest.mark.parametrize("kind", ["cut", "coverage", "quadratic"])
+def test_single_blas_thread_keeps_power_set_bits(kind):
+    # a power set splits evenly over BLAS threads, so one thread sums
+    # every row in the same order
+    openblas_threads()
+    m = all_subsets_matrix(14)
+    inst = generate_random_instance(kind, 14, 5)
+    threaded = inst.evaluate_batch(m)
+    with single_blas_thread():
+        single = inst.evaluate_batch(m)
+    assert np.array_equal(threaded, single)
 
 def test_pair_rows_shared_base_order():
     # one base per row of `bases`, shared by every element: [base, +/-, element]

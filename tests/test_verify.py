@@ -49,6 +49,14 @@ def test_bad_instance_becomes_finding(tmp_path):
     assert str(f).startswith("[non-negativity]")
 
 
+def test_invalid_instance_becomes_finding(tmp_path):
+    p = tmp_path / "neg_cut.json"
+    p.write_text(json.dumps({"kind": "cut", "n": 2, "edges": [[0, 1, -0.5]]}) + "\n")
+    names, findings = run_verify(suites=["non-negativity"], instance_path=str(p))
+    assert [(f.suite, f.instance) for f in findings] == [("non-negativity", str(p))]
+    assert "negative edge weight" in findings[0].detail
+
+
 def test_extra_instance_joins_pool(tmp_path):
     p = tmp_path / "extra.json"
     dump_instance(generate_random_instance("cut", 5, 36), p)
