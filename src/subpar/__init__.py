@@ -25,7 +25,8 @@ from .drbox import (BoxDomain, QuadraticContinuousOracle, grid_search_optimum,
                     rescale_to_cube, run_dr)
 from .instances import (CoverageInstance, CutInstance, InvalidInstance,
                         MultilinearQuadraticInstance, NonNegativityViolation, OutOfBox,
-                        dump_instance, generate_random_instance, load_instance)
+                        UnreadableInstance, dump_instance, generate_random_instance,
+                        load_instance)
 from .multilinear import ExactTooLarge, MultilinearOracle, lovasz_value, sample_set
 from .oracles import (InvalidElement, NonFiniteValue, OracleAccounting, SetOracle, ids_of,
                       mask_of)
@@ -40,7 +41,7 @@ __all__ = [
     "MultilinearQuadraticInstance", "NonFiniteValue", "NonNegativityViolation",
     "OracleAccounting", "OutOfBox", "ParamOutOfRange",
     "QuadraticContinuousOracle", "RunReport", "SetOracle",
-    "StateInvariantViolation", "TooLarge",
+    "StateInvariantViolation", "TooLarge", "UnreadableInstance",
     "brute_force", "brute_force_ids", "compute_rates", "discrete_preprocess",
     "discrete_update", "double_greedy", "dump_instance", "estimate_tau",
     "expected_update_gain", "finalize", "g_estimates",

@@ -18,11 +18,12 @@ import numpy as np
 
 from . import __version__
 from .baselines import TooLarge, brute_force, double_greedy, random_half
-from .continuous import ParamOutOfRange, run_continuous
-from .discrete import THEOREM_EPS_MAX, DiscreteParams, run_discrete
+from .continuous import ParamOutOfRange, check_epsilon, run_continuous
+from .discrete import DiscreteParams, run_discrete
 from .drbox import BoxDomain, grid_search_optimum, run_dr
 from .instances import (InvalidInstance, MultilinearQuadraticInstance,
-                        NonNegativityViolation, generate_random_instance, load_instance)
+                        NonNegativityViolation, UnreadableInstance,
+                        generate_random_instance, load_instance)
 from .multilinear import MultilinearOracle
 from .oracles import SetOracle, ids_of
 from .reports import CSV_COLUMNS, RunReport, csv_row, with_ratio
@@ -39,6 +40,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
+    except UnreadableInstance as e:     # only --instance files are read
+        parser.error(f"--instance: {e}")
     except (TooLarge, NonNegativityViolation, ParamOutOfRange,
             RuntimeError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -62,11 +65,11 @@ def build_parser():
                        help="exact | sampled:K (K samples per extension query)")
     run_p.add_argument("--mode", choices=("theorem", "engineering"),
                        default="engineering")
-    run_p.add_argument("--sample-override", type=_u64, default=None,
+    run_p.add_argument("--sample-override", type=_positive_int, default=None,
                        help="cap the discrete G-estimator sample counts")
     run_p.add_argument("--out", default=None, help="report file path")
     run_p.add_argument("--format", choices=("json", "csv"), default="json")
-    run_p.add_argument("--threads", type=int, default=None)
+    run_p.add_argument("--threads", type=_positive_int, default=None)
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="benchmark grid over n, epsilon, seeds")
@@ -78,14 +81,14 @@ def build_parser():
                          help="comma-separated ground-set sizes")
     sweep_p.add_argument("--epsilon-values", default="0.1",
                          help="comma-separated epsilon values")
-    sweep_p.add_argument("--seeds-per-cell", type=int, default=5)
+    sweep_p.add_argument("--seeds-per-cell", type=_positive_int, default=5)
     sweep_p.add_argument("--oracle", default="auto:2000",
                          help="exact | sampled:K | auto:K (exact while feasible)")
     sweep_p.add_argument("--mode", choices=("theorem", "engineering"),
                          default="engineering")
-    sweep_p.add_argument("--sample-override", type=_u64, default=None)
+    sweep_p.add_argument("--sample-override", type=_positive_int, default=None)
     sweep_p.add_argument("--out", default=None, help="CSV output path")
-    sweep_p.add_argument("--threads", type=int, default=None)
+    sweep_p.add_argument("--threads", type=_positive_int, default=None)
     sweep_p.set_defaults(func=cmd_sweep)
 
     verify_p = sub.add_parser("verify", help="run invariant suites")
@@ -102,6 +105,13 @@ def _u64(text):
     v = int(text)
     if not (0 <= v < 2 ** 64):
         raise argparse.ArgumentTypeError(f"{v} outside [0, 2^64)")
+    return v
+
+
+def _positive_int(text):
+    v = int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"{v} is not a positive integer")
     return v
 
 
@@ -123,18 +133,15 @@ def _parse_oracle(spec, parser, allow_auto=False):
                  f"{' or auto:K' if allow_auto else ''}, got {spec!r}")
 
 
-def _check_epsilon(args, parser):
-    e = args.epsilon
-    if args.algorithm in ("continuous", "dr") and not (0.0 < e < 1.0 / 3.0):
-        parser.error(f"--epsilon: {args.algorithm} requires epsilon in "
-                     f"(0, 1/3), got {e}")
-    if args.algorithm == "discrete":
-        if args.mode == "theorem" and not (0.0 < e <= THEOREM_EPS_MAX):
-            parser.error(f"--epsilon: discrete theorem mode requires epsilon "
-                         f"in (0, 1/208], got {e}")
-        if args.mode == "engineering" and not (0.0 < e < 1.0 / 3.0):
-            parser.error(f"--epsilon: discrete engineering mode requires "
-                         f"epsilon in (0, 1/3), got {e}")
+def _check_epsilon(algorithm, mode, epsilon, parser, flag="--epsilon"):
+    """Exit 2 naming flag when the driver behind algorithm rejects epsilon."""
+    try:
+        if algorithm in ("continuous", "dr"):
+            check_epsilon(epsilon)
+        elif algorithm == "discrete":
+            DiscreteParams(epsilon=epsilon, mode=mode)
+    except ParamOutOfRange as e:
+        parser.error(f"{flag}: {algorithm}: {e}")
 
 
 def _load(path, parser):
@@ -144,8 +151,6 @@ def _load(path, parser):
         return load_instance(path)
     except (InvalidInstance, NonNegativityViolation) as e:
         parser.error(f"--instance: invalid instance: {e}")
-    except (KeyError, ValueError, TypeError) as e:
-        parser.error(f"--instance: cannot parse {path}: {e}")
 
 
 def _opt_for(instance, box=None):
@@ -167,7 +172,7 @@ def _opt_for(instance, box=None):
 # -- run --------------------------------------------------------------------
 
 def cmd_run(args, parser):
-    _check_epsilon(args, parser)
+    _check_epsilon(args.algorithm, args.mode, args.epsilon, parser)
     instance, box_spec = _load(args.instance, parser)
     instance_id = os.path.splitext(os.path.basename(args.instance))[0]
     report = execute(instance, box_spec, instance_id, args, parser)
@@ -191,10 +196,10 @@ def execute(instance, box_spec, instance_id, args, parser):
             instance_id=instance_id, algorithm=alg, epsilon=args.epsilon,
             seed=args.seed, solution={"fractional": [float(v) for v in res.x]},
             value=res.value, opt_value=_opt_for(instance, box),
-            adaptive_rounds=(res.oracle.rounds_meter.rounds if res.oracle else 0),
-            f_queries=0,
-            F_queries=(res.oracle.F_queries if res.oracle else 0),
-            grad_queries=(res.oracle.grad_queries if res.oracle else 0),
+            adaptive_rounds=res.oracle.rounds_meter.rounds,
+            f_queries=res.oracle.f_queries,
+            F_queries=res.oracle.F_queries,
+            grad_queries=res.oracle.grad_queries,
             iterations=res.iterations,
             trace=(res.core.traces if res.core else []),
             n=n, oracle="direct", mode=args.mode)
@@ -320,8 +325,8 @@ def _float_list(text, parser, flag):
 def cmd_sweep(args, parser):
     n_values = _int_list(args.n_values, parser, "--n-values")
     eps_values = _float_list(args.epsilon_values, parser, "--epsilon-values")
-    if args.seeds_per_cell < 1:
-        parser.error("--seeds-per-cell: must be >= 1")
+    for eps in eps_values:
+        _check_epsilon(args.algorithm, args.mode, eps, parser, "--epsilon-values")
     oracle_mode, oracle_k = _parse_oracle(args.oracle, parser, allow_auto=True)
 
     rows = []
@@ -334,7 +339,6 @@ def cmd_sweep(args, parser):
                     oracle=_resolve_auto(args.oracle, oracle_mode, oracle_k, n),
                     mode=args.mode, sample_override=args.sample_override,
                     threads=args.threads)
-                _check_epsilon(run_args, parser)
                 instance = generate_random_instance(args.kind, n, seed)
                 rep = execute(instance, None, f"{args.kind}-n{n}-s{seed}",
                               run_args, parser)
@@ -392,13 +396,18 @@ def _aggregate_rows(cell, n, eps, algorithm):
 # -- verify -------------------------------------------------------------------
 
 def cmd_verify(args, parser):
-    from .verify import SUITES, run_verify
+    from .verify import INSTANCE_SUITES, SUITES, run_verify
     if args.suite is not None and args.suite not in SUITES:
         parser.error(f"--suite: unknown suite {args.suite!r} "
                      f"(choices: {', '.join(SUITES)})")
-    if args.instance is not None and not os.path.exists(args.instance):
-        parser.error(f"--instance: file not found: {args.instance}")
-    suites = None if args.suite is None else [args.suite]
+    _check_epsilon("continuous", None, args.epsilon, parser)
+    suites = list(SUITES) if args.suite is None else [args.suite]
+    if args.instance is not None:
+        if not os.path.exists(args.instance):
+            parser.error(f"--instance: file not found: {args.instance}")
+        if not set(suites) & set(INSTANCE_SUITES):
+            parser.error(f"--instance: only the {' and '.join(INSTANCE_SUITES)} "
+                         f"suites read it, not {args.suite}")
     names, findings = run_verify(suites=suites, instance_path=args.instance,
                                  epsilon=args.epsilon)
     failed = {f.suite for f in findings}

@@ -56,6 +56,12 @@ class ContinuousState:
         return self
 
 
+def check_epsilon(epsilon):
+    """The driver's accuracy window: epsilon in (0, 1/3)."""
+    if not (0.0 < epsilon < 1.0 / 3.0):
+        raise ParamOutOfRange(f"epsilon must be in (0, 1/3), got {epsilon}")
+
+
 def _clamp_box(v):
     if (v < -_CLAMP_TOL).any() or (v > 1 + _CLAMP_TOL).any():
         raise StateInvariantViolation("coordinate left [0,1] beyond tolerance")
@@ -192,7 +198,12 @@ class CoreResult:
     gamma: float
     iterations: int
     traces: list
-    trajectory: list   # x after pre-processing and after every update
+    states: list   # the pair after pre-processing and after every update
+
+    @property
+    def trajectory(self):
+        """x after pre-processing and after every update."""
+        return [s.x for s in self.states]
 
 
 def run_core(oracle, epsilon, trivial_threshold=0.0):
@@ -203,30 +214,28 @@ def run_core(oracle, epsilon, trivial_threshold=0.0):
     identically zero, so the all-halves point is returned immediately --
     otherwise gamma would be 0 and the step grid would degenerate.
     """
-    if not (0.0 < epsilon < 1.0 / 3.0):
-        raise ParamOutOfRange(f"epsilon must be in (0, 1/3), got {epsilon}")
+    check_epsilon(epsilon)
     n = oracle.n
     tau = float(oracle.value_batch(np.full((1, n), 0.5))[0])   # one round
     gamma = 4.0 * epsilon * tau
     if tau <= trivial_threshold:
-        x = np.full(n, 0.5)
-        return CoreResult(x=x, value=float(oracle.value_batch(x[None, :])[0]),
+        half = np.full(n, 0.5)
+        state = ContinuousState(x=half, y=half.copy(), delta=0.0)
+        return CoreResult(x=half, value=float(oracle.value_batch(half[None, :])[0]),
                           tau=tau, gamma=gamma, iterations=0, traces=[],
-                          trajectory=[x.copy()])
+                          states=[state])
     state = pre_process(oracle, tau, epsilon)                  # one round
-    traces = []
-    trajectory = [state.x.copy()]
+    states, traces = [state], []
     cap = int(np.ceil(10.0 / epsilon)) + 10
     while state.delta > 0.0:
         if len(traces) >= cap:
             raise RuntimeError(f"update loop exceeded {cap} iterations")
         state, tr = update(oracle, state, gamma, epsilon)
+        states.append(state)
         traces.append(tr)
-        trajectory.append(state.x.copy())
     value = float(oracle.value_batch(state.x[None, :])[0])     # one round
     return CoreResult(x=state.x, value=value, tau=tau, gamma=gamma,
-                      iterations=len(traces), traces=traces,
-                      trajectory=trajectory)
+                      iterations=len(traces), traces=traces, states=states)
 
 
 @dataclass

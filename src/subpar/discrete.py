@@ -95,7 +95,7 @@ def estimate_tau(set_oracle, epsilon, seed, m=None):
     """Mean set value over m fresh draws of the all-halves sampling, one round."""
     n = set_oracle.n
     if m is None:
-        m = math.ceil(200.0 * math.log(6.0 / epsilon))
+        m = DiscreteParams(epsilon=epsilon).tau_samples
     rng = _stream(seed, 1)
     draws = rng.random((m, n)) < 0.5
     return float(set_oracle.eval_batch(draws).mean())
@@ -121,7 +121,7 @@ def discrete_preprocess(set_oracle, tau, epsilon, seed, m=None):
     n = set_oracle.n
     grid = preprocess_grid(epsilon)
     if m is None:
-        m = math.ceil(36.0 * epsilon ** -2 * math.log(3.0 * epsilon ** -2))
+        m = DiscreteParams(epsilon=epsilon).preprocess_samples
     if grid.size == 0:
         delta = 0.5
     else:

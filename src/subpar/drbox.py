@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuous import run_core
+from .continuous import check_epsilon, run_core
 from .instances import MultilinearQuadraticInstance, OutOfBox
+from .multilinear import as_points
 from .oracles import OracleAccounting
 
 
@@ -54,8 +55,9 @@ class QuadraticContinuousOracle:
     """Direct value/gradient oracle over a quadratic on the unit cube.
 
     Speaks the same batched protocol as the extension estimator, with
-    its own round meter: every batch is one adaptive round, value
-    queries count one per point, gradient queries n per point.
+    its own round meter: every batch is checked by as_points and then
+    is one adaptive round, value queries count one per point, gradient
+    queries n per point.
     """
 
     def __init__(self, instance):
@@ -73,26 +75,20 @@ class QuadraticContinuousOracle:
     def f_queries(self):
         return 0   # no set oracle behind this one
 
-    def _guard(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if (pts < -1e-12).any() or (pts > 1.0 + 1e-12).any():
-            raise OutOfBox(f"query outside [0,1]^{self.n}")
-        return np.clip(pts, 0.0, 1.0)
-
     def value_batch(self, points):
-        pts = self._guard(points)
+        pts = as_points(points, self.n)
         self.rounds_meter.charge(pts.shape[0])
         self.F_queries += pts.shape[0]
         return self.instance.value_batch(pts)
 
     def gradient_batch(self, points):
-        pts = self._guard(points)
+        pts = as_points(points, self.n)
         self.rounds_meter.charge(pts.shape[0])
         self.grad_queries += self.n * pts.shape[0]
         return self.instance.gradient_batch(pts)
 
     def grad_and_value_batch(self, points):
-        pts = self._guard(points)
+        pts = as_points(points, self.n)
         self.rounds_meter.charge(pts.shape[0])
         self.F_queries += pts.shape[0]
         self.grad_queries += self.n * pts.shape[0]
@@ -138,8 +134,8 @@ class DRRunResult:
     value: float
     iterations: int
     tau: float
+    oracle: object        # its meters are the run's
     core: object = None
-    oracle: QuadraticContinuousOracle | None = None
 
 
 def run_dr(instance, epsilon, box=None, oracle=None):
@@ -151,25 +147,31 @@ def run_dr(instance, epsilon, box=None, oracle=None):
     Passing a pre-built oracle skips the box/rescale machinery and
     drives the core on it directly — useful for checking that two
     entry points produce the same trajectory on the same oracle.
+
+    A box that pins every coordinate leaves nothing to optimize: the
+    pinned point is the answer, and the returned oracle was never
+    queried, so every meter reads 0.
     """
+    check_epsilon(epsilon)
     if oracle is not None:
         core = run_core(oracle, epsilon)
         return DRRunResult(x=core.x, value=core.value,
                            iterations=core.iterations, tau=core.tau,
-                           core=core, oracle=oracle)
+                           oracle=oracle, core=core)
     if box is None:
         box = BoxDomain(np.zeros(instance.n), np.ones(instance.n))
     cube, active, embed = rescale_to_cube(instance, box)
     if cube is None:
         x = embed(np.zeros(0))
         return DRRunResult(x=x, value=float(instance.value(x)), iterations=0,
-                           tau=float(instance.value(x)))
+                           tau=float(instance.value(x)),
+                           oracle=QuadraticContinuousOracle(instance))
     oracle = QuadraticContinuousOracle(cube)
     core = run_core(oracle, epsilon)
     x = embed(core.x)
     return DRRunResult(x=x, value=float(instance.value(x)),
-                       iterations=core.iterations, tau=core.tau, core=core,
-                       oracle=oracle)
+                       iterations=core.iterations, tau=core.tau, oracle=oracle,
+                       core=core)
 
 
 def grid_search_optimum(value_batch_fn, n, lower=None, upper=None,

@@ -33,6 +33,10 @@ class NonNegativityViolation(ValueError):
     """Instance construction produced a negative value somewhere."""
 
 
+class UnreadableInstance(ValueError):
+    """An instance file that is not JSON or lacks a field of its kind."""
+
+
 class OutOfBox(ValueError):
     """A fractional point lies outside [0,1]^n."""
 
@@ -83,9 +87,6 @@ class CutInstance:
     def marginals(self, m):
         # W has a zero diagonal, so u's own membership drops out
         return self._d - 2.0 * (m.astype(np.float64) @ self._W)
-
-    def total_weight(self):
-        return float(self._w.sum())
 
     def to_json_dict(self):
         return {"kind": "cut", "n": self.n,
@@ -313,14 +314,21 @@ def instance_from_json_dict(d):
 
 
 def load_instance(path):
-    with open(path) as fh:
-        d = json.load(fh)
-    inst = instance_from_json_dict(d)
-    box = None
-    if "lower" in d or "upper" in d:
-        lower = d.get("lower", [0.0] * inst.n)
-        upper = d.get("upper", [1.0] * inst.n)
-        box = (np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
+    """(instance, box or None) from a JSON file; schema errors raise
+    InvalidInstance, a file that is no instance at all UnreadableInstance."""
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+        inst = instance_from_json_dict(d)
+        box = None
+        if "lower" in d or "upper" in d:
+            lower = d.get("lower", [0.0] * inst.n)
+            upper = d.get("upper", [1.0] * inst.n)
+            box = (np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
+    except (InvalidInstance, NonNegativityViolation):
+        raise
+    except (KeyError, ValueError, TypeError) as e:
+        raise UnreadableInstance(f"cannot parse {path}: {e}") from e
     return inst, box
 
 

@@ -24,6 +24,7 @@ the set oracle.
 
 import numpy as np
 
+from .instances import OutOfBox
 from .oracles import all_subsets_matrix, single_blas_thread
 
 
@@ -37,8 +38,20 @@ def clamp01(x, n=None, tol=1e-12):
     if n is not None and x.shape != (n,):
         raise ValueError(f"point has shape {x.shape}, expected ({n},)")
     if (x < -tol).any() or (x > 1 + tol).any():
-        raise ValueError("coordinate outside [0,1] beyond tolerance")
+        raise OutOfBox("coordinate outside [0,1] beyond tolerance")
     return np.clip(x, 0.0, 1.0)
+
+
+def as_points(points, n):
+    """Validate a batch of fractional points as a (P, n) array in [0,1].
+
+    A single point of shape (n,) is read as a batch of one.  Every
+    continuous oracle checks its batch here before it charges a round.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise ValueError(f"points have shape {pts.shape}, expected (P, {n})")
+    return clamp01(pts)
 
 
 def sample_set(x, rng):
@@ -92,12 +105,16 @@ class MultilinearOracle:
     # -- public batched calls (one adaptive round each) -----------------
 
     def value_batch(self, points):
-        args = self._as_points(points)
+        args = as_points(points, self.n)
         self.F_queries += args.shape[0]
-        return self._answer(args)
+        if self.mode == "exact":
+            return _fold_grad_eval(self._power_set_values(), args, grads=False,
+                                   work=self._fold_work)
+        vals = self.set_oracle.eval_batch(self._draws(args))
+        return vals.reshape(args.shape[0], self.samples).mean(axis=1)
 
     def gradient_batch(self, points):
-        pts = self._as_points(points)
+        pts = as_points(points, self.n)
         P, n = pts.shape
         self.F_queries += 2 * n * P
         if self.mode == "exact":
@@ -107,7 +124,7 @@ class MultilinearOracle:
 
     def grad_and_value_batch(self, points):
         """Gradients and values of the same points in one round."""
-        pts = self._as_points(points)
+        pts = as_points(points, self.n)
         P, n = pts.shape
         self.F_queries += (2 * n + 1) * P
         if self.mode == "exact":
@@ -115,12 +132,6 @@ class MultilinearOracle:
         return self._sampled_marginals(pts, values=True)
 
     # -- internals -------------------------------------------------------
-
-    def _as_points(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if pts.ndim != 2 or pts.shape[1] != self.n:
-            raise ValueError(f"points have shape {pts.shape}, expected (P, {self.n})")
-        return clamp01(pts)
 
     def _power_set_values(self):
         # one round over the power set; its rows are built once per oracle.
@@ -131,15 +142,6 @@ class MultilinearOracle:
             self._subsets.setflags(write=False)
         with single_blas_thread():
             return self.set_oracle.eval_batch(self._subsets)
-
-    def _answer(self, args):
-        if self.mode == "exact":
-            return _fold_eval(self._power_set_values(), args)
-        return self._sampled(args)
-
-    def _sampled(self, args):
-        vals = self.set_oracle.eval_batch(self._draws(args))
-        return vals.reshape(args.shape[0], self.samples).mean(axis=1)
 
     def _sampled_marginals(self, pts, values):
         # thresholding the panel at a point's coordinate-forced arguments
@@ -171,47 +173,18 @@ class MultilinearOracle:
         return draws
 
 
-def _fold_eval(table, args, flop_budget=1 << 24):
-    """Exact extension values from one power-set table.
-
-    Contracts the table one coordinate at a time (highest element id
-    first, matching bit u of the mask = element u), in chunks of
-    arguments to bound memory.  Each level computes a + z*(b - a) into a
-    reused scratch buffer, so a chunk costs two fixed allocations no
-    matter how many levels fold.
-    """
-    A, n = args.shape
-    assert table.size == 1 << n
-    out = np.empty(A, dtype=np.float64)
-    chunk = min(A, max(1, flop_budget // table.size))
-    scratch = [np.empty((chunk, max(table.size // 2, 1))),
-               np.empty((chunk, max(table.size // 4, 1)))]
-    for lo in range(0, A, chunk):
-        hi = min(lo + chunk, A)
-        rows = hi - lo
-        z = args[lo:hi]
-        cur = np.broadcast_to(table, (rows, table.size))
-        for u in range(n - 1, -1, -1):
-            half = 1 << u
-            dst = scratch[(n - 1 - u) % 2][:rows, :half]
-            a, b = cur[:, :half], cur[:, half:]
-            np.subtract(b, a, out=dst)
-            dst *= z[:, u:u + 1]
-            dst += a
-            cur = dst
-        out[lo:hi] = cur[:, 0]
-    return out
-
-
-def _fold_grad_eval(table, pts, elem_budget=1 << 18, work=None):
+def _fold_grad_eval(table, pts, elem_budget=1 << 18, work=None, grads=True):
     """Values and full gradients from one power-set table.
 
-    Forward pass: the same per-coordinate contraction as _fold_eval,
-    keeping each level's difference b - a.  Adjoint pass: the
-    contraction is linear in the level values, so one sweep back up the
-    chain yields every partial derivative (the coordinate-u partial is
-    the adjoint-weighted sum of level u's difference).  Costs a small
-    constant times a single fold, instead of 2n folds.
+    Forward pass: contract the table one coordinate at a time (highest
+    element id first, matching bit u of the mask = element u), each
+    level a + z*(b - a), keeping each level's difference b - a.  Adjoint
+    pass: the contraction is linear in the level values, so one sweep
+    back up the chain yields every partial derivative (the coordinate-u
+    partial is the adjoint-weighted sum of level u's difference).  Costs
+    a small constant times a single fold, instead of 2n folds.  Returns
+    (grads, vals); with grads=False the adjoint pass is skipped and only
+    vals is returned.
 
     The top level's difference depends only on the table, so every
     point shares it.  A chunk folds elem_budget // 2^n points, so each
@@ -232,7 +205,7 @@ def _fold_grad_eval(table, pts, elem_budget=1 << 18, work=None):
     size = table.size
     assert size == 1 << n
     vals = np.empty(P)
-    grads = np.empty((P, n))
+    out = np.empty((P, n)) if grads else None
     top = size >> 1
     chunk = min(P, max(1, elem_budget // size))
     lines = -(-top // 8) * 8               # whole cache lines of floats
@@ -269,6 +242,8 @@ def _fold_grad_eval(table, pts, elem_budget=1 << 18, work=None):
             np.multiply(z[:, u:u + 1], d, out=cur)
             cur += a
         vals[lo:hi] = cur[:, 0]
+        if not grads:
+            continue
         w = turns[0][:rows].reshape(rows, 1)
         w.fill(1.0)
         for u in range(n):
@@ -280,13 +255,13 @@ def _fold_grad_eval(table, pts, elem_budget=1 << 18, work=None):
             else:
                 prod = spare[:rows * half].reshape(rows, half)
             np.multiply(w, diffs[n - 1 - u], out=prod)
-            grads[lo:hi, u] = prod.sum(axis=1)
+            out[lo:hi, u] = prod.sum(axis=1)
             if u < n - 1:
                 zu = z[:, u:u + 1]
                 np.multiply(w, 1.0 - zu, out=nxt[:, :half])
                 np.multiply(w, zu, out=nxt[:, half:])
                 w = nxt
-    return grads, vals
+    return (out, vals) if grads else vals
 
 
 def lovasz_value(set_oracle, x):

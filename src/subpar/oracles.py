@@ -16,8 +16,9 @@ pair_rows builds those explicit S+u / S-u rows for every caller that
 evaluates them.
 
 Subsets are represented as boolean membership matrices of shape
-(batch, n).  Helpers accept iterables of element ids or python ints used
-as bitmasks and normalize them.
+(batch, n).  members_matrix also accepts subsets given as iterables of
+element ids (a flat list of ints is one subset of ids, never bitmasks)
+and normalizes them; mask_of turns a membership row into an int bitmask.
 """
 
 import ctypes
@@ -268,9 +269,6 @@ class SetOracle:
     def eval_single(self, subset):
         """Evaluate one subset.  Costs a full round, like any batch."""
         return float(self.eval_batch(members_matrix([subset], self.n))[0])
-
-    def reset_accounting(self):
-        self.accounting.reset()
 
     # -- internal ------------------------------------------------------
 

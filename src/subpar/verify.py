@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import brute_force
-from .continuous import pre_process, update
-from .drbox import QuadraticContinuousOracle, grid_search_optimum, run_dr
+from .continuous import run_core
+from .drbox import grid_search_optimum, run_dr
 from .instances import (CutInstance, InvalidInstance, NonNegativityViolation,
                         check_nonnegative_exhaustive, check_submodular_exhaustive,
                         generate_random_instance, load_instance)
@@ -73,29 +73,15 @@ class _Context:
         self._runs = {}
 
     def driven_run(self, name, instance):
-        """Run the continuous driver step by step, keeping every state.
+        """The continuous driver's run on a pool instance, computed once.
 
-        Returns (tau, gamma, states, traces) where states[0] is the
-        pre-processed pair and states[i] the pair after update i.
+        Its states[0] is the pre-processed pair and states[i] the pair
+        after update i.
         """
-        if name in self._runs:
-            return self._runs[name]
-        eps = self.epsilon
-        oracle = MultilinearOracle(SetOracle(instance), mode="exact")
-        tau = float(oracle.value_batch(np.full((1, instance.n), 0.5))[0])
-        gamma = 4.0 * eps * tau
-        state = pre_process(oracle, tau, eps)
-        states, traces = [state], []
-        guard = 0
-        while state.delta > 0.0:
-            state, tr = update(oracle, state, gamma, eps)
-            states.append(state)
-            traces.append(tr)
-            guard += 1
-            assert guard < 1000
-        out = (tau, gamma, states, traces)
-        self._runs[name] = out
-        return out
+        if name not in self._runs:
+            oracle = MultilinearOracle(SetOracle(instance), mode="exact")
+            self._runs[name] = run_core(oracle, self.epsilon)
+        return self._runs[name]
 
 
 # -- suite implementations --------------------------------------------------
@@ -126,7 +112,7 @@ def _suite_nonnegativity(ctx):
 def _suite_chain(ctx):
     out = []
     for name, inst in ctx.pool:
-        tau, gamma, states, traces = ctx.driven_run(name, inst)
+        states = ctx.driven_run(name, inst).states
         for i in range(1, len(states)):
             prev, cur = states[i - 1], states[i]
             if (cur.x < prev.x - 1e-9).any() or (cur.y > prev.y + 1e-9).any():
@@ -146,10 +132,11 @@ def _suite_chain(ctx):
 def _suite_potential(ctx):
     out = []
     for name, inst in ctx.pool:
-        tau, gamma, states, traces = ctx.driven_run(name, inst)
+        run = ctx.driven_run(name, inst)
+        tau, gamma, traces = run.tau, run.gamma, run.traces
         if not traces:
             continue
-        if states[0].delta > 0 and traces[0].potential > 16.0 * tau + 1e-7:
+        if run.states[0].delta > 0 and traces[0].potential > 16.0 * tau + 1e-7:
             out.append(Finding("potential", name,
                                f"start potential {traces[0].potential:.6g} > 16*tau = {16 * tau:.6g}"))
         for j, tr in enumerate(traces):
@@ -169,7 +156,7 @@ def _suite_potential(ctx):
 def _suite_tau(ctx):
     out = []
     for name, inst in ctx.pool:
-        tau, _, _, _ = ctx.driven_run(name, inst)
+        tau = ctx.driven_run(name, inst).tau
         _, opt = brute_force(SetOracle(inst))
         if not (opt / 4.0 - 1e-9 <= tau <= opt + 1e-9):
             out.append(Finding("tau", name,
@@ -280,21 +267,19 @@ def _suite_dr(ctx):
                                    f"gradient coord {u}: {g[u]:.8g} vs "
                                    f"finite difference {fd:.8g}"))
         # driver invariants: tau sandwich vs grid search, potential decrease
-        res = run_dr(inst, ctx.epsilon)
+        # (the unit box pins no coordinate, so the run always has a core)
+        core = run_dr(inst, ctx.epsilon).core
         opt_x, opt_v = grid_search_optimum(inst.value_batch, n)
-        if res.core is not None:
-            tau = res.core.tau
-            if not (opt_v / 4.0 - 1e-9 <= tau <= opt_v + 1e-6):
+        if not (opt_v / 4.0 - 1e-9 <= core.tau <= opt_v + 1e-6):
+            out.append(Finding("dr", name,
+                               f"tau = {core.tau:.6g} outside [opt/4, opt] with "
+                               f"grid-search opt {opt_v:.6g}"))
+        trs = core.traces
+        for j in range(len(trs) - 1):
+            if trs[j].delta_after > 0 and \
+                    trs[j + 1].potential > trs[j].potential - core.gamma + 1e-7:
                 out.append(Finding("dr", name,
-                                   f"tau = {tau:.6g} outside [opt/4, opt] with "
-                                   f"grid-search opt {opt_v:.6g}"))
-            gamma = res.core.gamma
-            trs = res.core.traces
-            for j in range(len(trs) - 1):
-                if trs[j].delta_after > 0 and \
-                        trs[j + 1].potential > trs[j].potential - gamma + 1e-7:
-                    out.append(Finding("dr", name,
-                                       f"potential did not drop by gamma at step {j + 1}"))
+                                   f"potential did not drop by gamma at step {j + 1}"))
     return out
 
 
@@ -312,14 +297,24 @@ SUITES = {
 }
 
 
+# the suites that check a user-supplied instance file
+INSTANCE_SUITES = ("submodularity", "non-negativity")
+
+
 def run_verify(suites=None, instance_path=None, epsilon=0.1):
     """Run the requested suites (all by default).
 
     Returns (names_run, findings).  A user-supplied instance file joins
-    the exhaustive-check pool; a file whose construction already
-    violates non-negativity, or whose data breaks the schema (a negative
-    edge weight, say), is reported as a finding rather than raised.
+    the exhaustive-check pool of INSTANCE_SUITES; a file whose
+    construction already violates non-negativity, or whose data breaks
+    the schema (a negative edge weight, say), is reported as a finding
+    of each requested suite among them rather than raised.  A file that
+    cannot be parsed raises UnreadableInstance.
     """
+    names = list(SUITES) if suites is None else list(suites)
+    for nm in names:
+        if nm not in SUITES:
+            raise KeyError(f"unknown suite {nm!r}; choices: {', '.join(SUITES)}")
     extra = None
     findings = []
     if instance_path is not None:
@@ -327,11 +322,8 @@ def run_verify(suites=None, instance_path=None, epsilon=0.1):
             inst, _ = load_instance(instance_path)
             extra = (str(instance_path), inst)
         except (InvalidInstance, NonNegativityViolation) as e:
-            findings.append(Finding("non-negativity", str(instance_path), str(e)))
-    names = list(SUITES) if suites is None else list(suites)
-    for nm in names:
-        if nm not in SUITES:
-            raise KeyError(f"unknown suite {nm!r}; choices: {', '.join(SUITES)}")
+            findings = [Finding(nm, str(instance_path), str(e))
+                        for nm in names if nm in INSTANCE_SUITES]
     ctx = _Context(epsilon=epsilon, extra=extra)
     for nm in names:
         findings.extend(SUITES[nm](ctx))

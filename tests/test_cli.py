@@ -135,6 +135,19 @@ def test_run_dr_on_quadratic(quad_path, tmp_path):
     assert "fractional" in rep["solution"]
 
 
+def test_run_dr_on_fully_pinned_box(frozen_quad, write_instance, tmp_path):
+    # nothing to optimize: the pinned point, and the oracle reads 0 everywhere
+    path = write_instance(frozen_quad, name="pinned.json",
+                          extra={"lower": [0.5, 0.5], "upper": [0.5, 0.5]})
+    out = str(tmp_path / "rep.json")
+    r = run_cli("run", "--instance", path, "--algorithm", "dr", "--out", out)
+    assert r.returncode == 0, r.stderr
+    rep = json.loads(open(out).read())
+    assert [rep[k] for k in ("adaptive_rounds", "f_queries", "F_queries",
+                             "grad_queries", "iterations")] == [0, 0, 0, 0, 0]
+    assert rep["solution"]["fractional"] == [0.5, 0.5]
+
+
 # -- flag errors (exit 2, message names the flag) -----------------------------------
 
 def test_bad_epsilon_names_flag(k2_path):
@@ -193,6 +206,32 @@ def test_flag_checks_survive_optimize(k2_path, optimize):
                 optimize=optimize)
     assert r.returncode == 2
     assert "--epsilon-values" in r.stderr
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("command,flag", [
+    ("run", "--sample-override"), ("run", "--threads"),
+    ("sweep", "--sample-override"), ("sweep", "--threads"),
+    ("sweep", "--seeds-per-cell")])
+def test_positive_int_flags(k2_path, command, flag, optimize):
+    argv = (("run", "--instance", k2_path, "--algorithm", "discrete")
+            if command == "run" else ("sweep", "--algorithm", "discrete"))
+    for bad in ("0", "-3"):
+        r = run_cli(*argv, flag, bad, optimize=optimize)
+        assert r.returncode == 2, r.stderr
+        assert flag in r.stderr and "positive integer" in r.stderr
+
+
+def test_sweep_checks_every_epsilon_before_the_first_cell():
+    r = run_cli("sweep", "--algorithm", "continuous", "--n-values", "8",
+                "--epsilon-values", "0.1,0.4", "--oracle", "exact")
+    assert r.returncode == 2
+    assert "--epsilon-values" in r.stderr and "(0, 1/3)" in r.stderr
+    assert "--epsilon:" not in r.stderr
+    r = run_cli("sweep", "--algorithm", "discrete", "--mode", "theorem",
+                "--epsilon-values", "0.1")
+    assert r.returncode == 2
+    assert "--epsilon-values" in r.stderr and "1/208" in r.stderr
 
 
 @pytest.mark.parametrize("optimize", [False, True])
@@ -298,6 +337,35 @@ def test_verify_flags_bad_instance(tmp_path):
     assert "non-negativity" in r.stdout    # suite line flips to FAIL
     assert "FAIL" in r.stdout
     assert "violation" in r.stderr
+
+
+def test_verify_instance_error_fails_the_suite_that_reads_it(tmp_path):
+    p = tmp_path / "neg_cut.json"
+    p.write_text(json.dumps({"kind": "cut", "n": 2, "edges": [[0, 1, -0.5]]}) + "\n")
+    r = run_cli("verify", "--suite", "submodularity", "--instance", str(p))
+    assert r.returncode == 1
+    assert "submodularity   FAIL" in r.stdout
+    assert "[submodularity]" in r.stderr and "[non-negativity]" not in r.stderr
+
+
+def test_verify_instance_needs_a_suite_that_reads_it(cut6_path):
+    r = run_cli("verify", "--suite", "lovasz", "--instance", cut6_path)
+    assert r.returncode == 2
+    assert "--instance" in r.stderr
+
+
+def test_verify_unparseable_instance_names_flag(tmp_path):
+    p = tmp_path / "junk.json"
+    p.write_text("this is not json\n")
+    r = run_cli("verify", "--suite", "non-negativity", "--instance", str(p))
+    assert r.returncode == 2
+    assert "--instance" in r.stderr and "cannot parse" in r.stderr
+
+
+def test_verify_bad_epsilon_names_flag():
+    r = run_cli("verify", "--suite", "chain", "--epsilon", "0.5")
+    assert r.returncode == 2
+    assert "--epsilon" in r.stderr and "(0, 1/3)" in r.stderr
 
 
 @pytest.mark.parametrize("optimize", [False, True])

@@ -178,6 +178,29 @@ def test_run_core_k2(k2):
     assert len(res.trajectory) == res.iterations + 1
 
 
+@pytest.mark.parametrize("kind,n", [("cut", 8), ("coverage", 7), ("quadratic", 6)])
+def test_run_core_states_are_the_stepwise_loop(kind, n):
+    # reference: tau, pre-process, then update until the pair meets, by hand
+    inst = generate_random_instance(kind, n, 3)
+    oracle = MultilinearOracle(SetOracle(inst), mode="exact")
+    tau = float(oracle.value_batch(np.full((1, n), 0.5))[0])
+    gamma = 4.0 * 0.1 * tau
+    state = pre_process(oracle, tau, 0.1)
+    states, traces = [state], []
+    while state.delta > 0.0:
+        state, tr = update(oracle, state, gamma, 0.1)
+        states.append(state)
+        traces.append(tr)
+    res = run_core(MultilinearOracle(SetOracle(inst), mode="exact"), 0.1)
+    assert (res.tau, res.gamma) == (tau, gamma)
+    assert len(res.states) == len(states) and res.traces == traces
+    for got, want in zip(res.states, states):
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.y.tobytes() == want.y.tobytes()
+        assert (got.delta, got.iteration) == (want.delta, want.iteration)
+    assert [x.tobytes() for x in res.trajectory] == [s.x.tobytes() for s in states]
+
+
 def test_epsilon_validation(k2):
     oracle = MultilinearOracle(SetOracle(k2), mode="exact")
     for bad in (0.0, 1.0 / 3.0, 0.34, -0.1):

@@ -115,6 +115,17 @@ def test_estimate_tau_one_round(k2):
     assert so.accounting.queries == 100
 
 
+def test_default_sample_counts_are_the_params(k2):
+    # m=None reads DiscreteParams: 2 grid points x m samples x n x 4 rows
+    p = DiscreteParams(epsilon=0.2)
+    so = SetOracle(k2)
+    estimate_tau(so, 0.2, seed=0)
+    assert so.accounting.queries == p.tau_samples
+    so = SetOracle(k2)
+    discrete_preprocess(so, tau=0.5, epsilon=0.2, seed=7)
+    assert so.accounting.queries == 2 * p.preprocess_samples * 2 * 4
+
+
 # -- pair draw and rounding ---------------------------------------------------------
 
 def test_pair_draw_marginals():

@@ -10,8 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from subpar import (BoxDomain, QuadraticContinuousOracle, run_continuous,
-                    run_dr, grid_search_optimum, rescale_to_cube)
+from subpar import (BoxDomain, ParamOutOfRange, QuadraticContinuousOracle,
+                    run_continuous, run_dr, grid_search_optimum, rescale_to_cube)
 from subpar.instances import (MultilinearQuadraticInstance,
                               NonNegativityViolation, OutOfBox,
                               generate_random_instance)
@@ -50,6 +50,19 @@ def test_oracle_guard(frozen_quad):
     # a stray ulp beyond the wall is clipped, not rejected
     v = oracle.value_batch([[1.0 + 1e-13, 0.0]])[0]
     assert v == pytest.approx(1.0)
+
+
+def test_oracle_checks_the_batch_before_charging(frozen_quad):
+    oracle = QuadraticContinuousOracle(frozen_quad)
+    for bad in ([[0.5, 0.5, 0.5]],                 # wrong width
+                np.full((2, 2, 2), 0.5),           # 3-D batch
+                [[0.5, 1.5]]):                     # outside the cube
+        for call in (oracle.value_batch, oracle.gradient_batch,
+                     oracle.grad_and_value_batch):
+            with pytest.raises(ValueError):
+                call(bad)
+    assert oracle.rounds_meter.snapshot() == (0, 0)
+    assert (oracle.F_queries, oracle.grad_queries) == (0, 0)
 
 
 def test_oracle_accounting(frozen_quad):
@@ -190,6 +203,16 @@ def test_run_dr_all_pinned(frozen_quad):
     assert res.iterations == 0
     assert np.allclose(res.x, [0.5, 0.5])
     assert res.value == pytest.approx(0.75)
+
+
+def test_run_dr_all_pinned_returns_an_unqueried_oracle(frozen_quad):
+    box = BoxDomain(np.full(2, 0.5), np.full(2, 0.5))
+    res = run_dr(frozen_quad, 0.1, box=box)
+    assert res.core is None
+    assert res.oracle.rounds_meter.snapshot() == (0, 0)
+    assert (res.oracle.F_queries, res.oracle.grad_queries) == (0, 0)
+    with pytest.raises(ParamOutOfRange):   # epsilon is checked before the shortcut
+        run_dr(frozen_quad, 5.0, box=box)
 
 
 def test_run_dr_one_pinned(frozen_quad):

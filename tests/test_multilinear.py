@@ -15,7 +15,8 @@ from subpar import (ExactTooLarge, MultilinearOracle, SetOracle,
                     generate_random_instance, lovasz_value, sample_set)
 import subpar.multilinear as multilinear
 import subpar.oracles as oracles
-from subpar.multilinear import _fold_eval, _fold_grad_eval, clamp01
+from subpar.instances import OutOfBox
+from subpar.multilinear import _fold_grad_eval, as_points, clamp01
 from subpar.oracles import all_subsets_matrix
 
 
@@ -100,13 +101,13 @@ def test_adjoint_fold_matches_forced_coordinate_folds():
     table = SetOracle(inst).eval_batch(all_subsets_matrix(8))
     pts = np.random.default_rng(5).random((7, 8))
     grads, vals = _fold_grad_eval(table, pts)
-    ref_vals = _fold_eval(table, pts)
+    ref_vals = _fold_grad_eval(table, pts, grads=False)
     # per point, 2n forced arguments: u -> 1 in block 0, u -> 0 in block 1
     forced = np.repeat(pts[:, None, None, :], 2, axis=1).repeat(8, axis=2)
     idx = np.arange(8)
     forced[:, 0, idx, idx] = 1.0
     forced[:, 1, idx, idx] = 0.0
-    folded = _fold_eval(table, forced.reshape(-1, 8)).reshape(7, 2, 8)
+    folded = _fold_grad_eval(table, forced.reshape(-1, 8), grads=False).reshape(7, 2, 8)
     ref_grads = folded[:, 0] - folded[:, 1]
     assert np.abs(vals - ref_vals).max() < 1e-12
     assert np.abs(grads - ref_grads).max() < 1e-12
@@ -116,21 +117,22 @@ def test_fold_chunking_is_invisible():
     inst = generate_random_instance("coverage", 6, 9)
     table = SetOracle(inst).eval_batch(all_subsets_matrix(6))
     pts = np.random.default_rng(6).random((50, 6))
-    whole = _fold_eval(table, pts)
-    tiny_chunks = _fold_eval(table, pts, flop_budget=1)
-    assert np.array_equal(whole, tiny_chunks)
     g1, v1 = _fold_grad_eval(table, pts)
     g2, v2 = _fold_grad_eval(table, pts, elem_budget=1)
     assert np.array_equal(g1, g2) and np.array_equal(v1, v2)
+    # the forward-only fold gives the same values, in any chunks
+    for budget in (1, 1 << 18):
+        assert np.array_equal(_fold_grad_eval(table, pts, budget, grads=False), v1)
     # at n=14 the default budget folds 16 points per chunk, so 40 points
     # really split; one point per chunk and one chunk for all must agree
     inst = generate_random_instance("cut", 14, 9)
     table = SetOracle(inst).eval_batch(all_subsets_matrix(14))
     pts = np.random.default_rng(7).random((40, 14))
     g1, v1 = _fold_grad_eval(table, pts)
-    for budget in (1, 1 << 30):
+    for budget in (1, 1 << 18, 1 << 30):
         g2, v2 = _fold_grad_eval(table, pts, elem_budget=budget)
         assert np.array_equal(g1, g2) and np.array_equal(v1, v2)
+        assert np.array_equal(_fold_grad_eval(table, pts, budget, grads=False), v1)
 
 
 def level_fold(table, z):
@@ -360,15 +362,16 @@ def test_clamp01():
 
 
 def test_as_points_validates_the_batch():
-    oracle = MultilinearOracle(SetOracle(generate_random_instance("cut", 3, 0)))
     for bad in (np.full((2, 4), 0.5),              # wrong width
                 np.full((2, 2, 3), 0.5),           # 3-D batch
                 np.array([[0.5, 0.5, 1.0 + 1e-9]])):  # beyond tolerance
         with pytest.raises(ValueError):
-            oracle._as_points(bad)
-    got = oracle._as_points(np.array([[-1e-13, 0.5, 1.0 + 1e-13], [0.2, 0.3, 0.4]]))
+            as_points(bad, 3)
+    with pytest.raises(OutOfBox):
+        as_points([[0.5, -1e-9, 0.5]], 3)
+    got = as_points(np.array([[-1e-13, 0.5, 1.0 + 1e-13], [0.2, 0.3, 0.4]]), 3)
     assert np.array_equal(got, [[0.0, 0.5, 1.0], [0.2, 0.3, 0.4]])
-    assert np.array_equal(oracle._as_points([0.1, 0.2, 0.3]), [[0.1, 0.2, 0.3]])
+    assert np.array_equal(as_points([0.1, 0.2, 0.3], 3), [[0.1, 0.2, 0.3]])
 
 
 def test_sample_set_extremes():

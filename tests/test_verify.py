@@ -5,8 +5,8 @@ import json
 import pytest
 
 from subpar import generate_random_instance
-from subpar.instances import dump_instance
-from subpar.verify import SUITES, Finding, run_verify
+from subpar.instances import UnreadableInstance, dump_instance
+from subpar.verify import INSTANCE_SUITES, SUITES, Finding, run_verify
 
 ALL_SUITES = ["submodularity", "non-negativity", "chain", "potential", "tau",
               "lovasz", "feige", "estimator", "truncation", "dr"]
@@ -55,6 +55,22 @@ def test_invalid_instance_becomes_finding(tmp_path):
     names, findings = run_verify(suites=["non-negativity"], instance_path=str(p))
     assert [(f.suite, f.instance) for f in findings] == [("non-negativity", str(p))]
     assert "negative edge weight" in findings[0].detail
+
+
+def test_instance_error_is_a_finding_of_each_suite_that_reads_it(tmp_path):
+    p = tmp_path / "neg_cut.json"
+    p.write_text(json.dumps({"kind": "cut", "n": 2, "edges": [[0, 1, -0.5]]}) + "\n")
+    names, findings = run_verify(suites=["submodularity", "lovasz"], instance_path=str(p))
+    assert [f.suite for f in findings] == ["submodularity"]
+    names, findings = run_verify(suites=INSTANCE_SUITES, instance_path=str(p))
+    assert [f.suite for f in findings] == list(INSTANCE_SUITES)
+
+
+def test_unparseable_instance_raises(tmp_path):
+    p = tmp_path / "junk.json"
+    p.write_text("this is not json\n")
+    with pytest.raises(UnreadableInstance, match="cannot parse"):
+        run_verify(suites=["non-negativity"], instance_path=str(p))
 
 
 def test_extra_instance_joins_pool(tmp_path):
