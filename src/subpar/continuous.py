@@ -16,6 +16,7 @@ contracts the pair until they meet:
 All comparisons are plain <=; the thresholds carry their own slack.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +85,16 @@ def compute_rates(a, b):
     return r
 
 
+def check_grid_epsilon(epsilon, upper=math.inf):
+    """A step grid ends only for epsilon in (0, upper): past the bounds
+    (or at NaN) it repeats or shrinks its step forever."""
+    if not 0.0 < epsilon < upper:
+        raise ParamOutOfRange(f"grid needs epsilon in (0, {upper:g}), got {epsilon}")
+
+
 def update_grid(epsilon, delta):
     """Geometric candidate step sizes eps^2 * (1+eps)^j inside [0, delta)."""
+    check_grid_epsilon(epsilon)
     pts = []
     g = epsilon * epsilon
     while g < delta:
@@ -96,6 +105,7 @@ def update_grid(epsilon, delta):
 
 def preprocess_grid(epsilon):
     """Arithmetic candidate offsets eps*j inside [eps, 1/2)."""
+    check_grid_epsilon(epsilon)
     pts = []
     j = 1
     while epsilon * j < 0.5:

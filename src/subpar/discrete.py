@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .continuous import ParamOutOfRange, StateInvariantViolation, compute_rates, preprocess_grid
+from .continuous import (ParamOutOfRange, StateInvariantViolation, check_grid_epsilon,
+                         compute_rates, preprocess_grid)
 from .oracles import ids_of, pair_rows
 from .reports import DiscreteIterationTrace
 
@@ -79,6 +80,7 @@ class DiscreteParams:
 
 def discrete_update_grid(epsilon):
     """Geometric step grid eps^2/ln(1/eps) * (1+eps)^j inside [0, 1)."""
+    check_grid_epsilon(epsilon, upper=1.0)
     pts = []
     g = epsilon * epsilon / math.log(1.0 / epsilon)
     while g < 1.0:

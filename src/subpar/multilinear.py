@@ -6,7 +6,9 @@ arguments in a single adaptive round of the underlying set oracle:
 
   exact    -- one round containing the full power set; every requested
               argument is then an exactly weighted sum of that round's
-              values (n <= exact_threshold).
+              values (n <= exact_threshold).  The gateway evaluates the
+              power set once and charges each later round from its
+              table.
   sampled  -- one round containing k random sets per argument, all
               thresholded against one shared uniform panel (common
               random numbers); the answer is the sample mean per
@@ -25,7 +27,6 @@ the set oracle.
 import numpy as np
 
 from .instances import OutOfBox
-from .oracles import all_subsets_matrix, single_blas_thread
 
 
 class ExactTooLarge(ValueError):
@@ -87,7 +88,6 @@ class MultilinearOracle:
         self.exact_threshold = int(exact_threshold)
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.F_queries = 0
-        self._subsets = None
         self._fold_work = []          # scratch reused by every exact fold
 
     @property
@@ -134,14 +134,8 @@ class MultilinearOracle:
     # -- internals -------------------------------------------------------
 
     def _power_set_values(self):
-        # one round over the power set; its rows are built once per oracle.
-        # A 2^n x n product on one BLAS thread: threaded, its idle workers
-        # spin beside the single-threaded fold that follows
-        if self._subsets is None:
-            self._subsets = all_subsets_matrix(self.n)
-            self._subsets.setflags(write=False)
-        with single_blas_thread():
-            return self.set_oracle.eval_batch(self._subsets)
+        # one round over the power set, read from the gateway's table
+        return self.set_oracle.eval_batch(self.set_oracle.power_set_rows())
 
     def _sampled_marginals(self, pts, values):
         # thresholding the panel at a point's coordinate-forced arguments

@@ -8,6 +8,14 @@ meter therefore have to gather every independently-computable query of a
 phase into a single batch -- issuing them one by one inflates the meter,
 which is the point of the instrument.
 
+In exact mode the multilinear layer asks for the whole power set every
+round.  power_set_rows() hands out one read-only 2^n-row membership
+matrix per gateway; eval_batch recognises that very array (by identity,
+not by comparing rows), evaluates it once, keeps the read-only values,
+and answers every later power-set round from them.  Each such round is
+still charged as one round of 2^n queries: the table changes the cost
+of evaluation, never the meters.
+
 A marginal-gain round (eval_marginals) asks, for every base set S of a
 batch and every element u, for f(S+u) - f(S-u); it is priced as the 2n
 explicit rows it stands for, so an instance with a closed form for its
@@ -55,7 +63,8 @@ class OracleAccounting:
         self.queries = 0
 
     def charge(self, batch_size):
-        assert batch_size > 0
+        if not batch_size > 0:
+            raise ValueError(f"a round must charge at least one query, got {batch_size}")
         self.rounds += 1
         self.queries += int(batch_size)
 
@@ -115,7 +124,8 @@ def ids_of(members):
 
 def all_subsets_matrix(n):
     """Membership matrix of the full power set, row i = subset with mask i."""
-    assert n <= 26, "power set too large"
+    if n > 26:
+        raise ValueError(f"power set of n={n} elements too large (n <= 26)")
     masks = np.arange(1 << n, dtype=np.uint32)
     return (masks[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & 1 == 1
 
@@ -205,20 +215,35 @@ class SetOracle:
     also expose `marginals(members)`, returning the (B, n) matrix of
     f(S+u) - f(S-u); eval_marginals then uses it instead of evaluating
     the 2n forced rows.  All mutability lives in the accounting record,
-    updated once per batch, so in-batch evaluation may run concurrently.
+    updated once per batch, and in the power-set table, set once, so
+    in-batch evaluation may run concurrently.
     """
 
     def __init__(self, instance, threads=None):
         self.instance = instance
         self.accounting = OracleAccounting()
         self.threads = default_threads() if threads is None else max(1, int(threads))
+        self._power_set = None        # power_set_rows(), built on first use
+        self._power_set_vals = None   # f on those rows, once a round has evaluated them
 
     @property
     def n(self):
         return self.instance.n
 
+    def power_set_rows(self):
+        """The read-only (2^n, n) membership matrix of every subset, row i
+        the subset with mask i, built on first use and kept.  Passing this
+        array to eval_batch reads the gateway's power-set value table."""
+        if self._power_set is None:
+            rows = all_subsets_matrix(self.n)
+            rows.setflags(write=False)
+            self._power_set = rows
+        return self._power_set
+
     def eval_batch(self, subsets):
         """Evaluate every subset in the batch; one adaptive round total."""
+        if self._power_set is not None and subsets is self._power_set:
+            return self._power_set_table()
         m = members_matrix(subsets, self.n)
         if m.shape[0] == 0:
             raise ValueError("empty batch")
@@ -271,6 +296,19 @@ class SetOracle:
         return float(self.eval_batch(members_matrix([subset], self.n))[0])
 
     # -- internal ------------------------------------------------------
+
+    def _power_set_table(self):
+        # charged like any round of 2^n rows; evaluated on the first one
+        # only.  A 2^n x n product on one BLAS thread: threaded, its idle
+        # workers spin beside the single-threaded fold that reads it
+        rows = self._power_set
+        self.accounting.charge(rows.shape[0])
+        if self._power_set_vals is None:
+            with single_blas_thread():
+                vals = self._finite(self._evaluate(rows))
+            vals.setflags(write=False)
+            self._power_set_vals = vals
+        return self._power_set_vals
 
     def _finite(self, vals):
         if not np.isfinite(vals).all():

@@ -6,8 +6,9 @@ via `subpar verify`; the acceptance tests call them directly.  Suites
 are deterministic: instance seeds and sample seeds are pinned here.
 
 Suites:
-  submodularity   exhaustive diminishing-returns certificate (n <= 12)
-  non-negativity  exhaustive min f(S) >= 0 (n <= 12)
+  submodularity   exhaustive diminishing-returns certificate (n <= 12;
+                  a larger --instance is reported as skipped)
+  non-negativity  exhaustive min f(S) >= 0 (n <= 12, likewise)
   chain           x <= x' <= y' <= y, y - x = delta*1, termination x = y
   potential       gradient-gap decrease by gamma per step; start bound 16*tau
   tau             tau in [OPT/4, OPT] against brute force
@@ -38,9 +39,12 @@ _EXHAUSTIVE_LIMIT = 12
 
 @dataclass
 class Finding:
+    """A violated invariant, or (skipped=True) an instance the suite could
+    not check; either way the suite did not pass on that instance."""
     suite: str
     instance: str
     detail: str
+    skipped: bool = False
 
     def __str__(self):
         return f"[{self.suite}] {self.instance}: {self.detail}"
@@ -86,11 +90,20 @@ class _Context:
 
 # -- suite implementations --------------------------------------------------
 
-def _suite_submodularity(ctx):
-    out = []
+def _exhaustive(ctx, suite, out):
+    """The exhaustive pool's instances up to the limit.  A larger one is
+    appended to `out` as a skip of `suite`, so it never passes unseen."""
     for name, inst in ctx.exhaustive_pool:
         if inst.n > _EXHAUSTIVE_LIMIT:
-            continue
+            out.append(Finding(suite, name, f"skipped: n={inst.n} is above the "
+                               f"exhaustive limit n <= {_EXHAUSTIVE_LIMIT}", skipped=True))
+        else:
+            yield name, inst
+
+
+def _suite_submodularity(ctx):
+    out = []
+    for name, inst in _exhaustive(ctx, "submodularity", out):
         slack = check_submodular_exhaustive(inst, limit=_EXHAUSTIVE_LIMIT)
         if slack < -1e-9:
             out.append(Finding("submodularity", name,
@@ -100,9 +113,7 @@ def _suite_submodularity(ctx):
 
 def _suite_nonnegativity(ctx):
     out = []
-    for name, inst in ctx.exhaustive_pool:
-        if inst.n > _EXHAUSTIVE_LIMIT:
-            continue
+    for name, inst in _exhaustive(ctx, "non-negativity", out):
         lo = check_nonnegative_exhaustive(inst, limit=_EXHAUSTIVE_LIMIT)
         if lo < -1e-12:
             out.append(Finding("non-negativity", name, f"min f(S) = {lo:.3e} < 0"))
@@ -308,8 +319,9 @@ def run_verify(suites=None, instance_path=None, epsilon=0.1):
     the exhaustive-check pool of INSTANCE_SUITES; a file whose
     construction already violates non-negativity, or whose data breaks
     the schema (a negative edge weight, say), is reported as a finding
-    of each requested suite among them rather than raised.  A file that
-    cannot be parsed raises UnreadableInstance.
+    of each requested suite among them rather than raised, and so is a
+    file too large for their exhaustive checks (a skipped Finding).  A
+    file that cannot be parsed raises UnreadableInstance.
     """
     names = list(SUITES) if suites is None else list(suites)
     for nm in names:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from subpar import dump_instance, generate_random_instance
-from subpar.instances import CutInstance
+from subpar.instances import CutInstance, MultilinearQuadraticInstance
 
 
 def run_cli(*argv, optimize=False):
@@ -352,6 +352,17 @@ def test_verify_instance_needs_a_suite_that_reads_it(cut6_path):
     r = run_cli("verify", "--suite", "lovasz", "--instance", cut6_path)
     assert r.returncode == 2
     assert "--instance" in r.stderr
+
+
+def test_verify_reports_an_instance_too_large_to_check(write_instance):
+    # f(empty) = -1, but n = 21 is beyond the exhaustive check: a skip, not "ok"
+    q = MultilinearQuadraticInstance(n=21, c=-1.0, h=np.zeros(21), H=np.zeros((21, 21)))
+    p = write_instance(q, name="q21.json")
+    r = run_cli("verify", "--suite", "non-negativity", "--instance", p)
+    assert r.returncode == 1
+    assert "non-negativity  SKIP" in r.stdout and " ok" not in r.stdout
+    assert f"[non-negativity] {p}: skipped: n=21" in r.stderr
+    assert "0 violation(s), 1 check(s) skipped" in r.stderr
 
 
 def test_verify_unparseable_instance_names_flag(tmp_path):

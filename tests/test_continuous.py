@@ -119,6 +119,17 @@ def test_pre_process_empty_grid():
     assert state.delta == 0.0 and (state.x == 0.5).all()
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan])
+def test_grids_reject_an_epsilon_they_never_finish(k2, eps):
+    # a step of eps <= 0 never reaches the end of either grid
+    oracle = MultilinearOracle(SetOracle(k2), mode="exact")
+    with pytest.raises(ParamOutOfRange, match="epsilon"):
+        pre_process(oracle, tau=0.5, epsilon=eps)
+    with pytest.raises(ParamOutOfRange, match="epsilon"):
+        update_grid(eps, 0.5)
+    assert oracle.rounds_meter.rounds == 0
+
+
 def test_pre_process_is_one_round(k2):
     oracle = MultilinearOracle(SetOracle(k2), mode="exact")
     pre_process(oracle, tau=0.5, epsilon=0.1)

@@ -99,6 +99,21 @@ def test_discrete_grid_frozen(eps, count):
     assert g.size <= 1 + 6 / eps * math.log(1 / eps)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1])
+def test_discrete_preprocess_rejects_epsilon_at_or_below_zero(eps):
+    so = SetOracle(generate_random_instance("cut", 4, 0))
+    with pytest.raises(ParamOutOfRange, match="epsilon"):
+        discrete_preprocess(so, 1.0, eps, seed=0, m=2)
+    assert so.accounting.rounds == 0
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, 1.0, 2.0])
+def test_discrete_update_grid_rejects_epsilon_outside_0_1(eps):
+    # ln(1/eps) must be positive, or the geometric grid never reaches 1
+    with pytest.raises(ParamOutOfRange, match="epsilon"):
+        discrete_update_grid(eps)
+
+
 # -- tau -------------------------------------------------------------------------
 
 def test_estimate_tau_concentrates(k2):

@@ -13,7 +13,6 @@ import pytest
 
 from subpar import (ExactTooLarge, MultilinearOracle, SetOracle,
                     generate_random_instance, lovasz_value, sample_set)
-import subpar.multilinear as multilinear
 import subpar.oracles as oracles
 from subpar.instances import OutOfBox
 from subpar.multilinear import _fold_grad_eval, as_points, clamp01
@@ -251,13 +250,14 @@ def test_sampled_needs_a_draw(samples):
 
 
 def test_exact_power_set_rows_built_once(monkeypatch, k2):
+    # the rows are the gateway's power_set_rows, built on first use
     built = []
 
     def counting(n):
         built.append(n)
         return all_subsets_matrix(n)
 
-    monkeypatch.setattr(multilinear, "all_subsets_matrix", counting)
+    monkeypatch.setattr(oracles, "all_subsets_matrix", counting)
     so = SetOracle(k2)
     oracle = MultilinearOracle(so, mode="exact")
     pts = np.random.default_rng(3).random((3, 2))
@@ -266,6 +266,10 @@ def test_exact_power_set_rows_built_once(monkeypatch, k2):
     oracle.grad_and_value_batch(pts)
     assert built == [2]                       # three rounds, one build
     assert so.accounting.snapshot() == (3, 12)
+    rows = so.power_set_rows()
+    assert rows is so.power_set_rows() and not rows.flags.writeable
+    assert np.array_equal(rows, all_subsets_matrix(2))
+    assert built == [2]
 
 
 def test_exact_fold_scratch_is_reused():
@@ -308,7 +312,7 @@ def test_exact_power_set_round_runs_on_one_blas_thread():
     pts = np.random.default_rng(6).random((5, 12))
     oracle.value_batch(pts)
     oracle.grad_and_value_batch(pts)
-    assert seen == [(1 << 12, 1)] * 2
+    assert seen == [(1 << 12, 1)]         # two rounds, one evaluation
     assert get() == before
 
 # -- sampled estimator ---------------------------------------------------------

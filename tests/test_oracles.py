@@ -1,4 +1,8 @@
-"""Oracle gateway: normalization, accounting, batching, dedupe, threads."""
+"""Oracle gateway: normalization, accounting, batching, dedupe, threads,
+the power-set table."""
+
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -282,3 +286,83 @@ def test_non_finite_oracle_fails_the_driver_by_name():
                                mode="sampled", samples=20)
     with pytest.raises(NonFiniteValue, match="round 1"):
         run_continuous(oracle, 0.1)
+
+
+# -- the power-set value table ------------------------------------------------------
+
+class Counting:
+    """An instance that counts the rows of each evaluate_batch call."""
+
+    def __init__(self, inst):
+        self.n, self.inst, self.calls = inst.n, inst, []
+
+    def evaluate_batch(self, m):
+        self.calls.append(m.shape[0])
+        return self.inst.evaluate_batch(m)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_power_set_rounds_are_charged_but_evaluated_once(k):
+    inst = Counting(generate_random_instance("cut", 9, 3))
+    so = SetOracle(inst)
+    rows = so.power_set_rows()
+    tables = [so.eval_batch(rows) for _ in range(k)]
+    assert so.accounting.snapshot() == (k, k << 9)
+    assert inst.calls == [1 << 9]
+    assert all(t is tables[0] for t in tables)
+
+
+def test_power_set_table_is_read_only(k2):
+    so = SetOracle(k2)
+    table = so.eval_batch(so.power_set_rows())
+    assert not table.flags.writeable and not so.power_set_rows().flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 5.0
+    assert so.eval_batch(so.power_set_rows()).tolist() == [0.0, 1.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("kind", ["cut", "coverage", "quadratic"])
+def test_power_set_table_bits_match_a_fresh_gateway(kind):
+    inst = generate_random_instance(kind, 12, 7)
+    so = SetOracle(inst)
+    so.eval_batch(so.power_set_rows())
+    kept = so.eval_batch(so.power_set_rows())
+    fresh = SetOracle(inst)
+    assert np.array_equal(kept, fresh.eval_batch(fresh.power_set_rows()))
+    assert np.array_equal(kept, SetOracle(inst).eval_batch(all_subsets_matrix(12)))
+
+
+def test_non_finite_power_set_table_still_raises():
+    inst = Counting(PoisonedInstance(3, 2, np.nan))
+    so = SetOracle(inst)
+    for r in (1, 2):                          # nothing is kept from a failed round
+        with pytest.raises(NonFiniteValue, match=f"round {r}"):
+            so.eval_batch(so.power_set_rows())
+    assert inst.calls == [8, 8]
+    assert so.accounting.snapshot() == (2, 16)
+
+
+def test_equal_but_distinct_power_set_is_evaluated(k2):
+    inst = Counting(k2)
+    so = SetOracle(inst)
+    kept = so.eval_batch(so.power_set_rows())
+    again = so.eval_batch(all_subsets_matrix(2))
+    copy = so.eval_batch(so.power_set_rows().copy())
+    assert inst.calls == [4, 4, 4]
+    assert again is not kept and again.flags.writeable and copy.flags.writeable
+    assert np.array_equal(again, kept) and np.array_equal(copy, kept)
+    assert so.accounting.snapshot() == (3, 12)
+
+
+@pytest.mark.parametrize("code, message", [
+    ("from subpar import OracleAccounting; OracleAccounting().charge(0)",
+     "at least one query"),
+    ("from subpar.oracles import all_subsets_matrix; all_subsets_matrix(27)",
+     "n <= 26"),
+])
+def test_boundary_checks_survive_optimize(code, message):
+    # typed errors, not asserts: `python -O` strips asserts
+    r = subprocess.run([sys.executable, "-O", "-c", code],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 1
+    assert "ValueError" in r.stderr and message in r.stderr

@@ -81,6 +81,15 @@ def test_extra_instance_joins_pool(tmp_path):
     assert findings == []
 
 
+def test_instance_beyond_the_exhaustive_limit_is_a_skip(tmp_path):
+    p = tmp_path / "cut13.json"
+    dump_instance(generate_random_instance("cut", 13, 0), p)
+    names, findings = run_verify(suites=list(INSTANCE_SUITES), instance_path=str(p))
+    assert [(f.suite, f.instance, f.skipped) for f in findings] == [
+        (nm, str(p), True) for nm in INSTANCE_SUITES]
+    assert "n=13 is above the exhaustive limit" in findings[0].detail
+
+
 def test_finding_formatting():
     f = Finding("tau", "cut-n8-s0", "estimate out of band")
     assert str(f) == "[tau] cut-n8-s0: estimate out of band"
