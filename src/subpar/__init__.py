@@ -19,8 +19,7 @@ from .baselines import TooLarge, brute_force, brute_force_ids, double_greedy, ra
 from .continuous import (ContinuousState, ParamOutOfRange, StateInvariantViolation,
                          compute_rates, pre_process, run_continuous, run_core, update)
 from .discrete import (DiscreteParams, discrete_preprocess, discrete_update,
-                       estimate_tau, expected_update_gain, finalize, g_estimates,
-                       round_step, run_discrete)
+                       estimate_tau, finalize, g_estimates, round_step, run_discrete)
 from .drbox import (BoxDomain, QuadraticContinuousOracle, grid_search_optimum,
                     rescale_to_cube, run_dr)
 from .instances import (CoverageInstance, CutInstance, InvalidInstance,
@@ -44,8 +43,8 @@ __all__ = [
     "StateInvariantViolation", "TooLarge", "UnreadableInstance",
     "brute_force", "brute_force_ids", "compute_rates", "discrete_preprocess",
     "discrete_update", "double_greedy", "dump_instance", "estimate_tau",
-    "expected_update_gain", "finalize", "g_estimates",
-    "generate_random_instance", "grid_search_optimum", "ids_of",
+    "finalize", "g_estimates", "generate_random_instance",
+    "grid_search_optimum", "ids_of",
     "load_instance", "lovasz_value", "mask_of", "pre_process", "random_half",
     "rescale_to_cube", "round_step", "run_continuous", "run_core",
     "run_discrete", "run_dr", "run_verify", "sample_set", "update",

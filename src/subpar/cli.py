@@ -70,7 +70,6 @@ def build_parser():
                        help="cap the discrete G-estimator sample counts")
     run_p.add_argument("--out", default=None, help="report file path")
     run_p.add_argument("--format", choices=("json", "csv"), default="json")
-    run_p.add_argument("--threads", type=_positive_int, default=None)
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="benchmark grid over n, epsilon, seeds")
@@ -89,7 +88,6 @@ def build_parser():
                          default="engineering")
     sweep_p.add_argument("--sample-override", type=_positive_int, default=None)
     sweep_p.add_argument("--out", default=None, help="CSV output path")
-    sweep_p.add_argument("--threads", type=_positive_int, default=None)
     sweep_p.set_defaults(func=cmd_sweep)
 
     verify_p = sub.add_parser("verify", help="run invariant suites")
@@ -213,7 +211,7 @@ def execute(instance, box_spec, instance_id, args, parser):
         delegated = alg
         alg = "brute-force"
 
-    set_oracle = SetOracle(instance, threads=args.threads)
+    set_oracle = SetOracle(instance)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0xA15)))
 
     if alg == "continuous":
@@ -339,8 +337,7 @@ def cmd_sweep(args, parser):
                 run_args = argparse.Namespace(
                     algorithm=args.algorithm, epsilon=eps, seed=seed,
                     oracle=_resolve_auto(args.oracle, oracle_mode, oracle_k, n),
-                    mode=args.mode, sample_override=args.sample_override,
-                    threads=args.threads)
+                    mode=args.mode, sample_override=args.sample_override)
                 instance = generate_random_instance(args.kind, n, seed)
                 rep = execute(instance, None, f"{args.kind}-n{n}-s{seed}",
                               run_args, parser)

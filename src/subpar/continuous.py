@@ -122,7 +122,8 @@ def pre_process(oracle, tau, epsilon):
     to 16*tau; one gradient round evaluates the whole grid.  Falls back
     to the all-halves pair when no offset qualifies.
     """
-    assert tau >= 0
+    if not tau >= 0:
+        raise ParamOutOfRange(f"tau must be >= 0, got {tau}")
     n = oracle.n
     grid = preprocess_grid(epsilon)
     if grid.size == 0:   # epsilon >= 1/2: nothing to scan
@@ -156,7 +157,8 @@ def update(oracle, state, gamma, epsilon):
     state.validate()
     if not (0.0 < state.delta <= 1.0):
         raise StateInvariantViolation(f"update needs delta in (0,1], got {state.delta}")
-    assert gamma >= 0
+    if not gamma >= 0:
+        raise ParamOutOfRange(f"gamma must be >= 0, got {gamma}")
     meter = oracle.rounds_meter
     r0, q0 = meter.snapshot()
 
@@ -216,7 +218,7 @@ class CoreResult:
         return [s.x for s in self.states]
 
 
-def run_core(oracle, epsilon, trivial_threshold=0.0):
+def run_core(oracle, epsilon):
     """Full driver: tau, pre-process, update until the pair meets.
 
     Returns the final point and its value.  A zero tau certifies (for a
@@ -228,7 +230,7 @@ def run_core(oracle, epsilon, trivial_threshold=0.0):
     n = oracle.n
     tau = float(oracle.value_batch(np.full((1, n), 0.5))[0])   # one round
     gamma = 4.0 * epsilon * tau
-    if tau <= trivial_threshold:
+    if tau <= 0.0:
         half = np.full(n, 0.5)
         state = ContinuousState(x=half, y=half.copy(), delta=0.0)
         return CoreResult(x=half, value=float(oracle.value_batch(half[None, :])[0]),

@@ -234,7 +234,10 @@ def g_estimates(set_oracle, X, Y, r, deltas, seed, iteration, m):
     n = set_oracle.n
     idx = np.flatnonzero(Y & ~X)
     k = idx.size
-    assert k > 0 and deltas.size > 0
+    if k == 0:
+        raise StateInvariantViolation("g_estimates needs an undecided element (X != Y)")
+    if deltas.size == 0:
+        raise ParamOutOfRange("g_estimates needs at least one step size")
     bases = np.empty((deltas.size, m, 2, n), dtype=bool)   # [candidate, sample, X/Y side]
     bases[:, :, 0] = X
     bases[:, :, 1] = Y
@@ -256,48 +259,6 @@ def _expand(r_diff, idx, n):
     r = np.zeros(n)
     r[idx] = r_diff
     return r
-
-
-def expected_update_gain(instance, X, Y, r, delta):
-    """Exact expectation the update's G estimator targets (test oracle).
-
-    Enumerates the supports of both random draws; by linearity each
-    undecided u only needs the marginal distribution of its own draw.
-    Requires |Y \\ X| small enough to enumerate (2^k supports).
-    """
-    idx = np.flatnonzero(Y & ~X)
-    k = idx.size
-    assert k <= 12
-    n = instance.n
-    total = 0.0
-    for side in ("x", "y"):
-        probs = delta * r[idx] if side == "x" else delta * (1.0 - r[idx])
-        for j, u in enumerate(idx):
-            acc = 0.0
-            for mask in range(1 << k):
-                p = 1.0
-                members = X.copy() if side == "x" else Y.copy()
-                for t in range(k):
-                    if mask >> t & 1:
-                        p *= probs[t]
-                        if side == "x":
-                            members[idx[t]] = True
-                        else:
-                            members[idx[t]] = False
-                    else:
-                        p *= 1.0 - probs[t]
-                if p == 0.0:
-                    continue
-                plus, minus = members.copy(), members.copy()
-                plus[u] = True
-                minus[u] = False
-                fp, fm = instance.evaluate_batch(np.stack([plus, minus]))
-                acc += p * (fp - fm)
-            if side == "x":
-                total += r[idx][j] * acc
-            else:
-                total -= (1.0 - r[idx][j]) * acc
-    return total
 
 
 def finalize(set_oracle, X, Y):

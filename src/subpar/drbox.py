@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuous import check_epsilon, run_core
-from .instances import MultilinearQuadraticInstance, OutOfBox
+from .continuous import ParamOutOfRange, check_epsilon, run_core
+from .instances import InvalidInstance, MultilinearQuadraticInstance, OutOfBox
 from .multilinear import as_points
 from .oracles import OracleAccounting
 
@@ -34,7 +34,9 @@ class BoxDomain:
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=np.float64)
         self.upper = np.asarray(self.upper, dtype=np.float64)
-        assert self.lower.shape == self.upper.shape and self.lower.ndim == 1
+        if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
+            raise InvalidInstance(f"box needs two vectors of one length, got shapes "
+                                  f"{self.lower.shape} and {self.upper.shape}")
         if not (self.lower <= self.upper).all():
             raise OutOfBox("box needs lower <= upper in every coordinate")
 
@@ -51,6 +53,12 @@ class BoxDomain:
         return self.lower + self.width * np.asarray(z, dtype=np.float64)
 
 
+def _require_quadratic(instance):
+    if not isinstance(instance, MultilinearQuadraticInstance):
+        raise InvalidInstance(f"expected a quadratic instance, got "
+                              f"{type(instance).__name__}")
+
+
 class QuadraticContinuousOracle:
     """Direct value/gradient oracle over a quadratic on the unit cube.
 
@@ -61,7 +69,7 @@ class QuadraticContinuousOracle:
     """
 
     def __init__(self, instance):
-        assert isinstance(instance, MultilinearQuadraticInstance)
+        _require_quadratic(instance)
         self.instance = instance
         self.rounds_meter = OracleAccounting()
         self.F_queries = 0
@@ -103,8 +111,9 @@ def rescale_to_cube(instance, box):
     the active coordinates back to a full-dimensional box point.
     Returns cube_instance = None when every coordinate is pinned.
     """
-    assert isinstance(instance, MultilinearQuadraticInstance)
-    assert box.n == instance.n
+    _require_quadratic(instance)
+    if box.n != instance.n:
+        raise InvalidInstance(f"box has {box.n} coordinates, the instance n={instance.n}")
     a = box.lower
     d = box.width
     active = np.flatnonzero(d > 0)
@@ -184,7 +193,9 @@ def grid_search_optimum(value_batch_fn, n, lower=None, upper=None,
     """
     lo = np.zeros(n) if lower is None else np.asarray(lower, dtype=np.float64).copy()
     hi = np.ones(n) if upper is None else np.asarray(upper, dtype=np.float64).copy()
-    assert resolution >= 3 and resolution ** n <= 5_000_000
+    if not (resolution >= 3 and resolution ** n <= 5_000_000):
+        raise ParamOutOfRange(f"grid search needs resolution >= 3 and resolution**n "
+                              f"<= 5e6, got resolution={resolution}, n={n}")
     best_x, best_v = lo.copy(), -np.inf
     for _ in range(refinements):
         axes = [np.linspace(lo[u], hi[u], resolution) for u in range(n)]

@@ -22,7 +22,8 @@ import json
 
 import numpy as np
 
-from .oracles import all_subsets_matrix
+from .baselines import TooLarge
+from .oracles import InvalidElement, all_subsets_matrix
 
 
 class InvalidInstance(ValueError):
@@ -188,8 +189,7 @@ class MultilinearQuadraticInstance:
     # fractional interface ------------------------------------------------
 
     def value(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        assert x.shape == (self.n,)
+        x = self._point(x)
         return float(self.c + self.h @ x + 0.5 * x @ self.H @ x)
 
     def value_batch(self, X):
@@ -197,13 +197,17 @@ class MultilinearQuadraticInstance:
         return self.c + X @ self.h + 0.5 * np.einsum("bi,ij,bj->b", X, self.H, X)
 
     def gradient(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        assert x.shape == (self.n,)
-        return self.h + self.H @ x
+        return self.h + self.H @ self._point(x)
 
     def gradient_batch(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         return self.h[None, :] + X @ self.H.T
+
+    def _point(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.n,):
+            raise InvalidElement(f"point has shape {x.shape}, expected ({self.n},)")
+        return x
 
     # set interface (vertex restriction; F is its own extension) ----------
 
@@ -224,7 +228,7 @@ def generate_random_instance(kind, n, seed):
     perturbed parameters a bounded number of times before giving up with
     NonNegativityViolation.
     """
-    assert n >= 1
+    _require(n >= 1, f"n must be >= 1, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence((hash_kind(kind), n, seed)))
     if kind == "cut":
         return _random_cut(n, rng)
@@ -322,9 +326,13 @@ def load_instance(path):
         inst = instance_from_json_dict(d)
         box = None
         if "lower" in d or "upper" in d:
-            lower = d.get("lower", [0.0] * inst.n)
-            upper = d.get("upper", [1.0] * inst.n)
-            box = (np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
+            lower = np.asarray(d.get("lower", [0.0] * inst.n), dtype=float)
+            upper = np.asarray(d.get("upper", [1.0] * inst.n), dtype=float)
+            for name, side in (("lower", lower), ("upper", upper)):
+                _require(side.shape == (inst.n,), f"{name} must have length {inst.n}")
+                _require(np.isfinite(side).all(), f"{name} must be finite")
+            _require((lower <= upper).all(), "box needs lower <= upper in every coordinate")
+            box = (lower, upper)
     except (InvalidInstance, NonNegativityViolation):
         raise
     except (KeyError, ValueError, TypeError) as e:
@@ -345,9 +353,14 @@ def dump_instance(inst, path, box=None):
 
 # -- exhaustive property checks (certificates for small n) ----------------
 
+def _check_exhaustive(n, limit):
+    if n > limit:
+        raise TooLarge(f"ground set too large for exhaustive check (n={n} > {limit})")
+
+
 def check_nonnegative_exhaustive(instance, limit=12):
     """min f(S) over all subsets; requires n <= limit."""
-    assert instance.n <= limit, "ground set too large for exhaustive check"
+    _check_exhaustive(instance.n, limit)
     vals = instance.evaluate_batch(all_subsets_matrix(instance.n))
     return float(vals.min())
 
@@ -361,7 +374,7 @@ def check_submodular_exhaustive(instance, limit=12, tol=1e-9):
     Returns the worst (most negative) slack found.
     """
     n = instance.n
-    assert n <= limit, "ground set too large for exhaustive check"
+    _check_exhaustive(n, limit)
     table = instance.evaluate_batch(all_subsets_matrix(n))
     masks = np.arange(1 << n, dtype=np.intp)
     worst = np.inf
@@ -374,3 +387,4 @@ def check_submodular_exhaustive(instance, limit=12, tol=1e-9):
             slack = table[s | bu] + table[s | bv] - table[s | bu | bv] - table[s]
             worst = min(worst, float(slack.min()))
     return worst
+

@@ -6,7 +6,9 @@ adaptive round no matter how large the batch is; the query counter grows
 by the batch size.  Algorithms that want to look cheap on the round
 meter therefore have to gather every independently-computable query of a
 phase into a single batch -- issuing them one by one inflates the meter,
-which is the point of the instrument.
+which is the point of the instrument.  How a batch is computed does not
+change its cost, so the gateway starts no workers: it evaluates a batch
+within the call, slice by slice.
 
 In exact mode the multilinear layer asks for the whole power set every
 round.  power_set_rows() hands out one read-only 2^n-row membership
@@ -31,7 +33,6 @@ and normalizes them; mask_of turns a membership row into an int bitmask.
 
 import ctypes
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -55,10 +56,6 @@ class OracleAccounting:
     __slots__ = ("rounds", "queries")
 
     def __init__(self):
-        self.rounds = 0
-        self.queries = 0
-
-    def reset(self):
         self.rounds = 0
         self.queries = 0
 
@@ -184,7 +181,8 @@ def single_blas_thread():
 
 
 def default_threads():
-    """Gateway threads when none are asked for: the core count."""
+    """The core count.  The gateway runs on the caller's thread; the
+    benchmark records this number as context only."""
     return os.cpu_count() or 1
 
 
@@ -214,15 +212,15 @@ class SetOracle:
     `evaluate_batch(members)` taking a boolean (B, n) matrix.  It may
     also expose `marginals(members)`, returning the (B, n) matrix of
     f(S+u) - f(S-u); eval_marginals then uses it instead of evaluating
-    the 2n forced rows.  All mutability lives in the accounting record,
-    updated once per batch, and in the power-set table, set once, so
-    in-batch evaluation may run concurrently.
+    the 2n forced rows.  A batch is evaluated within the call, in
+    slices of at most _EVAL_CHUNK rows, one after another.  All
+    mutability lives in the accounting record, updated once per batch,
+    and in the power-set table, set once.
     """
 
-    def __init__(self, instance, threads=None):
+    def __init__(self, instance):
         self.instance = instance
         self.accounting = OracleAccounting()
-        self.threads = default_threads() if threads is None else max(1, int(threads))
         self._power_set = None        # power_set_rows(), built on first use
         self._power_set_vals = None   # f on those rows, once a round has evaluated them
 
@@ -267,9 +265,9 @@ class SetOracle:
         kernel = getattr(self.instance, "marginals", None)
         marg = np.empty((B, n))
         vals = np.empty(B) if values else None
-        # slices of about one evaluation chunk per gateway thread keep
-        # the pair rows of the fallback bounded in memory
-        step = max(1, (_EVAL_CHUNK * self.threads) // width)
+        # slices of about one evaluation chunk keep the pair rows of the
+        # fallback bounded in memory
+        step = max(1, _EVAL_CHUNK // width)
         for lo in range(0, B, step):
             blk = m[lo:lo + step]
             if kernel is not None:
@@ -333,19 +331,9 @@ class SetOracle:
             pos = np.empty(1 << n, dtype=np.int64)
             pos[uniq] = np.arange(uniq.size)
             return vals[pos[keys]].astype(np.float64, copy=False)
-        if rows <= _EVAL_CHUNK or self.threads == 1:
-            out = np.empty(rows, dtype=np.float64)
-            for lo in range(0, rows, _EVAL_CHUNK):
-                hi = min(lo + _EVAL_CHUNK, rows)
-                out[lo:hi] = self.instance.evaluate_batch(m[lo:hi])
-            return out
-        # larger batches: deterministic order, chunks dispatched to threads
-        bounds = list(range(0, rows, _EVAL_CHUNK)) + [rows]
-        slices = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
         out = np.empty(rows, dtype=np.float64)
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            futures = [pool.submit(self.instance.evaluate_batch, m[lo:hi]) for lo, hi in slices]
-            for (lo, hi), fut in zip(slices, futures):
-                out[lo:hi] = fut.result()
+        for lo in range(0, rows, _EVAL_CHUNK):
+            hi = min(lo + _EVAL_CHUNK, rows)
+            out[lo:hi] = self.instance.evaluate_batch(m[lo:hi])
         return out
 

@@ -18,12 +18,12 @@ import numpy as np
 
 from subpar import (DiscreteParams, MultilinearOracle, QuadraticContinuousOracle,
                     SetOracle, brute_force, discrete_preprocess, discrete_update,
-                    double_greedy, estimate_tau, expected_update_gain,
-                    g_estimates, generate_random_instance, grid_search_optimum,
-                    run_continuous, run_discrete, run_dr, run_verify)
+                    double_greedy, estimate_tau, g_estimates, generate_random_instance,
+                    grid_search_optimum, run_continuous, run_discrete, run_dr, run_verify)
 from subpar.discrete import round_step, _stream
 
 from conftest import ACCEPTANCE_LINES
+from gain_oracle import expected_update_gain
 
 _C1_RUNS = []    # (epsilon, iterations) audited again by criterion 2
 

@@ -210,8 +210,7 @@ def test_flag_checks_survive_optimize(k2_path, optimize):
 
 @pytest.mark.parametrize("optimize", [False, True])
 @pytest.mark.parametrize("command,flag", [
-    ("run", "--sample-override"), ("run", "--threads"),
-    ("sweep", "--sample-override"), ("sweep", "--threads"),
+    ("run", "--sample-override"), ("sweep", "--sample-override"),
     ("sweep", "--seeds-per-cell")])
 def test_positive_int_flags(k2_path, command, flag, optimize):
     argv = (("run", "--instance", k2_path, "--algorithm", "discrete")
@@ -220,6 +219,15 @@ def test_positive_int_flags(k2_path, command, flag, optimize):
         r = run_cli(*argv, flag, bad, optimize=optimize)
         assert r.returncode == 2, r.stderr
         assert flag in r.stderr and "positive integer" in r.stderr
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_threads_flag_is_gone(k2_path, command):
+    argv = (("run", "--instance", k2_path, "--algorithm", "discrete")
+            if command == "run" else ("sweep", "--algorithm", "discrete"))
+    r = run_cli(*argv, "--threads", "1")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --threads" in r.stderr
 
 
 def test_sweep_checks_every_epsilon_before_the_first_cell():
@@ -242,6 +250,20 @@ def test_negative_weight_instance_names_flag(tmp_path, optimize):
                 optimize=optimize)
     assert r.returncode == 2
     assert "--instance" in r.stderr and "negative edge weight" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("box, message", [
+    ({"lower": [0.0, 0.0, 0.0]}, "lower must have length 2"),
+    ({"upper": [1.0, float("nan")]}, "upper must be finite"),
+    ({"lower": [0.6, 0.0], "upper": [0.4, 1.0]}, "lower <= upper"),
+])
+def test_bad_box_names_instance_flag(frozen_quad, write_instance, box, message, optimize):
+    path = write_instance(frozen_quad, extra=box)
+    r = run_cli("run", "--instance", path, "--algorithm", "dr", optimize=optimize)
+    assert r.returncode == 2
+    assert "--instance" in r.stderr and message in r.stderr
     assert "Traceback" not in r.stderr
 
 

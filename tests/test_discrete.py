@@ -11,12 +11,13 @@ import pytest
 
 from subpar import (DiscreteParams, ParamOutOfRange, SetOracle,
                     StateInvariantViolation, discrete_preprocess,
-                    discrete_update, estimate_tau, expected_update_gain,
-                    finalize, g_estimates, generate_random_instance,
-                    run_discrete)
+                    discrete_update, estimate_tau, finalize, g_estimates,
+                    generate_random_instance, run_discrete)
 from subpar.discrete import (THEOREM_EPS_MAX, _pair_draw, _stream,
                              discrete_update_grid, round_step)
 from subpar.oracles import OracleAccounting
+
+from gain_oracle import expected_update_gain
 
 
 class ScriptedSetOracle:

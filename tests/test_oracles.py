@@ -1,6 +1,8 @@
-"""Oracle gateway: normalization, accounting, batching, dedupe, threads,
-the power-set table."""
+"""Oracle gateway: normalization, accounting, batching, dedupe, the
+one-BLAS-thread switch, the power-set table."""
 
+import importlib
+import os
 import subprocess
 import sys
 
@@ -74,8 +76,6 @@ def test_accounting_charges():
     acc.charge(5)
     acc.charge(1)
     assert acc.snapshot() == (2, 6)
-    acc.reset()
-    assert acc.snapshot() == (0, 0)
 
 
 def test_eval_batch_is_one_round(k2):
@@ -109,21 +109,19 @@ def test_dedupe_path_matches_direct_evaluation():
     assert so.accounting.queries == 5000      # charged per requested row
 
 
-def test_threaded_evaluation_matches_serial(monkeypatch):
-    # shrink the chunk so the thread pool actually splits the batch
+def test_chunked_evaluation_matches_its_slices(monkeypatch):
+    # a batch longer than one chunk is cut into whole chunks, in order
     monkeypatch.setattr(oracles, "_EVAL_CHUNK", 64)
     inst = CutInstance(18, [(u, u + 1, 1.0) for u in range(17)])
-    rng = np.random.default_rng(5)
-    m = rng.random((1000, 18)) < 0.5
-    serial = SetOracle(inst, threads=1).eval_batch(m)
-    threaded = SetOracle(inst, threads=4).eval_batch(m)
-    assert np.array_equal(serial, threaded)
+    m = np.random.default_rng(5).random((1000, 18)) < 0.5
+    want = np.concatenate([inst.evaluate_batch(m[lo:lo + 64]) for lo in range(0, 1000, 64)])
+    so = SetOracle(inst)
+    assert np.array_equal(so.eval_batch(m), want)
+    assert so.accounting.snapshot() == (1, 1000)
 
 
 def test_threads_default_to_core_count():
-    assert default_threads() >= 1
-    assert SetOracle(CutInstance(2, [(0, 1, 1.0)])).threads == default_threads()
-    assert SetOracle(CutInstance(2, [(0, 1, 1.0)]), threads=0).threads == 1
+    assert default_threads() == (os.cpu_count() or 1)
 
 
 def openblas_threads():
@@ -247,11 +245,10 @@ def test_cut_marginals_are_a_closed_form(triangle, spy_oracle):
 def test_eval_marginals_slicing_is_invisible(monkeypatch):
     inst = WithoutKernel(generate_random_instance("coverage", 7, 2))
     bases = np.random.default_rng(4).random((50, 7)) < 0.5
-    whole = SetOracle(inst, threads=1).eval_marginals(bases, values=True)
-    monkeypatch.setattr(oracles, "_EVAL_CHUNK", 20)   # one base per slice
-    sliced = SetOracle(inst, threads=1).eval_marginals(bases, values=True)
-    threaded = SetOracle(inst, threads=3).eval_marginals(bases, values=True)
-    for got in (sliced, threaded):
+    whole = SetOracle(inst).eval_marginals(bases, values=True)
+    for chunk in (20, 60):                  # one base per slice, then four
+        monkeypatch.setattr(oracles, "_EVAL_CHUNK", chunk)
+        got = SetOracle(inst).eval_marginals(bases, values=True)
         assert np.array_equal(got[0], whole[0]) and np.array_equal(got[1], whole[1])
 
 
@@ -354,15 +351,52 @@ def test_equal_but_distinct_power_set_is_evaluated(k2):
     assert so.accounting.snapshot() == (3, 12)
 
 
+_PRELUDE = """\
+import numpy as np
+from subpar import *
+from subpar.instances import check_nonnegative_exhaustive, check_submodular_exhaustive
+q = MultilinearQuadraticInstance(2, 0.0, [1, 1], [[0, -1], [-1, 0]])
+X = np.array([True, False, False])
+"""
+
+
+def raised(stderr):
+    """The class of the exception a traceback on stderr ends with."""
+    name = stderr.strip().splitlines()[-1].split(":", 1)[0]
+    module, _, cls = name.rpartition(".")
+    return getattr(importlib.import_module(module or "builtins"), cls)
+
+
 @pytest.mark.parametrize("code, message", [
     ("from subpar import OracleAccounting; OracleAccounting().charge(0)",
      "at least one query"),
     ("from subpar.oracles import all_subsets_matrix; all_subsets_matrix(27)",
      "n <= 26"),
+    ("g_estimates(SetOracle(generate_random_instance('cut', 3, 0)), X, X, "
+     "np.zeros(0), np.array([0.5]), 0, 0, 4)", "undecided element"),
+    ("g_estimates(SetOracle(generate_random_instance('cut', 3, 0)), X, ~X, "
+     "np.full(2, 0.5), np.zeros(0), 0, 0, 4)", "at least one step size"),
+    ("grid_search_optimum(q.value_batch, 2, resolution=2)", "resolution >= 3"),
+    ("grid_search_optimum(q.value_batch, 8, resolution=9)", "<= 5e6"),
+    ("q.value([0.5, 0.5, 0.5])", "expected (2,)"),
+    ("q.gradient([0.5])", "expected (2,)"),
+    ("QuadraticContinuousOracle(CutInstance(2, []))", "expected a quadratic"),
+    ("rescale_to_cube(CutInstance(2, []), BoxDomain([0, 0], [1, 1]))",
+     "expected a quadratic"),
+    ("rescale_to_cube(q, BoxDomain([0, 0, 0], [1, 1, 1]))", "box has 3 coordinates"),
+    ("BoxDomain([0, 0], [1, 1, 1])", "two vectors of one length"),
+    ("check_nonnegative_exhaustive(generate_random_instance('cut', 13, 0))",
+     "too large for exhaustive check"),
+    ("check_submodular_exhaustive(generate_random_instance('cut', 13, 0))",
+     "too large for exhaustive check"),
+    ("pre_process(QuadraticContinuousOracle(q), -1.0, 0.1)", "tau must be >= 0"),
+    ("update(QuadraticContinuousOracle(q), "
+     "ContinuousState(np.zeros(2), np.ones(2), 1.0), -1.0, 0.1)", "gamma must be >= 0"),
+    ("generate_random_instance('coverage', -1, 0)", "n must be >= 1"),
 ])
 def test_boundary_checks_survive_optimize(code, message):
     # typed errors, not asserts: `python -O` strips asserts
-    r = subprocess.run([sys.executable, "-O", "-c", code],
+    r = subprocess.run([sys.executable, "-O", "-c", _PRELUDE + code],
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 1
-    assert "ValueError" in r.stderr and message in r.stderr
+    assert issubclass(raised(r.stderr), ValueError) and message in r.stderr, r.stderr
