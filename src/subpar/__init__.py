@@ -15,7 +15,7 @@ The package provides:
 
 __version__ = "0.1.0"
 
-from .baselines import TooLarge, brute_force, brute_force_ids, double_greedy, random_half
+from .baselines import TooLarge, brute_force, double_greedy, random_half
 from .continuous import (ContinuousState, ParamOutOfRange, StateInvariantViolation,
                          compute_rates, pre_process, run_continuous, run_core, update)
 from .discrete import (DiscreteParams, discrete_preprocess, discrete_update,
@@ -27,8 +27,7 @@ from .instances import (CoverageInstance, CutInstance, InvalidInstance,
                         UnreadableInstance, dump_instance, generate_random_instance,
                         load_instance)
 from .multilinear import ExactTooLarge, MultilinearOracle, lovasz_value, sample_set
-from .oracles import (InvalidElement, NonFiniteValue, OracleAccounting, SetOracle, ids_of,
-                      mask_of)
+from .oracles import InvalidElement, NonFiniteValue, OracleAccounting, SetOracle, ids_of
 from .reports import DiscreteIterationTrace, IterationTrace, RunReport
 from .verify import Finding, run_verify
 
@@ -41,11 +40,11 @@ __all__ = [
     "OracleAccounting", "OutOfBox", "ParamOutOfRange",
     "QuadraticContinuousOracle", "RunReport", "SetOracle",
     "StateInvariantViolation", "TooLarge", "UnreadableInstance",
-    "brute_force", "brute_force_ids", "compute_rates", "discrete_preprocess",
+    "brute_force", "compute_rates", "discrete_preprocess",
     "discrete_update", "double_greedy", "dump_instance", "estimate_tau",
     "finalize", "g_estimates", "generate_random_instance",
     "grid_search_optimum", "ids_of",
-    "load_instance", "lovasz_value", "mask_of", "pre_process", "random_half",
+    "load_instance", "lovasz_value", "pre_process", "random_half",
     "rescale_to_cube", "round_step", "run_continuous", "run_core",
     "run_discrete", "run_dr", "run_verify", "sample_set", "update",
 ]

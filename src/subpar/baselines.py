@@ -9,7 +9,10 @@ benchmark sweep contrasts against the constant-round driver.
 
 import numpy as np
 
-from .oracles import all_subsets_matrix, ids_of, pair_rows
+from .oracles import all_subsets_matrix, pair_rows
+
+
+BRUTE_LIMIT = 24     # largest n brute force enumerates
 
 
 class TooLarge(ValueError):
@@ -54,21 +57,17 @@ def random_half(set_oracle, rng=None):
     return rng.random(set_oracle.n) < 0.5
 
 
-def brute_force(set_oracle, n_limit=24):
+def brute_force(set_oracle):
     """Exact maximizer by exhaustive enumeration, one giant batch.
 
     Ties break toward the subset with the smallest characteristic
     bitmask (element u = bit u), so {0} beats {1} beats {0,1}.
     """
     n = set_oracle.n
-    if n > n_limit:
-        raise TooLarge(f"brute force limited to n <= {n_limit}, got {n}")
+    if n > BRUTE_LIMIT:
+        raise TooLarge(f"brute force limited to n <= {BRUTE_LIMIT}, got {n}")
     members = all_subsets_matrix(n)
     vals = set_oracle.eval_batch(members)
     best = int(np.argmax(vals))        # argmax returns the first (lowest mask)
     return members[best].copy(), float(vals[best])
 
-
-def brute_force_ids(set_oracle, n_limit=24):
-    members, value = brute_force(set_oracle, n_limit)
-    return ids_of(members), value

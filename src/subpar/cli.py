@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .baselines import TooLarge, brute_force, double_greedy, random_half
+from .baselines import BRUTE_LIMIT, TooLarge, brute_force, double_greedy, random_half
 from .continuous import ParamOutOfRange, check_epsilon, run_continuous
 from .discrete import DiscreteParams, run_discrete
 from .drbox import BoxDomain, grid_search_optimum, run_dr
@@ -31,7 +31,6 @@ from .reports import CSV_COLUMNS, RunReport, csv_row, with_ratio
 
 ALGORITHMS = ("continuous", "discrete", "dr", "double-greedy",
               "double-greedy-det", "random-half", "brute-force")
-BRUTE_LIMIT = 24
 GRID_OPT_LIMIT = 6
 SMALL_N = 3     # below this, set algorithms delegate to brute force
 
@@ -269,7 +268,7 @@ def execute(instance, box_spec, instance_id, args, parser):
             adaptive_rounds=set_oracle.accounting.rounds,
             f_queries=set_oracle.accounting.queries, n=n, oracle="set")
     else:   # brute-force
-        members, value = brute_force(set_oracle, n_limit=BRUTE_LIMIT)
+        members, value = brute_force(set_oracle)
         report = RunReport(
             instance_id=instance_id, algorithm="brute-force",
             epsilon=(args.epsilon if delegated else None),

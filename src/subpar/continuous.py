@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .multilinear import CLAMP_TOL
 from .reports import IterationTrace
 
 
@@ -33,7 +34,6 @@ class StateInvariantViolation(ValueError):
 
 
 _CHAIN_TOL = 1e-9     # |y - x - delta| allowed drift
-_CLAMP_TOL = 1e-12    # coordinates may stray this far outside [0,1]
 
 
 @dataclass
@@ -52,7 +52,7 @@ class ContinuousState:
             raise StateInvariantViolation(
                 f"y - x deviates from delta*ones by {np.abs(gap).max():g}")
         for v in (self.x, self.y):
-            if (v < -_CLAMP_TOL).any() or (v > 1 + _CLAMP_TOL).any():
+            if (v < -CLAMP_TOL).any() or (v > 1 + CLAMP_TOL).any():
                 raise StateInvariantViolation("coordinate outside [0,1]")
         return self
 
@@ -64,7 +64,7 @@ def check_epsilon(epsilon):
 
 
 def _clamp_box(v):
-    if (v < -_CLAMP_TOL).any() or (v > 1 + _CLAMP_TOL).any():
+    if (v < -CLAMP_TOL).any() or (v > 1 + CLAMP_TOL).any():
         raise StateInvariantViolation("coordinate left [0,1] beyond tolerance")
     return np.clip(v, 0.0, 1.0)
 

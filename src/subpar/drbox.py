@@ -37,6 +37,9 @@ class BoxDomain:
         if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
             raise InvalidInstance(f"box needs two vectors of one length, got shapes "
                                   f"{self.lower.shape} and {self.upper.shape}")
+        for name, side in (("lower", self.lower), ("upper", self.upper)):
+            if not np.isfinite(side).all():
+                raise InvalidInstance(f"box {name} must be finite")
         if not (self.lower <= self.upper).all():
             raise OutOfBox("box needs lower <= upper in every coordinate")
 
@@ -183,22 +186,24 @@ def run_dr(instance, epsilon, box=None, oracle=None):
                        core=core)
 
 
-def grid_search_optimum(value_batch_fn, n, lower=None, upper=None,
-                        resolution=9, refinements=3):
+_GRID_RESOLUTION = 9      # grid points per coordinate and pass
+_GRID_REFINEMENTS = 3     # passes, each around the best point so far
+
+
+def grid_search_optimum(value_batch_fn, n, lower=None, upper=None):
     """Dense coordinate-grid maximization with window refinement.
 
-    Test oracle for small n: evaluates resolution**n points per pass,
-    then shrinks the window around the best point and repeats.  Keep
-    n small; the point count is checked to stay under ~5e6 per pass.
+    Test oracle for small n: evaluates _GRID_RESOLUTION**n points per
+    pass, then shrinks the window around the best point and repeats.
+    Keep n small; the point count is checked to stay under ~5e6 per pass.
     """
     lo = np.zeros(n) if lower is None else np.asarray(lower, dtype=np.float64).copy()
     hi = np.ones(n) if upper is None else np.asarray(upper, dtype=np.float64).copy()
-    if not (resolution >= 3 and resolution ** n <= 5_000_000):
-        raise ParamOutOfRange(f"grid search needs resolution >= 3 and resolution**n "
-                              f"<= 5e6, got resolution={resolution}, n={n}")
+    if not _GRID_RESOLUTION ** n <= 5_000_000:
+        raise ParamOutOfRange(f"grid search needs {_GRID_RESOLUTION}**n <= 5e6, got n={n}")
     best_x, best_v = lo.copy(), -np.inf
-    for _ in range(refinements):
-        axes = [np.linspace(lo[u], hi[u], resolution) for u in range(n)]
+    for _ in range(_GRID_REFINEMENTS):
+        axes = [np.linspace(lo[u], hi[u], _GRID_RESOLUTION) for u in range(n)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         vals = value_batch_fn(pts)
@@ -206,7 +211,7 @@ def grid_search_optimum(value_batch_fn, n, lower=None, upper=None,
         if vals[j] > best_v:
             best_v = float(vals[j])
             best_x = pts[j].copy()
-        pad = (hi - lo) / (resolution - 1)
+        pad = (hi - lo) / (_GRID_RESOLUTION - 1)
         lo = np.maximum(lo, best_x - pad)
         hi = np.minimum(hi, best_x + pad)
     return best_x, best_v

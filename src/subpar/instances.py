@@ -5,12 +5,11 @@ All instances are immutable after construction and expose
     n                  -- ground-set size
     evaluate_batch(m)  -- vectorized set evaluation over a boolean (B, n)
                           membership matrix, returning a float vector
-
-and may expose
-
     marginals(m)       -- the (B, n) matrix of f(S+u) - f(S-u) in closed
-                          form; SetOracle.eval_marginals uses it in place
-                          of evaluating the 2n forced rows
+                          form, which answers SetOracle.eval_marginals
+
+Every number an instance is built from must be finite; construction
+rejects NaN and infinities with InvalidInstance, naming the field.
 
 Quadratic instances additionally support fractional evaluation and an
 exact gradient; because their Hessian has zero diagonal they are
@@ -43,11 +42,31 @@ class OutOfBox(ValueError):
 
 
 _VALIDATE_LIMIT = 20  # exhaustive non-negativity validation up to this n
+EXHAUSTIVE_LIMIT = 12  # largest n of the exhaustive property checks
 
 
 def _require(ok, message):
     if not ok:
         raise InvalidInstance(message)
+
+
+def _size(value, name):
+    """A count from instance data: an integer >= 1."""
+    _require(isinstance(value, (int, np.integer)) and value >= 1,
+             f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def _index(value, bound, what):
+    """An element or item id from instance data: an integer in 0..bound-1."""
+    _require(isinstance(value, (int, np.integer)) and 0 <= value < bound,
+             f"{what} {value!r} out of range 0..{bound - 1}")
+    return int(value)
+
+
+def _finite(values, name):
+    _require(np.isfinite(values).all(), f"{name} must be finite")
+    return values
 
 
 class CutInstance:
@@ -60,12 +79,12 @@ class CutInstance:
     kind = "cut"
 
     def __init__(self, n, edges):
-        _require(n >= 1, f"n must be >= 1, got {n}")
-        self.n = int(n)
+        n = self.n = _size(n, "n")
         clean = []
         for u, v, w in edges:
-            u, v, w = int(u), int(v), float(w)
-            _require(0 <= u < n and 0 <= v < n and u != v, f"bad edge endpoint in {(u, v)}")
+            u, v = _index(u, n, "edge endpoint"), _index(v, n, "edge endpoint")
+            w = _finite(float(w), f"edge weight on {(u, v)}")
+            _require(u != v, f"bad edge endpoint in {(u, v)}")
             _require(w >= 0, f"negative edge weight {w} on {(u, v)}")
             clean.append((u, v, w))
         self.edges = tuple(clean)
@@ -106,26 +125,23 @@ class CoverageInstance:
     kind = "coverage"
 
     def __init__(self, n, universe_size, covers, weights, costs):
-        _require(n >= 1 and universe_size >= 1,
-                 f"n and universe must be >= 1, got {n} and {universe_size}")
-        self.n = int(n)
-        self.universe_size = int(universe_size)
+        n = self.n = _size(n, "n")
+        universe_size = self.universe_size = _size(universe_size, "universe")
         cov = np.zeros((n, universe_size), dtype=bool)
         for u, items in covers.items():
-            u = int(u)
-            _require(0 <= u < n, f"covering element {u} out of range")
+            u = _index(u, n, "covering element")
             for it in items:
-                it = int(it)
-                _require(0 <= it < universe_size, f"universe item {it} out of range")
-                cov[u, it] = True
+                cov[u, _index(it, universe_size, "universe item")] = True
         self.covers = cov
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.costs = np.asarray(costs, dtype=np.float64)
+        self.weights = _finite(np.asarray(weights, dtype=np.float64), "weights")
+        self.costs = _finite(np.asarray(costs, dtype=np.float64), "costs")
         _require(self.weights.shape == (universe_size,),
                  f"weights must have length {universe_size}")
         _require(self.costs.shape == (n,), f"costs must have length {n}")
         _require((self.weights >= 0).all(), "negative universe weight")
         _require((self.costs >= 0).all(), "negative cost")
+        self._cover_f = cov.astype(np.float64)            # (n, universe)
+        self._gain_w = (self._cover_f * self.weights).T   # (universe, n)
         if n > _VALIDATE_LIMIT:
             if self.costs.any():
                 raise NonNegativityViolation(
@@ -137,9 +153,19 @@ class CoverageInstance:
                     f"coverage instance is negative on some subset (min {vals.min():g})")
 
     def evaluate_batch(self, m):
-        covered = (m.astype(np.float64) @ self.covers.astype(np.float64)) > 0
+        mf = m.astype(np.float64)
+        covered = (mf @ self._cover_f) > 0
         gain = covered.astype(np.float64) @ self.weights
-        return gain - m.astype(np.float64) @ self.costs
+        return gain - mf @ self.costs
+
+    def marginals(self, m):
+        # u alone gains the weight of its items that no other member of S
+        # covers: items covered once by S when u is in S, not at all when
+        # u is out
+        counts = m.astype(np.float64) @ self._cover_f
+        gain_in = (counts == 1).astype(np.float64) @ self._gain_w
+        gain_out = (counts == 0).astype(np.float64) @ self._gain_w
+        return np.where(m, gain_in, gain_out) - self.costs
 
     def to_json_dict(self):
         return {
@@ -170,16 +196,18 @@ class MultilinearQuadraticInstance:
     kind = "quadratic"
 
     def __init__(self, n, c, h, H, validate=True):
-        _require(n >= 1, f"n must be >= 1, got {n}")
-        self.n = int(n)
-        self.c = float(c)
-        self.h = np.asarray(h, dtype=np.float64)
-        self.H = np.asarray(H, dtype=np.float64)
+        n = self.n = _size(n, "n")
+        self.c = _finite(float(c), "c")
+        self.h = _finite(np.asarray(h, dtype=np.float64), "h")
+        self.H = _finite(np.asarray(H, dtype=np.float64), "H")
         _require(self.h.shape == (n,), f"h must have length {n}")
         _require(self.H.shape == (n, n), f"H must be {n} x {n}")
         _require(np.allclose(self.H, self.H.T), "H must be symmetric")
         _require((np.diag(self.H) == 0).all(), "H must have zero diagonal")
         _require((self.H <= 0).all(), "H must be entrywise non-positive")
+        # symmetric within allclose only, so the marginals read the
+        # symmetric part, the form the polynomial actually sees
+        self._H_sym = 0.5 * (self.H + self.H.T)
         if validate and n <= _VALIDATE_LIMIT:
             vals = self.evaluate_batch(all_subsets_matrix(n))
             if vals.min() < -1e-12:
@@ -213,6 +241,10 @@ class MultilinearQuadraticInstance:
 
     def evaluate_batch(self, m):
         return self.value_batch(m.astype(np.float64))
+
+    def marginals(self, m):
+        # the zero diagonal leaves u's own membership out of its marginal
+        return self.h + m.astype(np.float64) @ self._H_sym
 
     def to_json_dict(self):
         return {"kind": "quadratic", "n": self.n, "c": self.c,
@@ -303,12 +335,18 @@ def _random_quadratic(n, rng, retries=20):
 # -- JSON schema ----------------------------------------------------------
 
 def instance_from_json_dict(d):
+    if not isinstance(d, dict):
+        raise TypeError(f"an instance is a JSON object, got {type(d).__name__}")
     kind = d.get("kind")
     if kind == "cut":
         return CutInstance(d["n"], d["edges"])
     if kind == "coverage":
+        covers = d["covers"]
+        if not isinstance(covers, dict):
+            raise TypeError(f"covers must map element ids to item lists, "
+                            f"got {type(covers).__name__}")
         return CoverageInstance(d["n"], d["universe"],
-                                {int(k): v for k, v in d["covers"].items()},
+                                {int(k): v for k, v in covers.items()},
                                 d["weights"], d["costs"])
     if kind == "quadratic":
         boxed = "lower" in d or "upper" in d
@@ -353,19 +391,20 @@ def dump_instance(inst, path, box=None):
 
 # -- exhaustive property checks (certificates for small n) ----------------
 
-def _check_exhaustive(n, limit):
-    if n > limit:
-        raise TooLarge(f"ground set too large for exhaustive check (n={n} > {limit})")
+def _check_exhaustive(n):
+    if n > EXHAUSTIVE_LIMIT:
+        raise TooLarge(f"ground set too large for exhaustive check "
+                       f"(n={n} > {EXHAUSTIVE_LIMIT})")
 
 
-def check_nonnegative_exhaustive(instance, limit=12):
-    """min f(S) over all subsets; requires n <= limit."""
-    _check_exhaustive(instance.n, limit)
+def check_nonnegative_exhaustive(instance):
+    """min f(S) over all subsets; requires n <= EXHAUSTIVE_LIMIT."""
+    _check_exhaustive(instance.n)
     vals = instance.evaluate_batch(all_subsets_matrix(instance.n))
     return float(vals.min())
 
 
-def check_submodular_exhaustive(instance, limit=12, tol=1e-9):
+def check_submodular_exhaustive(instance):
     """Exhaustive submodularity certificate.
 
     Checks the local criterion f(S+u) + f(S+v) >= f(S+u+v) + f(S) for
@@ -374,7 +413,7 @@ def check_submodular_exhaustive(instance, limit=12, tol=1e-9):
     Returns the worst (most negative) slack found.
     """
     n = instance.n
-    _check_exhaustive(n, limit)
+    _check_exhaustive(n)
     table = instance.evaluate_batch(all_subsets_matrix(n))
     masks = np.arange(1 << n, dtype=np.intp)
     worst = np.inf

@@ -6,7 +6,7 @@ arguments in a single adaptive round of the underlying set oracle:
 
   exact    -- one round containing the full power set; every requested
               argument is then an exactly weighted sum of that round's
-              values (n <= exact_threshold).  The gateway evaluates the
+              values (n <= EXACT_LIMIT).  The gateway evaluates the
               power set once and charges each later round from its
               table.
   sampled  -- one round containing k random sets per argument, all
@@ -29,16 +29,21 @@ import numpy as np
 from .instances import OutOfBox
 
 
+EXACT_LIMIT = 20      # largest n allowed in exact mode
+CLAMP_TOL = 1e-12     # coordinates may stray this far outside [0,1]
+
+
 class ExactTooLarge(ValueError):
-    """Exact mode requested for a ground set beyond the threshold."""
+    """Exact mode requested for a ground set beyond EXACT_LIMIT."""
 
 
-def clamp01(x, n=None, tol=1e-12):
-    """Validate a fractional point, clamping coordinates within tol of [0,1]."""
+def clamp01(x, n=None):
+    """Validate a fractional point, clamping coordinates within CLAMP_TOL
+    of [0,1]."""
     x = np.asarray(x, dtype=np.float64)
     if n is not None and x.shape != (n,):
         raise ValueError(f"point has shape {x.shape}, expected ({n},)")
-    if (x < -tol).any() or (x > 1 + tol).any():
+    if (x < -CLAMP_TOL).any() or (x > 1 + CLAMP_TOL).any():
         raise OutOfBox("coordinate outside [0,1] beyond tolerance")
     return np.clip(x, 0.0, 1.0)
 
@@ -64,28 +69,25 @@ def sample_set(x, rng):
 class MultilinearOracle:
     """Extension-value and gradient oracle over a batched set oracle.
 
-    mode            -- "exact" or "sampled"
-    samples         -- draws per extension argument (sampled mode)
-    exact_threshold -- largest n allowed in exact mode (default 20)
-    rng             -- generator for sampled mode (fresh draws per argument)
+    mode    -- "exact" (n <= EXACT_LIMIT) or "sampled"
+    samples -- draws per extension argument (sampled mode)
+    rng     -- generator for sampled mode (fresh draws per argument)
 
     F_queries counts extension arguments answered; adaptive rounds and
     f-queries accumulate in the set oracle's accounting.
     """
 
-    def __init__(self, set_oracle, mode="exact", samples=1000,
-                 exact_threshold=20, rng=None):
+    def __init__(self, set_oracle, mode="exact", samples=1000, rng=None):
         if mode not in ("exact", "sampled"):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-        if mode == "exact" and set_oracle.n > exact_threshold:
+        if mode == "exact" and set_oracle.n > EXACT_LIMIT:
             raise ExactTooLarge(
-                f"exact mode needs n <= {exact_threshold}, got n={set_oracle.n}")
+                f"exact mode needs n <= {EXACT_LIMIT}, got n={set_oracle.n}")
         if mode == "sampled" and int(samples) < 1:
             raise ValueError(f"sampled mode needs samples >= 1, got {samples}")
         self.set_oracle = set_oracle
         self.mode = mode
         self.samples = int(samples)
-        self.exact_threshold = int(exact_threshold)
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.F_queries = 0
         self._fold_work = []          # scratch reused by every exact fold

@@ -20,15 +20,14 @@ of evaluation, never the meters.
 
 A marginal-gain round (eval_marginals) asks, for every base set S of a
 batch and every element u, for f(S+u) - f(S-u); it is priced as the 2n
-explicit rows it stands for, so an instance with a closed form for its
-marginals changes the cost of evaluation but never the meters.
-pair_rows builds those explicit S+u / S-u rows for every caller that
-evaluates them.
+explicit rows it stands for and answered by the instance's closed-form
+marginals, so the closed form changes the cost of evaluation but never
+the meters.  pair_rows builds the explicit S+u / S-u rows for every
+caller that evaluates them.
 
-Subsets are represented as boolean membership matrices of shape
-(batch, n).  members_matrix also accepts subsets given as iterables of
-element ids (a flat list of ints is one subset of ids, never bitmasks)
-and normalizes them; mask_of turns a membership row into an int bitmask.
+Subsets are boolean membership matrices of shape (batch, n); one (n,)
+row is read as a batch of one.  Element ids, sets and 0/1 numbers are
+rejected with InvalidElement, never converted.
 """
 
 import ctypes
@@ -39,7 +38,7 @@ import numpy as np
 
 
 class InvalidElement(ValueError):
-    """A subset references an element id outside 0..n-1."""
+    """A subset that is not a boolean membership row of width n."""
 
 
 class NonFiniteValue(ValueError):
@@ -73,45 +72,17 @@ class OracleAccounting:
 
 
 def members_matrix(subsets, n):
-    """Normalize a batch of subsets to a boolean matrix of shape (B, n).
+    """The boolean (B, n) membership matrix of a batch of subsets.
 
-    Accepts a boolean array of shape (B, n) or (n,), or a sequence of
-    subsets where each subset is a set/iterable of element ids or a
-    boolean membership vector.  A bare flat list of ints is read as ONE
-    subset given by its element ids.
+    Accepts a boolean array of shape (B, n), or one (n,) row read as a
+    batch of one.  Anything else raises InvalidElement.
     """
-    if isinstance(subsets, np.ndarray) and subsets.dtype == bool:
-        m = np.atleast_2d(subsets)
-        if m.shape[1] != n:
-            raise InvalidElement(f"membership row length {m.shape[1]} != n={n}")
-        return m
-    subsets = list(subsets) if not isinstance(subsets, (set, frozenset)) else [subsets]
-    if all(isinstance(s, (int, np.integer)) for s in subsets):
-        subsets = [subsets]  # flat ids -> a single subset
-    rows = np.zeros((len(subsets), n), dtype=bool)
-    for i, s in enumerate(subsets):
-        rows[i] = single_members(s, n)
-    return rows
-
-
-def single_members(subset, n):
-    """One subset (iterable of ids, or boolean vector) -> membership vector."""
-    if isinstance(subset, np.ndarray) and subset.dtype == bool:
-        if subset.shape != (n,):
-            raise InvalidElement(f"membership length {subset.shape} != n={n}")
-        return subset
-    row = np.zeros(n, dtype=bool)
-    for u in subset:
-        u = int(u)
-        if u < 0 or u >= n:
-            raise InvalidElement(f"element id {u} out of range for n={n}")
-        row[u] = True
-    return row
-
-
-def mask_of(members):
-    """Boolean membership vector -> python int bitmask."""
-    return int(sum(1 << u for u in np.flatnonzero(members)))
+    if not (isinstance(subsets, np.ndarray) and subsets.dtype == bool):
+        dtype = getattr(subsets, "dtype", type(subsets).__name__)
+        raise InvalidElement(f"subsets must be a boolean membership array, got {dtype}")
+    if subsets.ndim not in (1, 2) or subsets.shape[-1] != n:
+        raise InvalidElement(f"membership shape {subsets.shape} is not (B, {n}) or ({n},)")
+    return np.atleast_2d(subsets)
 
 
 def ids_of(members):
@@ -208,14 +179,13 @@ def pair_rows(bases, elements):
 class SetOracle:
     """Round-counting batched gateway in front of a set-function instance.
 
-    The instance must expose `n` and a pure, vectorized
-    `evaluate_batch(members)` taking a boolean (B, n) matrix.  It may
-    also expose `marginals(members)`, returning the (B, n) matrix of
-    f(S+u) - f(S-u); eval_marginals then uses it instead of evaluating
-    the 2n forced rows.  A batch is evaluated within the call, in
-    slices of at most _EVAL_CHUNK rows, one after another.  All
-    mutability lives in the accounting record, updated once per batch,
-    and in the power-set table, set once.
+    The instance must expose `n` and two pure, vectorized functions of a
+    boolean (B, n) matrix: `evaluate_batch(members)`, the B values, and
+    `marginals(members)`, the (B, n) matrix of f(S+u) - f(S-u).  Every
+    batch handed to the gateway must pass members_matrix.  A batch is
+    evaluated within the call, in slices of at most _EVAL_CHUNK rows, one
+    after another.  All mutability lives in the accounting record,
+    updated once per batch, and in the power-set table, set once.
     """
 
     def __init__(self, instance):
@@ -262,36 +232,20 @@ class SetOracle:
             raise ValueError("empty batch")
         width = 2 * n + int(values)
         self.accounting.charge(B * width)
-        kernel = getattr(self.instance, "marginals", None)
         marg = np.empty((B, n))
         vals = np.empty(B) if values else None
-        # slices of about one evaluation chunk keep the pair rows of the
-        # fallback bounded in memory
+        # slices of about one evaluation chunk bound the closed form's
+        # float temporaries; BLAS sums a row in an order that depends on
+        # its slice, so the step also fixes the output bits
         step = max(1, _EVAL_CHUNK // width)
         for lo in range(0, B, step):
             blk = m[lo:lo + step]
-            if kernel is not None:
-                marg[lo:lo + step] = kernel(blk)
-                if values:
-                    vals[lo:lo + step] = self._evaluate(blk)
-            else:
-                rows = pair_rows(blk, np.arange(n)).reshape(-1, 2 * n, n)
-                if values:
-                    # S rides after its pairs in the same evaluation; a
-                    # one-base slice on its own would be a one-row batch,
-                    # which BLAS sums in another order
-                    rows = np.concatenate([rows, blk[:, None]], axis=1)
-                out = self._evaluate(rows.reshape(-1, n)).reshape(-1, width)
-                np.subtract(out[:, :n], out[:, n:2 * n], out=marg[lo:lo + step])
-                if values:
-                    vals[lo:lo + step] = out[:, 2 * n]
+            marg[lo:lo + step] = self.instance.marginals(blk)
+            if values:
+                vals[lo:lo + step] = self._evaluate(blk)
         if values:
             return self._finite(marg), self._finite(vals)
         return self._finite(marg)
-
-    def eval_single(self, subset):
-        """Evaluate one subset.  Costs a full round, like any batch."""
-        return float(self.eval_batch(members_matrix([subset], self.n))[0])
 
     # -- internal ------------------------------------------------------
 

@@ -28,13 +28,12 @@ import numpy as np
 from .baselines import brute_force
 from .continuous import run_core
 from .drbox import grid_search_optimum, run_dr
-from .instances import (CutInstance, InvalidInstance, NonNegativityViolation,
-                        check_nonnegative_exhaustive, check_submodular_exhaustive,
-                        generate_random_instance, load_instance)
+from .instances import (EXHAUSTIVE_LIMIT, CutInstance, InvalidInstance,
+                        NonNegativityViolation, check_nonnegative_exhaustive,
+                        check_submodular_exhaustive, generate_random_instance,
+                        load_instance)
 from .multilinear import MultilinearOracle, lovasz_value, sample_set
 from .oracles import SetOracle
-
-_EXHAUSTIVE_LIMIT = 12
 
 
 @dataclass
@@ -94,9 +93,9 @@ def _exhaustive(ctx, suite, out):
     """The exhaustive pool's instances up to the limit.  A larger one is
     appended to `out` as a skip of `suite`, so it never passes unseen."""
     for name, inst in ctx.exhaustive_pool:
-        if inst.n > _EXHAUSTIVE_LIMIT:
+        if inst.n > EXHAUSTIVE_LIMIT:
             out.append(Finding(suite, name, f"skipped: n={inst.n} is above the "
-                               f"exhaustive limit n <= {_EXHAUSTIVE_LIMIT}", skipped=True))
+                               f"exhaustive limit n <= {EXHAUSTIVE_LIMIT}", skipped=True))
         else:
             yield name, inst
 
@@ -104,7 +103,7 @@ def _exhaustive(ctx, suite, out):
 def _suite_submodularity(ctx):
     out = []
     for name, inst in _exhaustive(ctx, "submodularity", out):
-        slack = check_submodular_exhaustive(inst, limit=_EXHAUSTIVE_LIMIT)
+        slack = check_submodular_exhaustive(inst)
         if slack < -1e-9:
             out.append(Finding("submodularity", name,
                                f"diminishing-returns slack {slack:.3e} < -1e-9"))
@@ -114,7 +113,7 @@ def _suite_submodularity(ctx):
 def _suite_nonnegativity(ctx):
     out = []
     for name, inst in _exhaustive(ctx, "non-negativity", out):
-        lo = check_nonnegative_exhaustive(inst, limit=_EXHAUSTIVE_LIMIT)
+        lo = check_nonnegative_exhaustive(inst)
         if lo < -1e-12:
             out.append(Finding("non-negativity", name, f"min f(S) = {lo:.3e} < 0"))
     return out

@@ -10,7 +10,7 @@ import numpy as np
 
 import pytest
 
-from subpar import (SetOracle, TooLarge, brute_force, brute_force_ids,
+from subpar import (SetOracle, TooLarge, brute_force,
                     double_greedy, generate_random_instance, random_half)
 from subpar.instances import CutInstance
 
@@ -105,10 +105,3 @@ def test_brute_force_accounting(k2):
 def test_brute_force_size_limit():
     with pytest.raises(TooLarge):
         brute_force(SetOracle(CutInstance(25, [])))
-    with pytest.raises(TooLarge):
-        brute_force(SetOracle(CutInstance(4, [])), n_limit=3)
-
-
-def test_brute_force_ids(k2):
-    ids, value = brute_force_ids(SetOracle(k2))
-    assert list(ids) == [0] and value == 1.0

@@ -254,6 +254,25 @@ def test_negative_weight_instance_names_flag(tmp_path, optimize):
 
 
 @pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "cut", "n": 3, "edges": [[0, 1, float("inf")]]},
+     "edge weight on (0, 1) must be finite"),
+    ({"kind": "coverage", "n": 2, "universe": 2, "covers": {"0": [0]},
+      "weights": [float("nan"), 1.0], "costs": [0.0, 0.0]}, "weights must be finite"),
+    ({"kind": "quadratic", "n": 2, "c": 0.0, "h": [1.0, float("nan")],
+      "H": [[0.0, -1.0], [-1.0, 0.0]]}, "h must be finite"),
+], ids=["cut", "coverage", "quadratic"])
+def test_non_finite_instance_names_flag(tmp_path, doc, message, optimize):
+    p = tmp_path / "nonfinite.json"
+    p.write_text(json.dumps(doc) + "\n")              # NaN and Infinity are JSON to Python
+    r = run_cli("run", "--instance", str(p), "--algorithm", "brute-force",
+                optimize=optimize)
+    assert r.returncode == 2
+    assert "--instance" in r.stderr and message in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("optimize", [False, True])
 @pytest.mark.parametrize("box, message", [
     ({"lower": [0.0, 0.0, 0.0]}, "lower must have length 2"),
     ({"upper": [1.0, float("nan")]}, "upper must be finite"),

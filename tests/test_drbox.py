@@ -12,7 +12,7 @@ import pytest
 
 from subpar import (BoxDomain, ParamOutOfRange, QuadraticContinuousOracle,
                     run_continuous, run_dr, grid_search_optimum, rescale_to_cube)
-from subpar.instances import (MultilinearQuadraticInstance,
+from subpar.instances import (InvalidInstance, MultilinearQuadraticInstance,
                               NonNegativityViolation, OutOfBox,
                               generate_random_instance)
 from subpar.multilinear import MultilinearOracle
@@ -28,6 +28,17 @@ def test_box_validation_and_embed():
     assert np.allclose(box.embed([0.5, 0.0]), [0.0, 2.0])
     with pytest.raises(OutOfBox):
         BoxDomain(np.array([0.0, 1.0]), np.array([1.0, 0.5]))
+
+
+
+@pytest.mark.parametrize("lower, upper, name", [
+    ([0.0, -np.inf], [1.0, 1.0], "lower"),
+    ([0.0, 0.0], [1.0, np.nan], "upper"),
+], ids=["lower", "upper"])
+def test_box_rejects_non_finite_bounds(frozen_quad, lower, upper, name):
+    # named at the box, before any rescaling reads it
+    with pytest.raises(InvalidInstance, match=f"box {name} must be finite"):
+        run_dr(frozen_quad, 0.1, BoxDomain(lower, upper))
 
 
 # -- direct oracle ----------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Instance families: frozen values, validation, generators, JSON roundtrip."""
+"""Instance families: frozen values, validation, closed-form marginals,
+generators, JSON roundtrip, a fuzzed loader."""
+
+import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -6,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subpar import (CoverageInstance, CutInstance, InvalidInstance, MultilinearQuadraticInstance,
-                    NonNegativityViolation, dump_instance, generate_random_instance,
-                    load_instance)
+                    NonNegativityViolation, UnreadableInstance, dump_instance,
+                    generate_random_instance, load_instance)
 from subpar.instances import (check_nonnegative_exhaustive, check_submodular_exhaustive,
                               instance_from_json_dict)
 from subpar.oracles import all_subsets_matrix
@@ -54,6 +59,30 @@ def test_cut_rejects_bad_edges():
         CutInstance(3, [(0, 3, 1.0)])           # endpoint out of range
     with pytest.raises(InvalidInstance):
         CutInstance(3, [(0, 1, -1.0)])          # negative weight
+    with pytest.raises(InvalidInstance):
+        CutInstance(3, [(0, 1.5, 1.0)])         # endpoint not an id
+    with pytest.raises(InvalidInstance):
+        CutInstance(3.5, [])                    # size not an integer
+
+
+_H = [[0.0, -1.0], [-1.0, 0.0]]
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: CutInstance(3, [(0, 1, np.inf)]), "edge weight on (0, 1)"),
+    (lambda: CoverageInstance(2, 2, {0: [0]}, [np.inf, 1.0], [0.0, 0.0]), "weights"),
+    (lambda: CoverageInstance(2, 2, {0: [0]}, [np.nan, 1.0], [0.0, 0.0]), "weights"),
+    (lambda: CoverageInstance(2, 2, {0: [0]}, [1.0, 1.0], [0.0, -np.inf]), "costs"),
+    (lambda: MultilinearQuadraticInstance(2, np.inf, [1.0, 1.0], _H), "c"),
+    (lambda: MultilinearQuadraticInstance(2, 0.0, [np.nan, 1.0], _H), "h"),
+    (lambda: MultilinearQuadraticInstance(2, 0.0, [1.0, 1.0], [[0.0, np.nan], [-1.0, 0.0]]),
+     "H"),
+], ids=["cut-weight", "coverage-inf-weight", "coverage-nan-weight", "coverage-cost",
+        "quadratic-c", "quadratic-h", "quadratic-H"])
+def test_non_finite_numbers_are_rejected_at_construction(build, field):
+    with pytest.raises(InvalidInstance) as e:
+        build()
+    assert str(e.value) == f"{field} must be finite"
 
 
 # -- coverage ------------------------------------------------------------------
@@ -188,3 +217,66 @@ def test_boxed_quadratic_json_skips_unit_cube_validation(write_instance):
 def test_json_unknown_kind():
     with pytest.raises(ValueError):
         instance_from_json_dict({"kind": "mystery", "n": 2})
+
+
+# -- fuzzed loader ---------------------------------------------------------------
+
+def _paths(node, path=()):
+    """Every path into a JSON document, the document itself first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_instance_fuzz(data):
+    # a valid document of each kind with one field broken: a file either
+    # loads, with f finite on every subset, or fails with a named error
+    kind = data.draw(st.sampled_from(["cut", "coverage", "quadratic"]))
+    n = data.draw(st.integers(1, 8))
+    doc = generate_random_instance(kind, n, data.draw(st.integers(0, 50))).to_json_dict()
+    if kind == "quadratic" and data.draw(st.booleans()):
+        doc["lower"], doc["upper"] = [0.0] * n, [1.0] * n
+    how = data.draw(st.sampled_from(
+        ["missing", "value", "length"] + (["key"] if kind == "coverage" else [])))
+    paths = [p for p in _paths(doc) if p]
+    if how == "length":
+        paths = [p for p in paths if isinstance(_at(doc, p), list)]
+    if how == "key":
+        paths = [p for p in paths if p[:-1] == ("covers",)]
+    path = data.draw(st.sampled_from(paths))
+    parent, key = _at(doc, path[:-1]), path[-1]
+    if how == "missing":
+        del parent[key]
+    elif how == "value":
+        parent[key] = data.draw(st.sampled_from(
+            ["x", None, [], {}, True, float("nan"), float("inf"), -float("inf"),
+             -1, -0.5, 1.5, n, n + 1, 2 * n + 1]))
+    elif how == "length":
+        target = parent[key]
+        if target and data.draw(st.booleans()):
+            target.pop()
+        else:
+            target.append(target[-1] if target else 0)
+    else:
+        parent[data.draw(st.sampled_from(["x", "-1", "1.5", str(n)]))] = parent.pop(key)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        try:
+            inst, _ = load_instance(path)
+        except (InvalidInstance, UnreadableInstance, NonNegativityViolation):
+            return
+    m = all_subsets_matrix(inst.n)
+    assert np.isfinite(inst.evaluate_batch(m)).all()
+    assert np.isfinite(inst.marginals(m)).all()

@@ -232,9 +232,9 @@ def test_sampled_gradient_is_the_forced_argument_difference():
 
 
 def test_exact_threshold_enforced():
-    inst = generate_random_instance("cut", 9, 0)
-    with pytest.raises(ExactTooLarge):
-        MultilinearOracle(SetOracle(inst), mode="exact", exact_threshold=8)
+    inst = generate_random_instance("cut", 21, 0)
+    with pytest.raises(ExactTooLarge, match="n <= 20"):
+        MultilinearOracle(SetOracle(inst), mode="exact")
 
 
 def test_bad_mode_names_the_mode():

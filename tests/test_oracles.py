@@ -1,5 +1,5 @@
-"""Oracle gateway: normalization, accounting, batching, dedupe, the
-one-BLAS-thread switch, the power-set table."""
+"""Oracle gateway: the boolean-row contract, accounting, batching,
+dedupe, the one-BLAS-thread switch, the power-set table."""
 
 import importlib
 import os
@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 import subpar.oracles as oracles
 from subpar import (CutInstance, InvalidElement, MultilinearOracle, NonFiniteValue,
-                    OracleAccounting, SetOracle, generate_random_instance, ids_of, mask_of,
+                    OracleAccounting, SetOracle, generate_random_instance, ids_of,
                     run_continuous)
 from subpar.oracles import (all_subsets_matrix, default_threads, members_matrix, pair_rows,
-                            single_blas_thread, single_members)
+                            single_blas_thread)
 
 
 def test_members_matrix_accepts_bool_matrix():
@@ -31,44 +31,56 @@ def test_members_matrix_accepts_bool_vector():
     assert ids_of(out[0]) == [0, 2]
 
 
-def test_members_matrix_flat_ids_is_one_subset():
-    out = members_matrix([0, 2], 3)
-    assert out.shape == (1, 3)
-    assert ids_of(out[0]) == [0, 2]
-
-
-def test_members_matrix_sequence_of_subsets():
-    out = members_matrix([{0}, {1, 2}, set()], 3)
-    assert out.shape == (3, 3)
-    assert ids_of(out[0]) == [0]
-    assert ids_of(out[1]) == [1, 2]
-    assert ids_of(out[2]) == []
-
-
 def test_members_matrix_rejects_wrong_width():
     with pytest.raises(InvalidElement):
         members_matrix(np.zeros((2, 4), dtype=bool), 3)
+    with pytest.raises(InvalidElement):
+        members_matrix(np.zeros((2, 2, 3), dtype=bool), 3)
+    with pytest.raises(InvalidElement):
+        members_matrix(np.array(True), 1)
+
+
+@pytest.mark.parametrize("subsets", [
+    np.array([[0, 0, 0]]),                   # 0/1 ints, not ids
+    np.array([[0.0, 1.0, 0.0]]),             # 0/1 floats
+    np.array([0, 2]),                        # an id array
+    [0, 2],                                  # a flat id list
+    {0, 1},                                  # a set
+], ids=["int-rows", "float-rows", "id-array", "flat-ids", "set"])
+def test_non_boolean_subsets_are_rejected(triangle, subsets):
+    so = SetOracle(triangle)
+    with pytest.raises(InvalidElement):
+        members_matrix(subsets, 3)
+    with pytest.raises(InvalidElement):
+        so.eval_batch(subsets)
+    with pytest.raises(InvalidElement):
+        so.eval_marginals(subsets)
+    assert so.accounting.snapshot() == (0, 0)
 
 
 def test_single_members_rejects_out_of_range():
-    with pytest.raises(InvalidElement):
-        single_members([3], 3)
-    with pytest.raises(InvalidElement):
-        single_members([-1], 3)
+    # an id list is never read as a subset; out-of-range ids are no exception
+    for ids in ([3], [-1], np.array([3]), np.array([-1])):
+        with pytest.raises(InvalidElement):
+            members_matrix(ids, 3)
+
+
+def test_members_matrix_sequence_of_subsets():
+    # a sequence is never read as subsets, whatever its items are
+    for subsets in ([{0}, {1, 2}, set()], [[0], [1, 2]], [[True, False, True]]):
+        with pytest.raises(InvalidElement):
+            members_matrix(subsets, 3)
 
 
 def test_mask_ids_roundtrip():
-    row = single_members([0, 3, 5], 6)
-    assert mask_of(row) == 0b101001
-    assert ids_of(row) == [0, 3, 5]
+    assert ids_of(all_subsets_matrix(6)[0b101001]) == [0, 3, 5]
 
 
 def test_all_subsets_matrix_layout():
     m = all_subsets_matrix(3)
     assert m.shape == (8, 3)
     # row i is the subset with bitmask i, bit u = element u
-    for i in range(8):
-        assert mask_of(m[i]) == i
+    assert np.array_equal(m @ (1 << np.arange(3)), np.arange(8))
 
 
 def test_accounting_charges():
@@ -88,7 +100,7 @@ def test_eval_batch_is_one_round(k2):
 
 def test_eval_single_costs_a_round(k2):
     so = SetOracle(k2)
-    assert so.eval_single({0}) == 1.0
+    assert so.eval_batch(np.array([True, False])).tolist() == [1.0]
     assert so.accounting.snapshot() == (1, 1)
 
 
@@ -193,15 +205,6 @@ def test_spy_matches_accounting(k2, spy_oracle):
 
 # -- marginal-gain rounds ----------------------------------------------------------
 
-class WithoutKernel:
-    """An instance's set function with no closed-form marginals, so the
-    gateway's forced-row fallback answers eval_marginals."""
-
-    def __init__(self, inst):
-        self.n = inst.n
-        self.evaluate_batch = inst.evaluate_batch
-
-
 def explicit_marginals(inst, bases):
     up, down = bases.copy(), bases.copy()
     out = np.empty(bases.shape)
@@ -215,11 +218,10 @@ def explicit_marginals(inst, bases):
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["cut", "coverage", "quadratic"]), n=st.integers(1, 9),
        rows=st.integers(1, 12), seed=st.integers(0, 10 ** 6),
-       kernel=st.booleans(), values=st.booleans())
-def test_eval_marginals_equals_explicit_differences(kind, n, rows, seed, kernel, values):
+       values=st.booleans())
+def test_eval_marginals_equals_explicit_differences(kind, n, rows, seed, values):
+    # every instance's closed form against the rows it stands for
     inst = generate_random_instance(kind, n, seed)
-    if not kernel:
-        inst = WithoutKernel(inst)
     bases = np.random.default_rng(seed).random((rows, n)) < 0.5
     so = SetOracle(inst)
     out = so.eval_marginals(bases, values=values)
@@ -233,7 +235,7 @@ def test_eval_marginals_equals_explicit_differences(kind, n, rows, seed, kernel,
 
 def test_cut_marginals_are_a_closed_form(triangle, spy_oracle):
     spy = spy_oracle(triangle)
-    bases = members_matrix([set(), {0}, {0, 1}], 3)
+    bases = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0]], dtype=bool)
     marg, vals = spy.eval_marginals(bases, values=True)
     # unit triangle: f(S+u) - f(S-u) = 2 - 2 * |S - u|
     assert marg.tolist() == [[2, 2, 2], [2, 0, 0], [0, 0, -2]]
@@ -242,14 +244,19 @@ def test_cut_marginals_are_a_closed_form(triangle, spy_oracle):
     assert (spy.batches, spy.marginal_batches, spy.rows) == (1, 1, 21)
 
 
-def test_eval_marginals_slicing_is_invisible(monkeypatch):
-    inst = WithoutKernel(generate_random_instance("coverage", 7, 2))
+@pytest.mark.parametrize("kind", ["cut", "coverage"])
+def test_eval_marginals_round_is_its_slices_one_by_one(kind, monkeypatch):
+    # width 2n + 1 = 15 rows per base: a 60-row chunk holds 4 bases, so
+    # the 50-base round is 13 slices, and still one round
+    monkeypatch.setattr(oracles, "_EVAL_CHUNK", 60)
+    inst = generate_random_instance(kind, 7, 2)
     bases = np.random.default_rng(4).random((50, 7)) < 0.5
-    whole = SetOracle(inst).eval_marginals(bases, values=True)
-    for chunk in (20, 60):                  # one base per slice, then four
-        monkeypatch.setattr(oracles, "_EVAL_CHUNK", chunk)
-        got = SetOracle(inst).eval_marginals(bases, values=True)
-        assert np.array_equal(got[0], whole[0]) and np.array_equal(got[1], whole[1])
+    so = SetOracle(inst)
+    marg, vals = so.eval_marginals(bases, values=True)
+    slices = [bases[lo:lo + 4] for lo in range(0, 50, 4)]
+    assert np.array_equal(marg, np.concatenate([inst.marginals(b) for b in slices]))
+    assert np.array_equal(vals, np.concatenate([inst.evaluate_batch(b) for b in slices]))
+    assert so.accounting.snapshot() == (1, 50 * 15)
 
 
 def test_eval_marginals_rejects_empty(k2):
@@ -265,6 +272,9 @@ class PoisonedInstance:
 
     def evaluate_batch(self, m):
         return np.where(m[:, self.bad], self.value, m.sum(axis=1).astype(float))
+
+    def marginals(self, m):
+        return explicit_marginals(self, m)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -376,8 +386,7 @@ def raised(stderr):
      "np.zeros(0), np.array([0.5]), 0, 0, 4)", "undecided element"),
     ("g_estimates(SetOracle(generate_random_instance('cut', 3, 0)), X, ~X, "
      "np.full(2, 0.5), np.zeros(0), 0, 0, 4)", "at least one step size"),
-    ("grid_search_optimum(q.value_batch, 2, resolution=2)", "resolution >= 3"),
-    ("grid_search_optimum(q.value_batch, 8, resolution=9)", "<= 5e6"),
+    ("grid_search_optimum(q.value_batch, 8)", "<= 5e6"),
     ("q.value([0.5, 0.5, 0.5])", "expected (2,)"),
     ("q.gradient([0.5])", "expected (2,)"),
     ("QuadraticContinuousOracle(CutInstance(2, []))", "expected a quadratic"),
