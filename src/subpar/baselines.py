@@ -9,7 +9,7 @@ benchmark sweep contrasts against the constant-round driver.
 
 import numpy as np
 
-from .oracles import all_subsets_matrix, pair_rows
+from .oracles import all_subsets_matrix, pair_gains
 
 
 BRUTE_LIMIT = 24     # largest n brute force enumerates
@@ -33,10 +33,8 @@ def double_greedy(set_oracle, randomized=True, rng=None):
     X = np.zeros(n, dtype=bool)
     Y = np.ones(n, dtype=bool)
     for u in range(n):
-        rows = pair_rows(np.stack([X, Y]), [u]).reshape(4, n)
-        fXu, fX, fY, fYu = set_oracle.eval_batch(rows)
-        a = fXu - fX
-        b = fYu - fY
+        g = pair_gains(set_oracle, np.stack([X, Y]), [u])[:, 0]
+        a, b = g[0], -g[1]
         if randomized:
             ap, bp = max(a, 0.0), max(b, 0.0)
             keep = True if ap + bp == 0.0 else rng.random() < ap / (ap + bp)

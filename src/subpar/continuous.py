@@ -92,15 +92,21 @@ def check_grid_epsilon(epsilon, upper=math.inf):
         raise ParamOutOfRange(f"grid needs epsilon in (0, {upper:g}), got {epsilon}")
 
 
-def update_grid(epsilon, delta):
-    """Geometric candidate step sizes eps^2 * (1+eps)^j inside [0, delta)."""
-    check_grid_epsilon(epsilon)
+def geometric_grid(start, epsilon, stop):
+    """The steps start * (1+eps)^j inside [start, stop), for start > 0
+    and epsilon > 0 (the callers check epsilon)."""
     pts = []
-    g = epsilon * epsilon
-    while g < delta:
+    g = start
+    while g < stop:
         pts.append(g)
         g *= 1.0 + epsilon
     return np.array(pts, dtype=np.float64)
+
+
+def update_grid(epsilon, delta):
+    """Geometric candidate step sizes eps^2 * (1+eps)^j inside [0, delta)."""
+    check_grid_epsilon(epsilon)
+    return geometric_grid(epsilon * epsilon, epsilon, delta)
 
 
 def preprocess_grid(epsilon):
@@ -112,6 +118,13 @@ def preprocess_grid(epsilon):
         pts.append(epsilon * j)
         j += 1
     return np.array(pts, dtype=np.float64)
+
+
+def first_step(grid, tests, bound, fallback):
+    """The paper's step rule: the first grid point whose test is <= bound,
+    else the fallback (also on an empty grid)."""
+    hits = np.flatnonzero(np.asarray(tests) <= bound)
+    return float(grid[hits[0]]) if hits.size else fallback
 
 
 def pre_process(oracle, tau, epsilon):
@@ -126,20 +139,13 @@ def pre_process(oracle, tau, epsilon):
         raise ParamOutOfRange(f"tau must be >= 0, got {tau}")
     n = oracle.n
     grid = preprocess_grid(epsilon)
-    if grid.size == 0:   # epsilon >= 1/2: nothing to scan
-        half = np.full(n, 0.5)
-        return ContinuousState(x=half, y=half.copy(), delta=0.0).validate()
-    ones = np.ones(n)
-    pts = np.concatenate([np.stack([d * ones, (1 - d) * ones]) for d in grid])
-    grads = oracle.gradient_batch(pts)                 # one round
-    low = grads[0::2]
-    high = grads[1::2]
-    cond = (low - high).sum(axis=1)
-    chosen = 0.5
-    for j, d in enumerate(grid):
-        if cond[j] <= 16.0 * tau:
-            chosen = float(d)
-            break
+    cond = np.empty(0)
+    if grid.size:   # epsilon >= 1/2 leaves nothing to scan
+        ones = np.ones(n)
+        pts = np.concatenate([np.stack([d * ones, (1 - d) * ones]) for d in grid])
+        grads = oracle.gradient_batch(pts)             # one round
+        cond = (grads[0::2] - grads[1::2]).sum(axis=1)
+    chosen = first_step(grid, cond, 16.0 * tau, 0.5)
     x = np.full(n, chosen)
     y = np.full(n, 1.0 - chosen)
     delta = 1.0 - 2.0 * chosen
@@ -172,16 +178,14 @@ def update(oracle, state, gamma, epsilon):
     rhs = float(a @ r + b @ (1.0 - r)) - gamma
 
     grid = update_grid(epsilon, state.delta)
-    delta_step = state.delta
+    lhs = np.empty(0)
     if grid.size:
         pts = np.empty((2 * grid.size, oracle.n))
         pts[0::2] = state.x[None, :] + grid[:, None] * r[None, :]
         pts[1::2] = state.y[None, :] - grid[:, None] * (1.0 - r)[None, :]
         sweep = oracle.gradient_batch(pts)             # one round
         lhs = sweep[0::2] @ r - sweep[1::2] @ (1.0 - r)
-        hits = np.flatnonzero(lhs <= rhs)
-        if hits.size:
-            delta_step = float(grid[hits[0]])
+    delta_step = first_step(grid, lhs, rhs, state.delta)
 
     x2 = _clamp_box(state.x + delta_step * r)
     y2 = _clamp_box(state.y - delta_step * (1.0 - r))

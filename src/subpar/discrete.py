@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .continuous import (ParamOutOfRange, StateInvariantViolation, check_grid_epsilon,
-                         compute_rates, preprocess_grid)
-from .oracles import ids_of, pair_rows
+                         compute_rates, first_step, geometric_grid, preprocess_grid)
+from .oracles import ids_of, pair_gains, pair_rows
 from .reports import DiscreteIterationTrace
 
 THEOREM_EPS_MAX = 1.0 / 208.0
@@ -81,12 +81,7 @@ class DiscreteParams:
 def discrete_update_grid(epsilon):
     """Geometric step grid eps^2/ln(1/eps) * (1+eps)^j inside [0, 1)."""
     check_grid_epsilon(epsilon, upper=1.0)
-    pts = []
-    g = epsilon * epsilon / math.log(1.0 / epsilon)
-    while g < 1.0:
-        pts.append(g)
-        g *= 1.0 + epsilon
-    return np.array(pts, dtype=np.float64)
+    return geometric_grid(epsilon * epsilon / math.log(1.0 / epsilon), epsilon, 1.0)
 
 
 def _stream(seed, *key):
@@ -124,25 +119,17 @@ def discrete_preprocess(set_oracle, tau, epsilon, seed, m=None):
     grid = preprocess_grid(epsilon)
     if m is None:
         m = DiscreteParams(epsilon=epsilon).preprocess_samples
-    if grid.size == 0:
-        delta = 0.5
-    else:
+    G = np.empty(0)
+    if grid.size:
         # one pair draw per coordinate u: [grid point, sample, X/Y side, u, element]
         bases = np.empty((grid.size, m, 2, n, n), dtype=bool)
         for g, d in enumerate(grid):
             u_mat = _stream(seed, 2, g).random((m, n, n))
             bases[g, :, 0], bases[g, :, 1] = _pair_draw(u_mat, d)
-        rows = pair_rows(bases.reshape(-1, n, n), np.arange(n))
-        vals = set_oracle.eval_batch(rows.reshape(-1, n))   # one round
-        vals = vals.reshape(grid.size, m, 2, 2, n)
-        gains = ((vals[:, :, 0, 0] - vals[:, :, 0, 1])
-                 - (vals[:, :, 1, 0] - vals[:, :, 1, 1]))
-        G = gains.sum(axis=2).mean(axis=1)
-        delta = 0.5
-        for g in range(grid.size):
-            if G[g] <= 30.0 * tau:
-                delta = float(grid[g])
-                break
+        gains = pair_gains(set_oracle, bases.reshape(-1, n, n), np.arange(n))  # one round
+        gains = gains.reshape(grid.size, m, 2, n)
+        G = (gains[:, :, 0] - gains[:, :, 1]).sum(axis=2).mean(axis=1)
+    delta = first_step(grid, G, 30.0 * tau, 0.5)
     rng = _stream(seed, 3)
     in_x, in_y = _pair_draw(rng.random(n), delta)
     return in_x, in_y
@@ -195,10 +182,8 @@ def discrete_update(set_oracle, X, Y, epsilon, seed, iteration, m=None):
     k = idx.size
 
     # round 1: marginals a_u = f(u|X), b_u = -f(u|Y-u)
-    vals = set_oracle.eval_batch(pair_rows(np.stack([X, Y]), idx).reshape(-1, n))
-    vals = vals.reshape(2, 2, k)          # [X/Y, plus/minus u, element]
-    a = vals[0, 0] - vals[0, 1]
-    b = vals[1, 1] - vals[1, 0]
+    g = pair_gains(set_oracle, np.stack([X, Y]), idx)
+    a, b = g[0], -g[1]
     potential = float((a + b).sum())
     r = compute_rates(a, b)
     gamma = epsilon * float((a + b).sum())
@@ -207,10 +192,7 @@ def discrete_update(set_oracle, X, Y, epsilon, seed, iteration, m=None):
     # round 2: G estimates for the whole grid
     grid = discrete_update_grid(epsilon)
     G = g_estimates(set_oracle, X, Y, r, grid, seed, iteration, m)
-    delta = 1.0
-    hits = np.flatnonzero(G <= rhs)
-    if hits.size:
-        delta = float(grid[hits[0]])
+    delta = first_step(grid, G, rhs, 1.0)
 
     X2, Y2 = round_step(X, Y, _expand(r, idx, n), delta, _stream(seed, 5, iteration))
     r1, q1 = meter.snapshot()
@@ -247,11 +229,8 @@ def g_estimates(set_oracle, X, Y, r, deltas, seed, iteration, m):
         draw_y = rng.random((m, k)) < d * (1.0 - r)[None, :]
         bases[g, :, 0][:, idx] |= draw_x        # X u R(d*r)
         bases[g, :, 1][:, idx] &= ~draw_y       # Y \ R(d*(1-r))
-    rows = pair_rows(bases.reshape(-1, n), idx)
-    vals = set_oracle.eval_batch(rows.reshape(-1, n))   # one round
-    vals = vals.reshape(deltas.size, m, 2, 2, k)
-    per_u = (r[None, None, :] * (vals[:, :, 0, 0] - vals[:, :, 0, 1])
-             - (1.0 - r)[None, None, :] * (vals[:, :, 1, 0] - vals[:, :, 1, 1]))
+    gains = pair_gains(set_oracle, bases.reshape(-1, n), idx).reshape(deltas.size, m, 2, k)
+    per_u = r[None, None, :] * gains[:, :, 0] - (1.0 - r)[None, None, :] * gains[:, :, 1]
     return per_u.sum(axis=2).mean(axis=1)
 
 

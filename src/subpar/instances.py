@@ -42,7 +42,10 @@ class OutOfBox(ValueError):
 
 
 _VALIDATE_LIMIT = 20  # exhaustive non-negativity validation up to this n
+_NEGATIVE_TOL = 1e-12  # a quadratic may dip this far below zero
 EXHAUSTIVE_LIMIT = 12  # largest n of the exhaustive property checks
+_DENSE_BYTES_LIMIT = 1 << 30  # most bytes an instance's dense matrices may hold
+_COVER_BYTES = 17  # per (element, item): the bool covers and two float64 copies
 
 
 def _require(ok, message):
@@ -69,6 +72,11 @@ def _finite(values, name):
     return values
 
 
+def _dense_budget(nbytes, sizes):
+    _require(nbytes <= _DENSE_BYTES_LIMIT,
+             f"{sizes} needs {nbytes:,} bytes, over {_DENSE_BYTES_LIMIT:,}")
+
+
 class CutInstance:
     """Weighted cut function f(S) = sum of w over edges with exactly one
     endpoint in S.  Symmetric, non-negative, submodular, f(0)=f(N)=0.
@@ -80,6 +88,7 @@ class CutInstance:
 
     def __init__(self, n, edges):
         n = self.n = _size(n, "n")
+        _dense_budget(8 * n * n, f"n={n}")           # the float64 adjacency W
         clean = []
         for u, v, w in edges:
             u, v = _index(u, n, "edge endpoint"), _index(v, n, "edge endpoint")
@@ -127,6 +136,7 @@ class CoverageInstance:
     def __init__(self, n, universe_size, covers, weights, costs):
         n = self.n = _size(n, "n")
         universe_size = self.universe_size = _size(universe_size, "universe")
+        _dense_budget(_COVER_BYTES * n * universe_size, f"n={n}, universe={universe_size}")
         cov = np.zeros((n, universe_size), dtype=bool)
         for u, items in covers.items():
             u = _index(u, n, "covering element")
@@ -185,8 +195,10 @@ class MultilinearQuadraticInstance:
     H <= 0 makes the gradient h + Hx entrywise non-increasing in x
     (diminishing returns); the zero diagonal makes F multilinear, so its
     minimum over any box sits on a vertex.  Construction checks
-    non-negativity over the 2^n unit-cube vertices for n <= 20; pass
-    validate=False when the intended domain is some other box (the
+    non-negativity over the 2^n unit-cube vertices for n <= 20; for larger
+    n, H <= 0 gives f(S) >= c + sum_{u in S} (h_u + sum_v H_uv / 2), so
+    it requires c + sum_u min(0, h_u + sum_v H_uv / 2) >= 0.
+    Pass validate=False when the intended domain is some other box (the
     rescaled instance over that box re-runs the check on its corners).
 
     The polynomial itself is defined everywhere; domain enforcement is
@@ -208,9 +220,15 @@ class MultilinearQuadraticInstance:
         # symmetric within allclose only, so the marginals read the
         # symmetric part, the form the polynomial actually sees
         self._H_sym = 0.5 * (self.H + self.H.T)
-        if validate and n <= _VALIDATE_LIMIT:
+        if validate and n > _VALIDATE_LIMIT:
+            bound = self.c + np.minimum(self.h + 0.5 * self.H.sum(axis=1), 0.0).sum()
+            if bound < -_NEGATIVE_TOL:
+                raise NonNegativityViolation(
+                    f"quadratic with n={n} > {_VALIDATE_LIMIT} requires "
+                    f"c + sum_u min(0, h_u + sum_v H_uv / 2) >= 0 (got {bound:g})")
+        elif validate:
             vals = self.evaluate_batch(all_subsets_matrix(n))
-            if vals.min() < -1e-12:
+            if vals.min() < -_NEGATIVE_TOL:
                 raise NonNegativityViolation(
                     f"quadratic is negative on a vertex (min {vals.min():g})")
 
@@ -256,9 +274,9 @@ class MultilinearQuadraticInstance:
 def generate_random_instance(kind, n, seed):
     """Deterministic random instance of the requested kind.
 
-    Construction-time validation applies; generators retry with
-    perturbed parameters a bounded number of times before giving up with
-    NonNegativityViolation.
+    Construction-time validation applies; the coverage generator
+    retries with smaller costs a bounded number of times before giving
+    up with NonNegativityViolation.
     """
     _require(n >= 1, f"n must be >= 1, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence((hash_kind(kind), n, seed)))
@@ -280,6 +298,7 @@ def hash_kind(kind):
 
 
 def _random_cut(n, rng):
+    _dense_budget(8 * n * n, f"n={n}")              # before the O(n^2) coins
     if n < 2:
         return CutInstance(n, [])
     edges = []
@@ -295,6 +314,7 @@ def _random_cut(n, rng):
 
 def _random_coverage(n, rng, retries=20):
     universe = 2 * n
+    _dense_budget(_COVER_BYTES * n * universe, f"n={n}, universe={universe}")
     for attempt in range(retries):
         shrink = 0.7 ** attempt
         covers = {}
@@ -313,23 +333,17 @@ def _random_coverage(n, rng, retries=20):
         f"coverage generator failed after {retries} retries (n={n})")
 
 
-def _random_quadratic(n, rng, retries=20):
-    for attempt in range(retries):
-        shrink = 0.7 ** attempt
-        H = np.zeros((n, n))
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < 0.6:
-                    H[u, v] = H[v, u] = -float(rng.uniform(0.2, 1.0)) * shrink
-        # h_u >= half the row mass keeps every vertex non-negative
-        slack = rng.uniform(0.0, 1.0, size=n)
-        h = 0.5 * np.abs(H).sum(axis=1) + slack
-        try:
-            return MultilinearQuadraticInstance(n, float(rng.uniform(0.0, 0.5)), h, H)
-        except NonNegativityViolation:
-            continue
-    raise NonNegativityViolation(
-        f"quadratic generator failed after {retries} retries (n={n})")
+def _random_quadratic(n, rng):
+    _dense_budget(16 * n * n, f"n={n}")             # H and its symmetric part
+    H = np.zeros((n, n))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < 0.6:
+                H[u, v] = H[v, u] = -float(rng.uniform(0.2, 1.0))
+    # h_u >= half the row mass keeps every vertex non-negative
+    slack = rng.uniform(0.0, 1.0, size=n)
+    h = 0.5 * np.abs(H).sum(axis=1) + slack
+    return MultilinearQuadraticInstance(n, float(rng.uniform(0.0, 0.5)), h, H)
 
 
 # -- JSON schema ----------------------------------------------------------

@@ -160,13 +160,7 @@ class MultilinearOracle:
         A, n = args.shape
         k = self.samples
         panel = self.rng.random((k, n))
-        draws = np.empty((A * k, n), dtype=bool)
-        chunk = max(1, (1 << 22) // max(k * n, 1))
-        for lo in range(0, A, chunk):
-            hi = min(lo + chunk, A)
-            blk = panel[None, :, :] < args[lo:hi, None, :]
-            draws[lo * k:hi * k] = blk.reshape((hi - lo) * k, n)
-        return draws
+        return (panel[None] < args[:, None]).reshape(A * k, n)
 
 
 def _fold_grad_eval(table, pts, elem_budget=1 << 18, work=None, grads=True):

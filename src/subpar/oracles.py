@@ -22,8 +22,8 @@ A marginal-gain round (eval_marginals) asks, for every base set S of a
 batch and every element u, for f(S+u) - f(S-u); it is priced as the 2n
 explicit rows it stands for and answered by the instance's closed-form
 marginals, so the closed form changes the cost of evaluation but never
-the meters.  pair_rows builds the explicit S+u / S-u rows for every
-caller that evaluates them.
+the meters.  pair_rows builds the explicit S+u / S-u rows, and
+pair_gains reads their differences in one eval_batch round.
 
 Subsets are boolean membership matrices of shape (batch, n); one (n,)
 row is read as a batch of one.  Element ids, sets and 0/1 numbers are
@@ -174,6 +174,16 @@ def pair_rows(bases, elements):
     rows[:, 0, j, elements] = True
     rows[:, 1, j, elements] = False
     return rows
+
+
+def pair_gains(set_oracle, bases, elements):
+    """The (B, k) gains f(S+u) - f(S-u) of pair_rows(bases, elements),
+    read off one eval_batch round of 2k queries per base; any object with
+    that method serves."""
+    rows = pair_rows(bases, elements)
+    B, _, k, n = rows.shape
+    vals = set_oracle.eval_batch(rows.reshape(-1, n)).reshape(B, 2, k)
+    return vals[:, 0] - vals[:, 1]
 
 
 class SetOracle:

@@ -32,7 +32,7 @@ from .instances import (EXHAUSTIVE_LIMIT, CutInstance, InvalidInstance,
                         NonNegativityViolation, check_nonnegative_exhaustive,
                         check_submodular_exhaustive, generate_random_instance,
                         load_instance)
-from .multilinear import MultilinearOracle, lovasz_value, sample_set
+from .multilinear import MultilinearOracle, lovasz_value
 from .oracles import SetOracle
 
 

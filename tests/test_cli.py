@@ -261,7 +261,13 @@ def test_negative_weight_instance_names_flag(tmp_path, optimize):
       "weights": [float("nan"), 1.0], "costs": [0.0, 0.0]}, "weights must be finite"),
     ({"kind": "quadratic", "n": 2, "c": 0.0, "h": [1.0, float("nan")],
       "H": [[0.0, -1.0], [-1.0, 0.0]]}, "h must be finite"),
-], ids=["cut", "coverage", "quadratic"])
+    # documents that construction refuses for other reasons take the same path
+    ({"kind": "quadratic", "n": 21, "c": -1.0, "h": [0.0] * 21, "H": [[0.0] * 21] * 21},
+     "quadratic with n=21 > 20 requires c + sum_u min(0, "),
+    ({"kind": "cut", "n": 10 ** 6, "edges": []}, "n=1000000 needs"),
+    ({"kind": "coverage", "n": 10 ** 6, "universe": 10 ** 6, "covers": {},
+      "weights": [], "costs": []}, "n=1000000, universe=1000000 needs"),
+], ids=["cut", "coverage", "quadratic", "negative-quadratic-n21", "huge-cut", "huge-coverage"])
 def test_non_finite_instance_names_flag(tmp_path, doc, message, optimize):
     p = tmp_path / "nonfinite.json"
     p.write_text(json.dumps(doc) + "\n")              # NaN and Infinity are JSON to Python
@@ -396,14 +402,20 @@ def test_verify_instance_needs_a_suite_that_reads_it(cut6_path):
 
 
 def test_verify_reports_an_instance_too_large_to_check(write_instance):
-    # f(empty) = -1, but n = 21 is beyond the exhaustive check: a skip, not "ok"
-    q = MultilinearQuadraticInstance(n=21, c=-1.0, h=np.zeros(21), H=np.zeros((21, 21)))
+    # n = 21 is beyond the exhaustive check: a skip, not "ok"
+    q = MultilinearQuadraticInstance(n=21, c=0.0, h=np.zeros(21), H=np.zeros((21, 21)))
     p = write_instance(q, name="q21.json")
     r = run_cli("verify", "--suite", "non-negativity", "--instance", p)
     assert r.returncode == 1
     assert "non-negativity  SKIP" in r.stdout and " ok" not in r.stdout
     assert f"[non-negativity] {p}: skipped: n=21" in r.stderr
     assert "0 violation(s), 1 check(s) skipped" in r.stderr
+    # f(empty) = -1 at n = 21 no longer loads, so the suite fails on it
+    p = write_instance({**q.to_json_dict(), "c": -1.0}, name="q21neg.json")
+    r = run_cli("verify", "--suite", "non-negativity", "--instance", p)
+    assert r.returncode == 1
+    assert "non-negativity  FAIL" in r.stdout
+    assert f"[non-negativity] {p}: quadratic with n=21 > 20 requires c + sum_u" in r.stderr
 
 
 def test_verify_unparseable_instance_names_flag(tmp_path):

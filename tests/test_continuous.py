@@ -14,7 +14,7 @@ from subpar import (MultilinearOracle, ParamOutOfRange, SetOracle,
                     StateInvariantViolation, brute_force, compute_rates,
                     generate_random_instance, pre_process, run_continuous,
                     run_core, update)
-from subpar.continuous import ContinuousState, preprocess_grid, update_grid
+from subpar.continuous import ContinuousState, first_step, preprocess_grid, update_grid
 from subpar.instances import CutInstance
 from subpar.oracles import OracleAccounting
 
@@ -92,6 +92,20 @@ def test_preprocess_grid_frozen():
     for eps in (0.2, 0.1, 0.05):
         assert preprocess_grid(eps).size <= math.floor(0.5 / eps)
     assert preprocess_grid(0.6).size == 0
+
+
+# -- step rule ------------------------------------------------------------------
+
+def test_first_step_takes_the_first_passing_point():
+    grid = np.array([0.1, 0.2, 0.4, 0.8])
+    assert first_step(grid, [3.0, 1.0, 0.5, 2.0], 1.0, 1.0) == 0.2   # <= passes a tie
+    assert first_step(grid, [np.nan, 2.0, 0.5, 0.0], 1.0, 1.0) == 0.4
+
+
+def test_first_step_falls_back():
+    grid = np.array([0.1, 0.2])
+    assert first_step(grid, [3.0, np.nan], 1.0, 0.5) == 0.5
+    assert first_step(np.empty(0), np.empty(0), 1.0, 0.5) == 0.5
 
 
 # -- pre-processing ---------------------------------------------------------------

@@ -23,13 +23,16 @@ from gain_oracle import expected_update_gain
 class ScriptedSetOracle:
     """Duck-typed set oracle that scripts values by pair-row position.
 
-    Every discrete round is pair rows (oracles.pair_rows) laid out as
-    [..., X/Y side, plus/minus u, element].  A pattern gives the values
-    [X+u, X-u, Y+u, Y-u], the same for every element and every leading
-    index; the scripted runs start from X = {} and Y = N, so each round
-    spans all n elements.  Call 1 (the marginal round) replays `first`;
-    later calls replay `rest`.  Used to steer the update into chosen
-    branches.
+    It has `eval_batch` and the accounting record the driver snapshots,
+    nothing more: every discrete round is an oracles.pair_gains read,
+    which needs only `eval_batch`.  Its rows are pair rows
+    (oracles.pair_rows) laid out as [..., X/Y side, plus/minus u,
+    element], and the gain of each pair is its plus value minus its
+    minus value.  A pattern gives the values [X+u, X-u, Y+u, Y-u], the
+    same for every element and every leading index; the scripted runs
+    start from X = {} and Y = N, so each round spans all n elements.
+    Call 1 (the marginal round) replays `first`; later calls replay
+    `rest`.  Used to steer the update into chosen branches.
     """
 
     def __init__(self, n, first, rest):

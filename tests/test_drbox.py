@@ -5,8 +5,6 @@ The hand-worked example used throughout: F = x0 + x1 - x0*x1 on [0,1]^2
 so the cube optimum sits at (1,1) with value 1.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -197,6 +195,21 @@ def test_run_dr_scaled_box():
     assert opt == pytest.approx(2.0)
     assert res.value >= 0.45 * opt
     assert res.value == pytest.approx(float(inst.value(res.x)))
+
+
+def test_run_dr_large_n_on_a_shrunk_box():
+    # f(N) = 0 at n = 21: every row bound h_u + sum_v H_uv / 2 is 0; over
+    # [0.5, 1]^n the rescaled rows are -0.25 each and c = 5.25 absorbs them
+    n = 21
+    inst = MultilinearQuadraticInstance(n, 0.0, np.ones(n), -0.1 * (np.ones((n, n)) - np.eye(n)))
+    box = BoxDomain(np.full(n, 0.5), np.ones(n))
+    cube, _, _ = rescale_to_cube(inst, box)
+    assert cube.c == pytest.approx(5.25)
+    assert np.allclose(cube.h + 0.5 * cube.H.sum(axis=1), -0.25)
+    res = run_dr(inst, 0.1, box)
+    assert (res.x >= 0.5).all() and (res.x <= 1.0).all()
+    assert res.value == pytest.approx(float(inst.value(res.x)))
+    assert res.value >= 0.0
 
 
 def test_run_dr_quarter_bound_and_tau_sandwich():

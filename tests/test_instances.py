@@ -142,6 +142,39 @@ def test_quadratic_negative_vertex_rejected_unless_unvalidated():
     assert q.value([1.0, 1.0]) == pytest.approx(-0.6)
 
 
+def test_quadratic_large_n_requires_the_structural_bound():
+    n = 21
+    with pytest.raises(NonNegativityViolation, match=r"n=21 > 20 requires c \+ sum_u min"):
+        MultilinearQuadraticInstance(n, -1.0, np.zeros(n), np.zeros((n, n)))  # f(empty) = -1
+    H = -np.ones((n, n)) + np.eye(n)
+    h = np.full(n, 10.0)                         # f(N) = 210 - 210 = 0: admitted
+    assert MultilinearQuadraticInstance(n, 0.0, h, H).value(np.ones(n)) == 0.0
+    h[3] = 9.0                                   # f(N) = -1
+    with pytest.raises(NonNegativityViolation, match=r"n=21 .*\(got -1\)"):
+        MultilinearQuadraticInstance(n, 0.0, h, H)
+    MultilinearQuadraticInstance(n, 0.0, h, H, validate=False)
+    # c may absorb negative rows: f = 100 - |S| >= 79
+    q = MultilinearQuadraticInstance(n, 100.0, -np.ones(n), np.zeros((n, n)))
+    assert q.value(np.ones(n)) == 79.0
+
+
+def test_dense_matrix_budget_checked_before_allocating():
+    with pytest.raises(InvalidInstance, match="n=1000000 needs"):
+        CutInstance(10 ** 6, [])
+    with pytest.raises(InvalidInstance, match="n=1000000, universe=1000000 needs"):
+        CoverageInstance(10 ** 6, 10 ** 6, {}, weights=[], costs=[])
+    # one float64 copy of this cover matrix would fit; the bool and two float copies do not
+    with pytest.raises(InvalidInstance, match="n=8000, universe=16000 needs 2,176,000,000"):
+        CoverageInstance(8000, 16000, {}, weights=[], costs=[])
+    # the generators refuse before their O(n^2) draws
+    for kind in ("cut", "coverage", "quadratic"):
+        with pytest.raises(InvalidInstance, match="n=12000.* needs"):
+            generate_random_instance(kind, 12000, 0)
+    # the largest sizes in use fit: the n = 200 cut target, coverage's 2n universe
+    assert CutInstance(200, [(0, 199, 1.0)]).n == 200
+    assert CoverageInstance(200, 400, {0: [399]}, np.ones(400), np.zeros(200)).n == 200
+
+
 def test_quadratic_gradient_batch_matches_single():
     q = generate_random_instance("quadratic", 5, 1)
     X = np.random.default_rng(2).random((6, 5))

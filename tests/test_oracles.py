@@ -15,8 +15,8 @@ import subpar.oracles as oracles
 from subpar import (CutInstance, InvalidElement, MultilinearOracle, NonFiniteValue,
                     OracleAccounting, SetOracle, generate_random_instance, ids_of,
                     run_continuous)
-from subpar.oracles import (all_subsets_matrix, default_threads, members_matrix, pair_rows,
-                            single_blas_thread)
+from subpar.oracles import (all_subsets_matrix, default_threads, members_matrix, pair_gains,
+                            pair_rows, single_blas_thread)
 
 
 def test_members_matrix_accepts_bool_matrix():
@@ -193,6 +193,40 @@ def test_pair_rows_per_element_bases():
             plus[j], minus[j] = True, False
             assert np.array_equal(rows[b, 0, j], plus)
             assert np.array_equal(rows[b, 1, j], minus)
+
+
+@pytest.mark.parametrize("per_element", [False, True])
+def test_pair_gains_are_one_round_of_pair_row_differences(per_element):
+    inst = generate_random_instance("coverage", 6, 1)
+    rng = np.random.default_rng(5)
+    elements = [4, 0, 2]
+    bases = rng.random((3, 3, 6) if per_element else (3, 6)) < 0.5
+    so = SetOracle(inst)
+    g = pair_gains(so, bases, elements)
+    assert g.shape == (3, 3)
+    assert so.accounting.snapshot() == (1, 2 * 3 * 3)
+    # the same rows in the same order, so the same bits
+    vals = SetOracle(inst).eval_batch(pair_rows(bases, elements).reshape(-1, 6))
+    vals = vals.reshape(3, 2, 3)
+    assert np.array_equal(g, vals[:, 0] - vals[:, 1])
+    for b in range(3):
+        for j, u in enumerate(elements):
+            plus = (bases[b, j] if per_element else bases[b]).copy()
+            minus = plus.copy()
+            plus[u], minus[u] = True, False
+            want = inst.evaluate_batch(plus[None])[0] - inst.evaluate_batch(minus[None])[0]
+            assert g[b, j] == pytest.approx(want, abs=1e-12)
+
+
+def test_pair_gains_need_only_eval_batch(triangle):
+    class EvalOnly:
+        def __init__(self, oracle):
+            self.eval_batch = oracle.eval_batch
+
+    bases = np.array([[True, False, False], [True, True, False]])
+    g = pair_gains(EvalOnly(SetOracle(triangle)), bases, [0, 2])
+    # unit triangle: f(S+u) - f(S-u) = 2 - 2 * |S - u|
+    assert np.array_equal(g, [[2.0, 0.0], [0.0, -2.0]])
 
 
 def test_spy_matches_accounting(k2, spy_oracle):
