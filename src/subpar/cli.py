@@ -25,7 +25,7 @@ from .drbox import BoxDomain, grid_search_optimum, run_dr
 from .instances import (InvalidInstance, MultilinearQuadraticInstance,
                         NonNegativityViolation, UnreadableInstance,
                         generate_random_instance, load_instance)
-from .multilinear import MultilinearOracle
+from .multilinear import EXACT_LIMIT, MultilinearOracle
 from .oracles import SetOracle, ids_of
 from .reports import CSV_COLUMNS, RunReport, csv_row, with_ratio
 
@@ -63,8 +63,6 @@ def build_parser():
     run_p.add_argument("--seed", type=_u64, default=0)
     run_p.add_argument("--oracle", default="exact",
                        help="exact | sampled:K (K samples per extension query)")
-    run_p.add_argument("--mode", choices=("theorem", "engineering"),
-                       default="engineering")
     run_p.add_argument("--sample-override", type=_positive_int, default=None,
                        help="cap the discrete G-estimator sample counts")
     run_p.add_argument("--out", default=None, help="report file path")
@@ -83,8 +81,6 @@ def build_parser():
     sweep_p.add_argument("--seeds-per-cell", type=_positive_int, default=5)
     sweep_p.add_argument("--oracle", default="auto:2000",
                          help="exact | sampled:K | auto:K (exact while feasible)")
-    sweep_p.add_argument("--mode", choices=("theorem", "engineering"),
-                         default="engineering")
     sweep_p.add_argument("--sample-override", type=_positive_int, default=None)
     sweep_p.add_argument("--out", default=None, help="CSV output path")
     sweep_p.set_defaults(func=cmd_sweep)
@@ -132,15 +128,21 @@ def _parse_oracle(spec, parser, allow_auto=False):
                  f"{' or auto:K' if allow_auto else ''}, got {spec!r}")
 
 
-def _check_epsilon(algorithm, mode, epsilon, parser, flag="--epsilon"):
+def _check_epsilon(algorithm, epsilon, parser, flag="--epsilon"):
     """Exit 2 naming flag when the driver behind algorithm rejects epsilon."""
-    try:
-        if algorithm in ("continuous", "dr"):
+    if algorithm in ("continuous", "discrete", "dr"):
+        try:
             check_epsilon(epsilon)
-        elif algorithm == "discrete":
-            DiscreteParams(epsilon=epsilon, mode=mode)
-    except ParamOutOfRange as e:
-        parser.error(f"{flag}: {algorithm}: {e}")
+        except ParamOutOfRange as e:
+            parser.error(f"{flag}: {algorithm}: {e}")
+
+
+def _check_exact_size(algorithm, oracle_mode, n, parser):
+    """Exit 2 naming --oracle when the continuous driver would need the
+    exact extension beyond EXACT_LIMIT."""
+    if algorithm == "continuous" and oracle_mode == "exact" and n > EXACT_LIMIT:
+        parser.error(f"--oracle: exact needs n <= {EXACT_LIMIT}, got n={n}; "
+                     f"use sampled:K")
 
 
 def _load(path, parser):
@@ -171,7 +173,7 @@ def _opt_for(instance, box=None):
 # -- run --------------------------------------------------------------------
 
 def cmd_run(args, parser):
-    _check_epsilon(args.algorithm, args.mode, args.epsilon, parser)
+    _check_epsilon(args.algorithm, args.epsilon, parser)
     instance, box_spec = _load(args.instance, parser)
     instance_id = os.path.splitext(os.path.basename(args.instance))[0]
     report = execute(instance, box_spec, instance_id, args, parser)
@@ -183,6 +185,7 @@ def execute(instance, box_spec, instance_id, args, parser):
     alg = args.algorithm
     n = instance.n
     oracle_mode, oracle_k = _parse_oracle(args.oracle, parser)
+    _check_exact_size(alg, oracle_mode, n, parser)
     t0 = time.perf_counter()
 
     if alg == "dr":
@@ -201,7 +204,7 @@ def execute(instance, box_spec, instance_id, args, parser):
             grad_queries=res.oracle.grad_queries,
             iterations=res.iterations,
             trace=(res.core.traces if res.core else []),
-            n=n, oracle="direct", mode=args.mode)
+            n=n, oracle="direct")
         report.wall_time_ms = (time.perf_counter() - t0) * 1000.0
         return with_ratio(report)
 
@@ -233,9 +236,9 @@ def execute(instance, box_spec, instance_id, args, parser):
             adaptive_rounds=set_oracle.accounting.rounds,
             f_queries=set_oracle.accounting.queries,
             F_queries=m.F_queries, iterations=res.core.iterations,
-            trace=res.core.traces, n=n, oracle=args.oracle, mode=args.mode)
+            trace=res.core.traces, n=n, oracle=args.oracle)
     elif alg == "discrete":
-        params = DiscreteParams(epsilon=args.epsilon, mode=args.mode,
+        params = DiscreteParams(epsilon=args.epsilon,
                                 sample_override=args.sample_override,
                                 seed=args.seed)
         res = run_discrete(set_oracle, params)
@@ -247,7 +250,7 @@ def execute(instance, box_spec, instance_id, args, parser):
             adaptive_rounds=set_oracle.accounting.rounds,
             f_queries=set_oracle.accounting.queries,
             iterations=res.iterations, trace=res.traces,
-            n=n, oracle="set", mode=args.mode)
+            n=n, oracle="set")
     elif alg in ("double-greedy", "double-greedy-det"):
         members = double_greedy(set_oracle, randomized=(alg == "double-greedy"),
                                 rng=rng)
@@ -325,8 +328,10 @@ def cmd_sweep(args, parser):
     n_values = _int_list(args.n_values, parser, "--n-values")
     eps_values = _float_list(args.epsilon_values, parser, "--epsilon-values")
     for eps in eps_values:
-        _check_epsilon(args.algorithm, args.mode, eps, parser, "--epsilon-values")
+        _check_epsilon(args.algorithm, eps, parser, "--epsilon-values")
     oracle_mode, oracle_k = _parse_oracle(args.oracle, parser, allow_auto=True)
+    for n in n_values:
+        _check_exact_size(args.algorithm, oracle_mode, n, parser)
 
     rows = []
     for n in n_values:
@@ -336,7 +341,7 @@ def cmd_sweep(args, parser):
                 run_args = argparse.Namespace(
                     algorithm=args.algorithm, epsilon=eps, seed=seed,
                     oracle=_resolve_auto(args.oracle, oracle_mode, oracle_k, n),
-                    mode=args.mode, sample_override=args.sample_override)
+                    sample_override=args.sample_override)
                 instance = generate_random_instance(args.kind, n, seed)
                 rep = execute(instance, None, f"{args.kind}-n{n}-s{seed}",
                               run_args, parser)
@@ -380,14 +385,9 @@ def _aggregate_rows(cell, n, eps, algorithm):
             return ""
         return round(float(fn(np.asarray(vals, dtype=np.float64))), 6)
 
-    mean_row = [n, eps, "mean", algorithm] + [
-        stat(cols[c], np.mean) for c in
-        ("value", "opt", "ratio", "rounds", "f_queries", "F_queries",
-         "iterations", "wall_ms")]
+    mean_row = [n, eps, "mean", algorithm] + [stat(v, np.mean) for v in cols.values()]
     std_row = [n, eps, "stddev", algorithm] + [
-        stat(cols[c], lambda v: v.std(ddof=0)) for c in
-        ("value", "opt", "ratio", "rounds", "f_queries", "F_queries",
-         "iterations", "wall_ms")]
+        stat(v, lambda a: a.std(ddof=0)) for v in cols.values()]
     return [mean_row, std_row]
 
 
@@ -398,7 +398,7 @@ def cmd_verify(args, parser):
     if args.suite is not None and args.suite not in SUITES:
         parser.error(f"--suite: unknown suite {args.suite!r} "
                      f"(choices: {', '.join(SUITES)})")
-    _check_epsilon("continuous", None, args.epsilon, parser)
+    _check_epsilon("continuous", args.epsilon, parser)
     suites = list(SUITES) if args.suite is None else [args.suite]
     if args.instance is not None:
         if not os.path.exists(args.instance):

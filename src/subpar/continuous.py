@@ -58,7 +58,7 @@ class ContinuousState:
 
 
 def check_epsilon(epsilon):
-    """The driver's accuracy window: epsilon in (0, 1/3)."""
+    """The accuracy window of every driver: epsilon in (0, 1/3)."""
     if not (0.0 < epsilon < 1.0 / 3.0):
         raise ParamOutOfRange(f"epsilon must be in (0, 1/3), got {epsilon}")
 

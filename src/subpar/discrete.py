@@ -7,9 +7,9 @@ estimate averaged over independent draws.  All randomness is drawn from
 sub-streams keyed by (iteration, grid index) so runs are reproducible
 and samples could be generated in parallel.
 
-Theorem-grade sample counts are astronomically conservative; engineering
-mode keeps the same structure but caps the per-grid-point sample counts
-with a user-supplied override.
+The sample counts are the analysis counts, which are astronomically
+conservative; an optional override caps the two per-grid-point counts
+and keeps the same structure.
 """
 
 import math
@@ -17,38 +17,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .continuous import (ParamOutOfRange, StateInvariantViolation, check_grid_epsilon,
-                         compute_rates, first_step, geometric_grid, preprocess_grid)
+from .continuous import (ParamOutOfRange, StateInvariantViolation, check_epsilon,
+                         check_grid_epsilon, compute_rates, first_step, geometric_grid,
+                         preprocess_grid)
 from .oracles import ids_of, pair_gains, pair_rows
 from .reports import DiscreteIterationTrace
-
-THEOREM_EPS_MAX = 1.0 / 208.0
 
 
 @dataclass
 class DiscreteParams:
     """Parameters of the discrete driver.
 
-    mode "theorem" enforces epsilon <= 1/208 and uses the analysis
-    sample counts; mode "engineering" allows epsilon < 1/3 and caps the
-    two G-estimator sample counts at sample_override.
+    epsilon lies in (0, 1/3), the continuous driver's window.  The
+    sample counts are the analysis counts; sample_override caps the two
+    G-estimator counts, never the tau count.  Epsilon <= 1/208 with no
+    override is the regime of the (1/2 - epsilon) analysis.
     """
     epsilon: float
-    mode: str = "engineering"
     sample_override: int | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("theorem", "engineering"):
-            raise ParamOutOfRange(f"unknown mode {self.mode!r}")
-        if self.mode == "theorem":
-            if not (0.0 < self.epsilon <= THEOREM_EPS_MAX):
-                raise ParamOutOfRange(
-                    f"theorem mode needs epsilon in (0, 1/208], got {self.epsilon}")
-        else:
-            if not (0.0 < self.epsilon < 1.0 / 3.0):
-                raise ParamOutOfRange(
-                    f"engineering mode needs epsilon in (0, 1/3), got {self.epsilon}")
+        check_epsilon(self.epsilon)
         if self.sample_override is not None and self.sample_override < 1:
             raise ParamOutOfRange("sample_override must be >= 1")
 
@@ -65,7 +55,7 @@ class DiscreteParams:
     def update_samples(self):
         e = self.epsilon
         m = math.ceil(math.log(112.0 * e ** -3 * math.log(1.0 / e) ** 2) / (2.0 * e * e))
-        if self.mode == "engineering" and self.sample_override is not None:
+        if self.sample_override is not None:
             m = min(m, self.sample_override)
         return m
 
@@ -73,7 +63,7 @@ class DiscreteParams:
     def preprocess_samples(self):
         e = self.epsilon
         m = math.ceil(36.0 * e ** -2 * math.log(3.0 * e ** -2))
-        if self.mode == "engineering" and self.sample_override is not None:
+        if self.sample_override is not None:
             m = min(m, self.sample_override)
         return m
 

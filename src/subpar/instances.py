@@ -276,7 +276,8 @@ def generate_random_instance(kind, n, seed):
 
     Construction-time validation applies; the coverage generator
     retries with smaller costs a bounded number of times before giving
-    up with NonNegativityViolation.
+    up with NonNegativityViolation, and above the exhaustive-check size
+    it draws zero costs, the only ones construction admits there.
     """
     _require(n >= 1, f"n must be >= 1, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence((hash_kind(kind), n, seed)))
@@ -322,9 +323,12 @@ def _random_coverage(n, rng, retries=20):
             k = int(rng.integers(1, max(2, universe // 3)))
             covers[u] = [int(i) for i in rng.choice(universe, size=k, replace=False)]
         weights = rng.uniform(0.5, 1.5, size=universe)
-        # costs small enough that f >= 0 is plausible, then validated
+        # costs small enough that f >= 0 is plausible, then validated;
+        # past the exhaustive check only zero costs are admitted
         own = np.array([weights[covers[u]].sum() for u in range(n)])
         costs = rng.uniform(0.0, 0.35, size=n) * own * shrink
+        if n > _VALIDATE_LIMIT:
+            costs = np.zeros(n)
         try:
             return CoverageInstance(n, universe, covers, weights, costs)
         except NonNegativityViolation:

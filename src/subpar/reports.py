@@ -3,7 +3,7 @@
 import json
 from dataclasses import dataclass, field, asdict
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -50,7 +50,6 @@ class RunReport:
     wall_time_ms: float = 0.0
     n: int | None = None
     oracle: str | None = None
-    mode: str | None = None
     delegated: str | None = None
 
     def to_dict(self):

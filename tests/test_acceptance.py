@@ -205,7 +205,7 @@ def test_criterion_6_discrete_driver():
         band = 4 * ests.std(ddof=1) / math.sqrt(ests.size)
         assert abs(ests.mean() - exact) <= max(band, 1e-12)
 
-        # (v) engineering-mode quality floor, 50 seeds on two instances
+        # (v) quality floor with capped sample counts, 50 seeds on two instances
         means = []
         for n_v, iseed in ((8, 100), (10, 101)):
             inst = generate_random_instance("cut", n_v, iseed)

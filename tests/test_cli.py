@@ -57,7 +57,7 @@ def test_run_delegates_tiny_instances(k2_path, tmp_path):
                 "--epsilon", "0.1", "--out", out)
     assert r.returncode == 0, r.stderr
     rep = json.loads(open(out).read())
-    assert rep["schema"] == 1
+    assert rep["schema"] == 2 and "mode" not in rep
     assert rep["algorithm"] == "brute-force"
     assert rep["delegated"] == "continuous"
     assert rep["epsilon"] == 0.1           # requested epsilon is retained
@@ -157,11 +157,19 @@ def test_bad_epsilon_names_flag(k2_path):
     assert "--epsilon" in r.stderr and "(0, 1/3)" in r.stderr
 
 
-def test_theorem_epsilon_window(cut6_path):
-    r = run_cli("run", "--instance", cut6_path, "--algorithm", "discrete",
-                "--mode", "theorem", "--epsilon", "0.01")
+def test_discrete_shares_the_epsilon_window(k2_path):
+    r = run_cli("run", "--instance", k2_path, "--algorithm", "discrete",
+                "--epsilon", "0.34")
     assert r.returncode == 2
-    assert "--epsilon" in r.stderr and "1/208" in r.stderr
+    assert "--epsilon: discrete: epsilon must be in (0, 1/3)" in r.stderr
+
+
+def test_exact_oracle_beyond_limit_names_flag(tmp_path):
+    p = tmp_path / "cut24.json"
+    dump_instance(generate_random_instance("cut", 24, 0), p)
+    r = run_cli("run", "--instance", str(p), "--algorithm", "continuous")
+    assert r.returncode == 2
+    assert "--oracle: exact needs n <= 20, got n=24" in r.stderr
 
 
 def test_missing_instance_names_flag(tmp_path):
@@ -230,16 +238,21 @@ def test_threads_flag_is_gone(k2_path, command):
     assert "unrecognized arguments: --threads" in r.stderr
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_mode_flag_is_gone(k2_path, command):
+    argv = (("run", "--instance", k2_path, "--algorithm", "discrete")
+            if command == "run" else ("sweep", "--algorithm", "discrete"))
+    r = run_cli(*argv, "--mode", "theorem")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --mode" in r.stderr
+
+
 def test_sweep_checks_every_epsilon_before_the_first_cell():
     r = run_cli("sweep", "--algorithm", "continuous", "--n-values", "8",
                 "--epsilon-values", "0.1,0.4", "--oracle", "exact")
     assert r.returncode == 2
     assert "--epsilon-values" in r.stderr and "(0, 1/3)" in r.stderr
     assert "--epsilon:" not in r.stderr
-    r = run_cli("sweep", "--algorithm", "discrete", "--mode", "theorem",
-                "--epsilon-values", "0.1")
-    assert r.returncode == 2
-    assert "--epsilon-values" in r.stderr and "1/208" in r.stderr
 
 
 @pytest.mark.parametrize("optimize", [False, True])
@@ -341,6 +354,27 @@ def test_sweep_continuous_small(tmp_path):
     rows = list(csv.reader(open(out)))
     mean = next(row for row in rows[1:] if row[2] == "mean")
     assert float(mean[6]) >= 0.45          # mean ratio on brute-forceable cells
+
+
+def test_sweep_checks_every_n_against_the_exact_oracle(tmp_path):
+    out = tmp_path / "sweep.csv"
+    r = run_cli("sweep", "--algorithm", "continuous", "--oracle", "exact",
+                "--n-values", "8,24", "--out", str(out))
+    assert r.returncode == 2
+    assert "--oracle: exact needs n <= 20, got n=24" in r.stderr
+    assert not out.exists()
+    # only the continuous driver reads the oracle
+    r = run_cli("sweep", "--algorithm", "double-greedy-det", "--oracle", "exact",
+                "--n-values", "21", "--seeds-per-cell", "1", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+
+
+def test_sweep_coverage_beyond_exhaustive_check(tmp_path):
+    out = str(tmp_path / "sweep.csv")
+    r = run_cli("sweep", "--algorithm", "double-greedy", "--kind", "coverage",
+                "--n-values", "21", "--seeds-per-cell", "1", "--out", out)
+    assert r.returncode == 0, r.stderr
+    assert len(list(csv.reader(open(out)))) == 4     # header, one seed, mean, stddev
 
 
 def test_sweep_bad_n_values(tmp_path):

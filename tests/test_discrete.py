@@ -13,8 +13,7 @@ from subpar import (DiscreteParams, ParamOutOfRange, SetOracle,
                     StateInvariantViolation, discrete_preprocess,
                     discrete_update, estimate_tau, finalize, g_estimates,
                     generate_random_instance, run_discrete)
-from subpar.discrete import (THEOREM_EPS_MAX, _pair_draw, _stream,
-                             discrete_update_grid, round_step)
+from subpar.discrete import _pair_draw, _stream, discrete_update_grid, round_step
 from subpar.oracles import OracleAccounting
 
 from gain_oracle import expected_update_gain
@@ -57,6 +56,7 @@ class ScriptedSetOracle:
     (0.2, 9, 681, 132, 3886),
     (0.1, 24, 819, 665, 20534),
     (0.05, 60, 958, 3181, 102098),
+    (1 / 208, 1111, 1426, 520913, 18337567),   # the analysis regime, no override
 ])
 def test_params_frozen(eps, ell, tau_m, upd_m, pre_m):
     p = DiscreteParams(epsilon=eps)
@@ -73,22 +73,11 @@ def test_override_caps_estimators_only():
     assert p.tau_samples == 958          # tau estimate is cheap, never capped
 
 
-def test_mode_and_range_validation():
-    DiscreteParams(epsilon=THEOREM_EPS_MAX, mode="theorem")
-    with pytest.raises(ParamOutOfRange):
-        DiscreteParams(epsilon=0.005, mode="theorem")
-    with pytest.raises(ParamOutOfRange):
+def test_epsilon_and_override_validation():
+    with pytest.raises(ParamOutOfRange, match=r"\(0, 1/3\)"):
         DiscreteParams(epsilon=0.34)
     with pytest.raises(ParamOutOfRange):
         DiscreteParams(epsilon=0.1, sample_override=0)
-    with pytest.raises(ParamOutOfRange):
-        DiscreteParams(epsilon=0.1, mode="exactly")
-
-
-def test_theorem_mode_ignores_override():
-    p = DiscreteParams(epsilon=THEOREM_EPS_MAX, mode="theorem",
-                       sample_override=10)
-    assert p.update_samples > 10 and p.preprocess_samples > 10
 
 
 # -- grid ------------------------------------------------------------------------

@@ -192,6 +192,13 @@ def test_generators_deterministic():
         assert a.to_json_dict() == b.to_json_dict()
 
 
+@pytest.mark.parametrize("n", [21, 40])
+def test_coverage_generator_beyond_exhaustive_check_has_zero_costs(n):
+    inst = generate_random_instance("coverage", n, 0)
+    assert inst.n == n and not inst.costs.any()
+    assert inst.weights.min() > 0 and inst.covers.any(axis=1).all()
+
+
 def test_generator_unknown_kind():
     with pytest.raises(ValueError):
         generate_random_instance("parity", 4, 0)
