@@ -27,7 +27,7 @@ from .instances import (InvalidInstance, MultilinearQuadraticInstance,
                         generate_random_instance, load_instance)
 from .multilinear import EXACT_LIMIT, MultilinearOracle
 from .oracles import SetOracle, ids_of
-from .reports import CSV_COLUMNS, RunReport, csv_row, with_ratio
+from .reports import CSV_COLUMNS, RunReport, csv_row
 
 ALGORITHMS = ("continuous", "discrete", "dr", "double-greedy",
               "double-greedy-det", "random-half", "brute-force")
@@ -182,41 +182,36 @@ def cmd_run(args, parser):
 
 
 def execute(instance, box_spec, instance_id, args, parser):
+    """Run one algorithm and report it.  wall_time_ms times the solver
+    only: the ground-truth OPT is computed after the clock stops."""
     alg = args.algorithm
     n = instance.n
     oracle_mode, oracle_k = _parse_oracle(args.oracle, parser)
     _check_exact_size(alg, oracle_mode, n, parser)
-    t0 = time.perf_counter()
-
+    box = None
     if alg == "dr":
         if not isinstance(instance, MultilinearQuadraticInstance):
             parser.error("--algorithm: dr requires a quadratic instance "
                          f"(got kind {instance.kind!r})")
         box = BoxDomain(*box_spec) if box_spec is not None else None
-        res = run_dr(instance, args.epsilon, box)
-        report = RunReport(
-            instance_id=instance_id, algorithm=alg, epsilon=args.epsilon,
-            seed=args.seed, solution={"fractional": [float(v) for v in res.x]},
-            value=res.value, opt_value=_opt_for(instance, box),
-            adaptive_rounds=res.oracle.rounds_meter.rounds,
-            f_queries=res.oracle.f_queries,
-            F_queries=res.oracle.F_queries,
-            grad_queries=res.oracle.grad_queries,
-            iterations=res.iterations,
-            trace=(res.core.traces if res.core else []),
-            n=n, oracle="direct")
-        report.wall_time_ms = (time.perf_counter() - t0) * 1000.0
-        return with_ratio(report)
-
     delegated = None
     if alg in ("continuous", "discrete") and n < SMALL_N:
         delegated = alg
         alg = "brute-force"
-
     set_oracle = SetOracle(instance)
-    rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0xA15)))
+    meter = set_oracle.accounting
+    t0 = time.perf_counter()
 
-    if alg == "continuous":
+    if alg == "dr":
+        res = run_dr(instance, args.epsilon, box)
+        meter = res.oracle.rounds_meter   # its rounds; it makes no set queries
+        fields = dict(solution={"fractional": [float(v) for v in res.x]},
+                      value=res.value, F_queries=res.oracle.F_queries,
+                      grad_queries=res.oracle.grad_queries,
+                      iterations=res.iterations,
+                      trace=(res.core.traces if res.core else []),
+                      oracle="direct", epsilon=args.epsilon)
+    elif alg == "continuous":
         if oracle_mode == "sampled":
             m = MultilinearOracle(set_oracle, mode="sampled", samples=oracle_k,
                                   rng=np.random.default_rng(
@@ -229,59 +224,39 @@ def execute(instance, box_spec, instance_id, args, parser):
             "rounded": ids_of(res.rounded),
             "rounded_value": float(res.rounded_value),
         }
-        report = RunReport(
-            instance_id=instance_id, algorithm="continuous",
-            epsilon=args.epsilon, seed=args.seed, solution=solution,
-            value=res.core.value, opt_value=_opt_for(instance),
-            adaptive_rounds=set_oracle.accounting.rounds,
-            f_queries=set_oracle.accounting.queries,
-            F_queries=m.F_queries, iterations=res.core.iterations,
-            trace=res.core.traces, n=n, oracle=args.oracle)
+        fields = dict(solution=solution, value=res.core.value, F_queries=m.F_queries,
+                      iterations=res.core.iterations, trace=res.core.traces,
+                      oracle=args.oracle, epsilon=args.epsilon)
     elif alg == "discrete":
         params = DiscreteParams(epsilon=args.epsilon,
                                 sample_override=args.sample_override,
                                 seed=args.seed)
         res = run_discrete(set_oracle, params)
-        report = RunReport(
-            instance_id=instance_id, algorithm="discrete",
-            epsilon=args.epsilon, seed=args.seed,
-            solution={"subset": res.ids},
-            value=res.value, opt_value=_opt_for(instance),
-            adaptive_rounds=set_oracle.accounting.rounds,
-            f_queries=set_oracle.accounting.queries,
-            iterations=res.iterations, trace=res.traces,
-            n=n, oracle="set")
-    elif alg in ("double-greedy", "double-greedy-det"):
-        members = double_greedy(set_oracle, randomized=(alg == "double-greedy"),
-                                rng=rng)
+        fields = dict(solution={"subset": res.ids}, value=res.value,
+                      iterations=res.iterations, trace=res.traces,
+                      oracle="set", epsilon=args.epsilon)
+    elif alg in ("double-greedy", "double-greedy-det", "random-half"):
+        rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0xA15)))
+        if alg == "random-half":
+            members = random_half(set_oracle, rng=rng)
+        else:
+            members = double_greedy(set_oracle, randomized=(alg == "double-greedy"),
+                                    rng=rng)
         value = float(set_oracle.eval_batch(members[None, :])[0])
-        report = RunReport(
-            instance_id=instance_id, algorithm=alg, epsilon=None,
-            seed=args.seed, solution={"subset": ids_of(members)}, value=value,
-            opt_value=_opt_for(instance),
-            adaptive_rounds=set_oracle.accounting.rounds,
-            f_queries=set_oracle.accounting.queries, n=n, oracle="set")
-    elif alg == "random-half":
-        members = random_half(set_oracle, rng=rng)
-        value = float(set_oracle.eval_batch(members[None, :])[0])
-        report = RunReport(
-            instance_id=instance_id, algorithm=alg, epsilon=None,
-            seed=args.seed, solution={"subset": ids_of(members)}, value=value,
-            opt_value=_opt_for(instance),
-            adaptive_rounds=set_oracle.accounting.rounds,
-            f_queries=set_oracle.accounting.queries, n=n, oracle="set")
+        fields = dict(solution={"subset": ids_of(members)}, value=value,
+                      oracle="set", epsilon=None)
     else:   # brute-force
         members, value = brute_force(set_oracle)
-        report = RunReport(
-            instance_id=instance_id, algorithm="brute-force",
-            epsilon=(args.epsilon if delegated else None),
-            seed=args.seed, solution={"subset": ids_of(members)}, value=value,
-            opt_value=value,
-            adaptive_rounds=set_oracle.accounting.rounds,
-            f_queries=set_oracle.accounting.queries, n=n, oracle="set",
-            delegated=delegated)
-    report.wall_time_ms = (time.perf_counter() - t0) * 1000.0
-    return with_ratio(report)
+        fields = dict(solution={"subset": ids_of(members)}, value=value,
+                      oracle="set", epsilon=(args.epsilon if delegated else None),
+                      delegated=delegated)
+
+    wall_time_ms = (time.perf_counter() - t0) * 1000.0
+    opt = fields["value"] if alg == "brute-force" else _opt_for(instance, box)
+    return RunReport(instance_id=instance_id, algorithm=alg, seed=args.seed, n=n,
+                     adaptive_rounds=meter.rounds,
+                     f_queries=set_oracle.accounting.queries, opt_value=opt,
+                     wall_time_ms=wall_time_ms, **fields)
 
 
 def emit_report(report, args):
@@ -368,16 +343,7 @@ def _resolve_auto(spec, mode, k, n):
 
 def _aggregate_rows(cell, n, eps, algorithm):
     """mean / stddev rows over one cell, in the seed column."""
-    cols = {
-        "value": [r.value for r in cell],
-        "opt": [r.opt_value for r in cell],
-        "ratio": [r.ratio for r in cell],
-        "rounds": [r.adaptive_rounds for r in cell],
-        "f_queries": [r.f_queries for r in cell],
-        "F_queries": [r.F_queries for r in cell],
-        "iterations": [r.iterations for r in cell],
-        "wall_ms": [r.wall_time_ms for r in cell],
-    }
+    cols = list(zip(*(csv_row(r)[4:] for r in cell)))
 
     def stat(vals, fn):
         vals = [v for v in vals if v is not None]
@@ -385,9 +351,9 @@ def _aggregate_rows(cell, n, eps, algorithm):
             return ""
         return round(float(fn(np.asarray(vals, dtype=np.float64))), 6)
 
-    mean_row = [n, eps, "mean", algorithm] + [stat(v, np.mean) for v in cols.values()]
+    mean_row = [n, eps, "mean", algorithm] + [stat(v, np.mean) for v in cols]
     std_row = [n, eps, "stddev", algorithm] + [
-        stat(v, lambda a: a.std(ddof=0)) for v in cols.values()]
+        stat(v, lambda a: a.std(ddof=0)) for v in cols]
     return [mean_row, std_row]
 
 

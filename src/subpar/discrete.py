@@ -169,7 +169,6 @@ def discrete_update(set_oracle, X, Y, epsilon, seed, iteration, m=None):
         return X.copy(), Y.copy(), trace
     if m is None:
         m = DiscreteParams(epsilon=epsilon).update_samples
-    k = idx.size
 
     # round 1: marginals a_u = f(u|X), b_u = -f(u|Y-u)
     g = pair_gains(set_oracle, np.stack([X, Y]), idx)

@@ -82,10 +82,6 @@ class QuadraticContinuousOracle:
     def n(self):
         return self.instance.n
 
-    @property
-    def f_queries(self):
-        return 0   # no set oracle behind this one
-
     def value_batch(self, points):
         pts = as_points(points, self.n)
         self.rounds_meter.charge(pts.shape[0])

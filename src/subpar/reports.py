@@ -40,7 +40,7 @@ class RunReport:
     solution: dict
     value: float
     opt_value: float | None = None
-    ratio: float | None = None
+    ratio: float | None = field(default=None, init=False)   # value / opt_value
     adaptive_rounds: int = 0
     f_queries: int = 0
     F_queries: int | None = None
@@ -51,6 +51,10 @@ class RunReport:
     n: int | None = None
     oracle: str | None = None
     delegated: str | None = None
+
+    def __post_init__(self):
+        if self.opt_value is not None and self.opt_value > 0:
+            self.ratio = self.value / self.opt_value
 
     def to_dict(self):
         d = {"schema": SCHEMA_VERSION}
@@ -95,8 +99,3 @@ def csv_row(report):
         round(report.wall_time_ms, 3),
     ]
 
-
-def with_ratio(report):
-    if report.opt_value is not None and report.opt_value > 0:
-        report.ratio = report.value / report.opt_value
-    return report

@@ -16,7 +16,6 @@ def expected_update_gain(instance, X, Y, r, delta):
     idx = np.flatnonzero(Y & ~X)
     k = idx.size
     assert k <= 12
-    n = instance.n
     total = 0.0
     for side in ("x", "y"):
         probs = delta * r[idx] if side == "x" else delta * (1.0 - r[idx])

@@ -1,4 +1,5 @@
-"""End-to-end CLI tests through a real subprocess.
+"""End-to-end CLI tests, through a real subprocess except where a test
+needs to patch the module (then through cli.main in process).
 
 Exit-code contract: 0 success, 1 runtime/verification failure, 2 flag
 errors (argparse), with the offending flag named on stderr.
@@ -9,12 +10,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 
 import pytest
 
-from subpar import dump_instance, generate_random_instance
+from subpar import cli, dump_instance, generate_random_instance
 from subpar.instances import CutInstance, MultilinearQuadraticInstance
 
 
@@ -146,6 +148,82 @@ def test_run_dr_on_fully_pinned_box(frozen_quad, write_instance, tmp_path):
     assert [rep[k] for k in ("adaptive_rounds", "f_queries", "F_queries",
                              "grad_queries", "iterations")] == [0, 0, 0, 0, 0]
     assert rep["solution"]["fractional"] == [0.5, 0.5]
+
+
+# -- in process: every branch's report fields, and what the clock covers ----------
+
+SUBSET = {"subset"}
+OPTIONAL = {"F_queries", "grad_queries", "iterations", "delegated"}
+
+# path fixture, --algorithm, report algorithm, epsilon, oracle, fields that are
+# None, solution keys
+BRANCHES = [
+    ("cut6_path", "continuous", "continuous", 0.2, "exact",
+     {"grad_queries", "delegated"}, {"fractional", "rounded", "rounded_value"}),
+    ("cut6_path", "discrete", "discrete", 0.2, "set",
+     {"F_queries", "grad_queries", "delegated"}, SUBSET),
+    ("cut6_path", "double-greedy", "double-greedy", None, "set", OPTIONAL, SUBSET),
+    ("cut6_path", "double-greedy-det", "double-greedy-det", None, "set", OPTIONAL, SUBSET),
+    ("cut6_path", "random-half", "random-half", None, "set", OPTIONAL, SUBSET),
+    ("cut6_path", "brute-force", "brute-force", None, "set", OPTIONAL, SUBSET),
+    ("k2_path", "discrete", "brute-force", 0.2, "set",
+     {"F_queries", "grad_queries", "iterations"}, SUBSET),
+    ("quad_path", "dr", "dr", 0.2, "direct", {"delegated"}, {"fractional"}),
+]
+
+
+@pytest.mark.parametrize("path_fixture, algorithm, reported, epsilon, oracle, nones, keys",
+                         BRANCHES, ids=[f"{b[0][:-5]}-{b[1]}" for b in BRANCHES])
+def test_run_report_fields_per_branch(request, tmp_path, path_fixture, algorithm,
+                                      reported, epsilon, oracle, nones, keys):
+    out = tmp_path / "rep.json"
+    assert cli.main(["run", "--instance", request.getfixturevalue(path_fixture),
+                     "--algorithm", algorithm, "--epsilon", "0.2", "--seed", "3",
+                     "--sample-override", "30", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["algorithm"] == reported and rep["seed"] == 3
+    assert rep["epsilon"] == epsilon and rep["oracle"] == oracle
+    assert {k for k in OPTIONAL if rep[k] is None} == nones
+    assert set(rep["solution"]) == keys
+    assert rep["opt_value"] > 0 and rep["ratio"] == rep["value"] / rep["opt_value"]
+    if reported == "brute-force":
+        assert rep["opt_value"] == rep["value"]
+    if algorithm == "dr":
+        assert rep["f_queries"] == 0
+    if reported != algorithm:
+        assert rep["delegated"] == algorithm
+
+
+def slow_opt_check(monkeypatch):
+    """Make the ground-truth check take 0.5 s more, answering as before."""
+    real = cli._opt_for
+
+    def slow(*args, **kwargs):
+        time.sleep(0.5)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_opt_for", slow)
+
+
+def test_run_clock_leaves_out_the_opt_check(cut6_path, tmp_path, monkeypatch):
+    fast, slow = tmp_path / "fast.json", tmp_path / "slow.json"
+    argv = ["run", "--instance", cut6_path, "--algorithm", "double-greedy", "--out"]
+    assert cli.main(argv + [str(fast)]) == 0
+    slow_opt_check(monkeypatch)
+    assert cli.main(argv + [str(slow)]) == 0
+    fast, slow = json.loads(fast.read_text()), json.loads(slow.read_text())
+    assert slow["opt_value"] == fast["opt_value"]
+    assert slow["wall_time_ms"] < 500
+
+
+def test_sweep_clock_leaves_out_the_opt_check(tmp_path, monkeypatch):
+    slow_opt_check(monkeypatch)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--algorithm", "double-greedy", "--n-values", "6",
+                     "--seeds-per-cell", "1", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [r["seed"] for r in rows] == ["0", "mean", "stddev"]
+    assert all(float(r["wall_ms"]) < 500 for r in rows)
 
 
 # -- flag errors (exit 2, message names the flag) -----------------------------------

@@ -83,7 +83,6 @@ def test_oracle_accounting(frozen_quad):
     assert oracle.rounds_meter.queries == 6
     assert oracle.F_queries == 4           # 3 values + 1 fused
     assert oracle.grad_queries == 2 * 3    # n=2 per gradient point
-    assert oracle.f_queries == 0
 
 
 def test_oracle_gradient_matches_finite_differences():

@@ -1,9 +1,10 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module,
+and every local a function assigns is read by that function.
 
-The check walks the AST of the package and of the tests.  A name counts
-as used when the module reads it anywhere (an attribute chain such as
-np.zeros reads np) or lists it in __all__, which is how the package
-re-exports its public names.
+The checks walk the AST of the package and of the tests.  An imported
+name counts as used when the module reads it anywhere (an attribute
+chain such as np.zeros reads np) or lists it in __all__, which is how
+the package re-exports its public names.
 """
 
 import ast
@@ -39,3 +40,57 @@ def test_no_unused_imports():
     found = [f"{p.relative_to(ROOT)}: {name}"
              for p in SOURCES for name in unused_imports(p.read_text())]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def _own_scope(fn):
+    """Every node of a function body outside its nested functions and classes."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def dead_locals(source):
+    """`function: name` for each `name = expr` in a function body whose
+    function, nested functions included, never reads that name.  An
+    assignment in a class body nested in a function binds an attribute,
+    not a local, and is not checked."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+        found.extend(f"{fn.name}: {node.targets[0].id}" for node in _own_scope(fn)
+                     if isinstance(node, ast.Assign) and len(node.targets) == 1
+                     and isinstance(node.targets[0], ast.Name)
+                     and node.targets[0].id not in read)
+    return sorted(found)
+
+
+def test_dead_locals_detected():
+    src = ("def f(a):\n"
+           "    k = a.size\n"
+           "    n = a.n\n"
+           "    t = 0\n"
+           "    t += 1\n"
+           "    def g():\n"
+           "        return n\n"
+           "    class Spy:\n"
+           "        m = 1\n"
+           "    return g, Spy\n")
+    assert dead_locals(src) == ["f: k"]
+
+
+def test_no_dead_locals():
+    found = [f"{p.relative_to(ROOT)}: {site}"
+             for p in SOURCES for site in dead_locals(p.read_text())]
+    assert not found, "locals assigned and never read:\n" + "\n".join(found)
