@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multilinear import CLAMP_TOL
+from .multilinear import CLAMP_TOL, sample_set
 from .reports import IterationTrace
 
 
@@ -268,8 +268,6 @@ def run_continuous(moracle, epsilon, seed=0):
     output; the rounded sample is drawn with the given seed and its set
     value evaluated (one extra round).
     """
-    from .multilinear import sample_set
-
     core = run_core(moracle, epsilon)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 0x526e64)))
     rounded = sample_set(core.x, rng)

@@ -175,7 +175,7 @@ def discrete_update(set_oracle, X, Y, epsilon, seed, iteration, m=None):
     a, b = g[0], -g[1]
     potential = float((a + b).sum())
     r = compute_rates(a, b)
-    gamma = epsilon * float((a + b).sum())
+    gamma = epsilon * potential
     rhs = float(a @ r + b @ (1.0 - r)) - 2.0 * gamma
 
     # round 2: G estimates for the whole grid

@@ -22,6 +22,9 @@ mode, thresholding the shared panel at those forced arguments gives the
 panel's base set S with u added or removed, so the estimate is the mean
 over draws of the marginal f(S+u) - f(S-u): one marginal-gain round of
 the set oracle.
+
+ContinuousOracle holds the batched protocol that this oracle and the
+box oracle of drbox.py share with the continuous driver.
 """
 
 import numpy as np
@@ -39,12 +42,12 @@ class ExactTooLarge(ValueError):
 
 def clamp01(x, n=None):
     """Validate a fractional point, clamping coordinates within CLAMP_TOL
-    of [0,1]."""
+    of [0,1]; NaN fails both bounds, so it is refused too."""
     x = np.asarray(x, dtype=np.float64)
     if n is not None and x.shape != (n,):
         raise ValueError(f"point has shape {x.shape}, expected ({n},)")
-    if (x < -CLAMP_TOL).any() or (x > 1 + CLAMP_TOL).any():
-        raise OutOfBox("coordinate outside [0,1] beyond tolerance")
+    if not ((x >= -CLAMP_TOL) & (x <= 1 + CLAMP_TOL)).all():
+        raise OutOfBox("coordinate outside [0,1] beyond tolerance, or not finite")
     return np.clip(x, 0.0, 1.0)
 
 
@@ -66,7 +69,35 @@ def sample_set(x, rng):
     return rng.random(x.shape[0]) < x
 
 
-class MultilinearOracle:
+class ContinuousOracle:
+    """The continuous driver's batched protocol.  Each call checks its
+    batch with as_points and counts it: a value costs one F-query, a
+    partial F_PER_PARTIAL F-queries and one grad-query.  Subclasses give
+    n, rounds_meter and _answer(pts, grads, values), which answers in
+    one adaptive round with the gradients, the values or both."""
+
+    F_PER_PARTIAL = 0
+    F_queries = 0         # meters; the first count makes them per instance
+    grad_queries = 0
+
+    def value_batch(self, points):
+        return self._batch(points, grads=False, values=True)
+
+    def gradient_batch(self, points):
+        return self._batch(points, grads=True, values=False)
+
+    def grad_and_value_batch(self, points):
+        return self._batch(points, grads=True, values=True)
+
+    def _batch(self, points, grads, values):
+        pts = as_points(points, self.n)
+        partials = pts.size if grads else 0
+        self.F_queries += (pts.shape[0] if values else 0) + self.F_PER_PARTIAL * partials
+        self.grad_queries += partials
+        return self._answer(pts, grads, values)
+
+
+class MultilinearOracle(ContinuousOracle):
     """Extension-value and gradient oracle over a batched set oracle.
 
     mode    -- "exact" (n <= EXACT_LIMIT) or "sampled"
@@ -76,6 +107,8 @@ class MultilinearOracle:
     F_queries counts extension arguments answered; adaptive rounds and
     f-queries accumulate in the set oracle's accounting.
     """
+
+    F_PER_PARTIAL = 2     # a partial is the difference of two F values
 
     def __init__(self, set_oracle, mode="exact", samples=1000, rng=None):
         if mode not in ("exact", "sampled"):
@@ -89,7 +122,6 @@ class MultilinearOracle:
         self.mode = mode
         self.samples = int(samples)
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.F_queries = 0
         self._fold_work = []          # scratch reused by every exact fold
 
     @property
@@ -104,48 +136,21 @@ class MultilinearOracle:
     def f_queries(self):
         return self.set_oracle.accounting.queries
 
-    # -- public batched calls (one adaptive round each) -----------------
-
-    def value_batch(self, points):
-        args = as_points(points, self.n)
-        self.F_queries += args.shape[0]
+    def _answer(self, pts, grads, values):
         if self.mode == "exact":
-            return _fold_grad_eval(self._power_set_values(), args, grads=False,
-                                   work=self._fold_work)
-        vals = self.set_oracle.eval_batch(self._draws(args))
-        return vals.reshape(args.shape[0], self.samples).mean(axis=1)
-
-    def gradient_batch(self, points):
-        pts = as_points(points, self.n)
+            # one round over the power set, read from the gateway's table
+            table = self.set_oracle.eval_batch(self.set_oracle.power_set_rows())
+            out = _fold_grad_eval(table, pts, grads=grads, work=self._fold_work)
+            return out if values else out[0]
         P, n = pts.shape
-        self.F_queries += 2 * n * P
-        if self.mode == "exact":
-            grads, _ = _fold_grad_eval(self._power_set_values(), pts, work=self._fold_work)
-            return grads
-        return self._sampled_marginals(pts, values=False)
-
-    def grad_and_value_batch(self, points):
-        """Gradients and values of the same points in one round."""
-        pts = as_points(points, self.n)
-        P, n = pts.shape
-        self.F_queries += (2 * n + 1) * P
-        if self.mode == "exact":
-            return _fold_grad_eval(self._power_set_values(), pts, work=self._fold_work)
-        return self._sampled_marginals(pts, values=True)
-
-    # -- internals -------------------------------------------------------
-
-    def _power_set_values(self):
-        # one round over the power set, read from the gateway's table
-        return self.set_oracle.eval_batch(self.set_oracle.power_set_rows())
-
-    def _sampled_marginals(self, pts, values):
+        k = self.samples
+        draws = self._draws(pts)
+        if not grads:
+            return self.set_oracle.eval_batch(draws).reshape(P, k).mean(axis=1)
         # thresholding the panel at a point's coordinate-forced arguments
         # gives each draw S of the point itself with u added or removed,
         # so the partials are mean marginals over the point's draws
-        P, n = pts.shape
-        k = self.samples
-        out = self.set_oracle.eval_marginals(self._draws(pts), values=values)
+        out = self.set_oracle.eval_marginals(draws, values=values)
         if not values:
             return out.reshape(P, k, n).mean(axis=1)
         marg, vals = out

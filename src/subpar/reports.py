@@ -57,10 +57,8 @@ class RunReport:
             self.ratio = self.value / self.opt_value
 
     def to_dict(self):
-        d = {"schema": SCHEMA_VERSION}
-        d.update(asdict(self))
-        d["trace"] = [asdict(t) if not isinstance(t, dict) else t for t in self.trace]
-        return d
+        # asdict recurses into the trace's dataclasses too
+        return {"schema": SCHEMA_VERSION, **asdict(self)}
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"

@@ -16,10 +16,11 @@ from subpar import (MultilinearOracle, ParamOutOfRange, SetOracle,
                     run_core, update)
 from subpar.continuous import ContinuousState, first_step, preprocess_grid, update_grid
 from subpar.instances import CutInstance
+from subpar.multilinear import ContinuousOracle
 from subpar.oracles import OracleAccounting
 
 
-class StubOracle:
+class StubOracle(ContinuousOracle):
     """Scripted value/gradient oracle for exercising driver branches."""
 
     def __init__(self, n, value=1.0, base_grad=1.0, sweep_grad=None):
@@ -28,27 +29,19 @@ class StubOracle:
         self.base_grad = base_grad       # gradient at x and y rows
         self.sweep_grad = sweep_grad     # +/- this at even/odd sweep rows
         self.rounds_meter = OracleAccounting()
-        self.F_queries = 0
 
-    def value_batch(self, pts):
-        pts = np.atleast_2d(pts)
+    def _answer(self, pts, grads, values):
         self.rounds_meter.charge(pts.shape[0])
-        return np.full(pts.shape[0], self.value)
-
-    def gradient_batch(self, pts):
-        pts = np.atleast_2d(pts)
-        self.rounds_meter.charge(pts.shape[0])
+        v = np.full(pts.shape[0], self.value)
+        if not grads:
+            return v
         g = np.full((pts.shape[0], self.n), self.base_grad)
+        if values:
+            return g, v
         if self.sweep_grad is not None:
             g[0::2] = -self.sweep_grad
             g[1::2] = self.sweep_grad
         return g
-
-    def grad_and_value_batch(self, pts):
-        pts = np.atleast_2d(pts)
-        self.rounds_meter.charge(pts.shape[0])
-        g = np.full((pts.shape[0], self.n), self.base_grad)
-        return g, np.full(pts.shape[0], self.value)
 
 
 # -- rates ---------------------------------------------------------------------

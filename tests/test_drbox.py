@@ -61,14 +61,18 @@ def test_oracle_guard(frozen_quad):
     assert v == pytest.approx(1.0)
 
 
-def test_oracle_checks_the_batch_before_charging(frozen_quad):
-    oracle = QuadraticContinuousOracle(frozen_quad)
-    for bad in ([[0.5, 0.5, 0.5]],                 # wrong width
-                np.full((2, 2, 2), 0.5),           # 3-D batch
-                [[0.5, 1.5]]):                     # outside the cube
+@pytest.mark.parametrize("kind", ["dr", "exact", "sampled"])
+def test_oracle_checks_the_batch_before_charging(frozen_quad, kind):
+    oracle = (QuadraticContinuousOracle(frozen_quad) if kind == "dr" else
+              MultilinearOracle(SetOracle(frozen_quad), mode=kind, samples=50))
+    for bad, error in (([[0.5, 0.5, 0.5]], ValueError),           # wrong width
+                       (np.full((2, 2, 2), 0.5), ValueError),     # 3-D batch
+                       ([[0.5, 1.5]], OutOfBox),                  # outside the cube
+                       ([[0.5, 0.5], [np.nan, 0.5]], OutOfBox),   # not a number
+                       ([[0.5, np.inf]], OutOfBox)):              # infinite
         for call in (oracle.value_batch, oracle.gradient_batch,
                      oracle.grad_and_value_batch):
-            with pytest.raises(ValueError):
+            with pytest.raises(error):
                 call(bad)
     assert oracle.rounds_meter.snapshot() == (0, 0)
     assert (oracle.F_queries, oracle.grad_queries) == (0, 0)

@@ -1,5 +1,6 @@
 """Source hygiene: every name a module imports is used in that module,
-and every local a function assigns is read by that function.
+every local a function assigns is read by that function, and every
+package name the benchmark hooks into still exists.
 
 The checks walk the AST of the package and of the tests.  An imported
 name counts as used when the module reads it anywhere (an attribute
@@ -8,6 +9,7 @@ the package re-exports its public names.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,3 +96,23 @@ def test_no_dead_locals():
     found = [f"{p.relative_to(ROOT)}: {site}"
              for p in SOURCES for site in dead_locals(p.read_text())]
     assert not found, "locals assigned and never read:\n" + "\n".join(found)
+
+
+def test_benchmark_hooks_resolve():
+    # perfbench wraps ENTRY_POINTS by name and imports names from subpar;
+    # a rename would otherwise surface only when the benchmark runs
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)         # stdlib only: it imports no subpar
+    for _, owner_path, attr in spans.ENTRY_POINTS:
+        mod_path, _, name = owner_path.rpartition(".")
+        owner = getattr(importlib.import_module(mod_path), name)
+        assert callable(getattr(owner, attr, None)), f"{owner_path}.{attr}"
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    names = [a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "subpar"
+             for a in node.names]
+    subpar = importlib.import_module("subpar")
+    missing = [name for name in names if not hasattr(subpar, name)]
+    assert names and not missing, f"not in subpar: {missing}"
+    assert callable(importlib.import_module("subpar.oracles").default_threads)

@@ -361,6 +361,8 @@ def test_clamp01():
     assert x.min() == 0.0 and x.max() == 1.0
     with pytest.raises(ValueError):
         clamp01(np.array([0.5, 1.01]))
+    with pytest.raises(OutOfBox):
+        clamp01(np.array([0.5, np.nan]))
     with pytest.raises(ValueError):
         clamp01(np.array([0.5]), n=2)
 
