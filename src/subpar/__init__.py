@@ -20,9 +20,8 @@ from .continuous import (ContinuousState, ParamOutOfRange, StateInvariantViolati
                          compute_rates, pre_process, run_continuous, run_core, update)
 from .discrete import (DiscreteParams, discrete_preprocess, discrete_update,
                        estimate_tau, finalize, g_estimates, round_step, run_discrete)
-from .drbox import (BoxDomain, QuadraticContinuousOracle, grid_search_optimum,
-                    rescale_to_cube, run_dr)
-from .instances import (CoverageInstance, CutInstance, InvalidInstance,
+from .drbox import QuadraticContinuousOracle, grid_search_optimum, rescale_to_cube, run_dr
+from .instances import (BoxDomain, CoverageInstance, CutInstance, InvalidInstance,
                         MultilinearQuadraticInstance, NonNegativityViolation, OutOfBox,
                         UnreadableInstance, dump_instance, generate_random_instance,
                         load_instance)

@@ -21,7 +21,7 @@ from . import __version__
 from .baselines import BRUTE_LIMIT, TooLarge, brute_force, double_greedy, random_half
 from .continuous import ParamOutOfRange, check_epsilon, run_continuous
 from .discrete import DiscreteParams, run_discrete
-from .drbox import BoxDomain, grid_search_optimum, run_dr
+from .drbox import grid_search_optimum, run_dr
 from .instances import (InvalidInstance, MultilinearQuadraticInstance,
                         NonNegativityViolation, UnreadableInstance,
                         generate_random_instance, load_instance)
@@ -174,26 +174,24 @@ def _opt_for(instance, box=None):
 
 def cmd_run(args, parser):
     _check_epsilon(args.algorithm, args.epsilon, parser)
-    instance, box_spec = _load(args.instance, parser)
+    instance, file_box = _load(args.instance, parser)
     instance_id = os.path.splitext(os.path.basename(args.instance))[0]
-    report = execute(instance, box_spec, instance_id, args, parser)
+    report = execute(instance, file_box, instance_id, args, parser)
     emit_report(report, args)
     return 0
 
 
-def execute(instance, box_spec, instance_id, args, parser):
+def execute(instance, file_box, instance_id, args, parser):
     """Run one algorithm and report it.  wall_time_ms times the solver
     only: the ground-truth OPT is computed after the clock stops."""
     alg = args.algorithm
     n = instance.n
     oracle_mode, oracle_k = _parse_oracle(args.oracle, parser)
     _check_exact_size(alg, oracle_mode, n, parser)
-    box = None
-    if alg == "dr":
-        if not isinstance(instance, MultilinearQuadraticInstance):
-            parser.error("--algorithm: dr requires a quadratic instance "
-                         f"(got kind {instance.kind!r})")
-        box = BoxDomain(*box_spec) if box_spec is not None else None
+    box = file_box if alg == "dr" else None     # only dr runs on the file's box
+    if alg == "dr" and not isinstance(instance, MultilinearQuadraticInstance):
+        parser.error("--algorithm: dr requires a quadratic instance "
+                     f"(got kind {instance.kind!r})")
     delegated = None
     if alg in ("continuous", "discrete") and n < SMALL_N:
         delegated = alg

@@ -16,12 +16,11 @@ contracts the pair until they meet:
 All comparisons are plain <=; the thresholds carry their own slack.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .multilinear import CLAMP_TOL, sample_set
+from .multilinear import in_cube, sample_set
 from .reports import IterationTrace
 
 
@@ -47,13 +46,12 @@ class ContinuousState:
     def validate(self):
         if not (0.0 <= self.delta <= 1.0):
             raise StateInvariantViolation(f"delta={self.delta} outside [0,1]")
+        if not (in_cube(self.x) and in_cube(self.y)):
+            raise StateInvariantViolation("coordinate outside [0,1], or not finite")
         gap = self.y - self.x - self.delta
         if np.abs(gap).max() > _CHAIN_TOL:
             raise StateInvariantViolation(
                 f"y - x deviates from delta*ones by {np.abs(gap).max():g}")
-        for v in (self.x, self.y):
-            if (v < -CLAMP_TOL).any() or (v > 1 + CLAMP_TOL).any():
-                raise StateInvariantViolation("coordinate outside [0,1]")
         return self
 
 
@@ -64,8 +62,8 @@ def check_epsilon(epsilon):
 
 
 def _clamp_box(v):
-    if (v < -CLAMP_TOL).any() or (v > 1 + CLAMP_TOL).any():
-        raise StateInvariantViolation("coordinate left [0,1] beyond tolerance")
+    if not in_cube(v):
+        raise StateInvariantViolation("coordinate left [0,1] beyond tolerance, or not finite")
     return np.clip(v, 0.0, 1.0)
 
 
@@ -85,13 +83,6 @@ def compute_rates(a, b):
     return r
 
 
-def check_grid_epsilon(epsilon, upper=math.inf):
-    """A step grid ends only for epsilon in (0, upper): past the bounds
-    (or at NaN) it repeats or shrinks its step forever."""
-    if not 0.0 < epsilon < upper:
-        raise ParamOutOfRange(f"grid needs epsilon in (0, {upper:g}), got {epsilon}")
-
-
 def geometric_grid(start, epsilon, stop):
     """The steps start * (1+eps)^j inside [start, stop), for start > 0
     and epsilon > 0 (the callers check epsilon)."""
@@ -105,13 +96,13 @@ def geometric_grid(start, epsilon, stop):
 
 def update_grid(epsilon, delta):
     """Geometric candidate step sizes eps^2 * (1+eps)^j inside [0, delta)."""
-    check_grid_epsilon(epsilon)
+    check_epsilon(epsilon)
     return geometric_grid(epsilon * epsilon, epsilon, delta)
 
 
 def preprocess_grid(epsilon):
     """Arithmetic candidate offsets eps*j inside [eps, 1/2)."""
-    check_grid_epsilon(epsilon)
+    check_epsilon(epsilon)
     pts = []
     j = 1
     while epsilon * j < 0.5:
@@ -139,12 +130,10 @@ def pre_process(oracle, tau, epsilon):
         raise ParamOutOfRange(f"tau must be >= 0, got {tau}")
     n = oracle.n
     grid = preprocess_grid(epsilon)
-    cond = np.empty(0)
-    if grid.size:   # epsilon >= 1/2 leaves nothing to scan
-        ones = np.ones(n)
-        pts = np.concatenate([np.stack([d * ones, (1 - d) * ones]) for d in grid])
-        grads = oracle.gradient_batch(pts)             # one round
-        cond = (grads[0::2] - grads[1::2]).sum(axis=1)
+    ones = np.ones(n)
+    pts = np.concatenate([np.stack([d * ones, (1 - d) * ones]) for d in grid])
+    grads = oracle.gradient_batch(pts)                 # one round
+    cond = (grads[0::2] - grads[1::2]).sum(axis=1)
     chosen = first_step(grid, cond, 16.0 * tau, 0.5)
     x = np.full(n, chosen)
     y = np.full(n, 1.0 - chosen)

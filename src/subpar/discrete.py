@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .continuous import (ParamOutOfRange, StateInvariantViolation, check_epsilon,
-                         check_grid_epsilon, compute_rates, first_step, geometric_grid,
-                         preprocess_grid)
+                         compute_rates, first_step, geometric_grid, preprocess_grid)
 from .oracles import ids_of, pair_gains, pair_rows
 from .reports import DiscreteIterationTrace
 
@@ -70,7 +69,7 @@ class DiscreteParams:
 
 def discrete_update_grid(epsilon):
     """Geometric step grid eps^2/ln(1/eps) * (1+eps)^j inside [0, 1)."""
-    check_grid_epsilon(epsilon, upper=1.0)
+    check_epsilon(epsilon)
     return geometric_grid(epsilon * epsilon / math.log(1.0 / epsilon), epsilon, 1.0)
 
 
@@ -109,16 +108,14 @@ def discrete_preprocess(set_oracle, tau, epsilon, seed, m=None):
     grid = preprocess_grid(epsilon)
     if m is None:
         m = DiscreteParams(epsilon=epsilon).preprocess_samples
-    G = np.empty(0)
-    if grid.size:
-        # one pair draw per coordinate u: [grid point, sample, X/Y side, u, element]
-        bases = np.empty((grid.size, m, 2, n, n), dtype=bool)
-        for g, d in enumerate(grid):
-            u_mat = _stream(seed, 2, g).random((m, n, n))
-            bases[g, :, 0], bases[g, :, 1] = _pair_draw(u_mat, d)
-        gains = pair_gains(set_oracle, bases.reshape(-1, n, n), np.arange(n))  # one round
-        gains = gains.reshape(grid.size, m, 2, n)
-        G = (gains[:, :, 0] - gains[:, :, 1]).sum(axis=2).mean(axis=1)
+    # one pair draw per coordinate u: [grid point, sample, X/Y side, u, element]
+    bases = np.empty((grid.size, m, 2, n, n), dtype=bool)
+    for g, d in enumerate(grid):
+        u_mat = _stream(seed, 2, g).random((m, n, n))
+        bases[g, :, 0], bases[g, :, 1] = _pair_draw(u_mat, d)
+    gains = pair_gains(set_oracle, bases.reshape(-1, n, n), np.arange(n))  # one round
+    gains = gains.reshape(grid.size, m, 2, n)
+    G = (gains[:, :, 0] - gains[:, :, 1]).sum(axis=2).mean(axis=1)
     delta = first_step(grid, G, 30.0 * tau, 0.5)
     rng = _stream(seed, 3)
     in_x, in_y = _pair_draw(rng.random(n), delta)

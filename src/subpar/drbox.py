@@ -22,39 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuous import ParamOutOfRange, check_epsilon, run_core
-from .instances import InvalidInstance, MultilinearQuadraticInstance, OutOfBox
+from .instances import BoxDomain, InvalidInstance, MultilinearQuadraticInstance
 from .multilinear import ContinuousOracle
 from .oracles import OracleAccounting
-
-
-@dataclass
-class BoxDomain:
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=np.float64)
-        self.upper = np.asarray(self.upper, dtype=np.float64)
-        if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
-            raise InvalidInstance(f"box needs two vectors of one length, got shapes "
-                                  f"{self.lower.shape} and {self.upper.shape}")
-        for name, side in (("lower", self.lower), ("upper", self.upper)):
-            if not np.isfinite(side).all():
-                raise InvalidInstance(f"box {name} must be finite")
-        if not (self.lower <= self.upper).all():
-            raise OutOfBox("box needs lower <= upper in every coordinate")
-
-    @property
-    def n(self):
-        return self.lower.size
-
-    @property
-    def width(self):
-        return self.upper - self.lower
-
-    def embed(self, z):
-        """Map a unit-cube point to box coordinates."""
-        return self.lower + self.width * np.asarray(z, dtype=np.float64)
 
 
 def _require_quadratic(instance):

@@ -9,7 +9,9 @@ All instances are immutable after construction and expose
                           form, which answers SetOracle.eval_marginals
 
 Every number an instance is built from must be finite; construction
-rejects NaN and infinities with InvalidInstance, naming the field.
+rejects NaN, infinities and integers beyond the float64 range with
+InvalidInstance, naming the field.  BoxDomain holds the box of a boxed
+quadratic, under the same rule.
 
 Quadratic instances additionally support fractional evaluation and an
 exact gradient; because their Hessian has zero diagonal they are
@@ -18,6 +20,7 @@ same polynomial.
 """
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,6 +71,11 @@ def _index(value, bound, what):
 
 
 def _finite(values, name):
+    """values as a float64 array, all finite."""
+    try:
+        values = np.asarray(values, dtype=np.float64)
+    except OverflowError:       # an integer beyond the float64 range
+        values = np.inf
     _require(np.isfinite(values).all(), f"{name} must be finite")
     return values
 
@@ -92,7 +100,7 @@ class CutInstance:
         clean = []
         for u, v, w in edges:
             u, v = _index(u, n, "edge endpoint"), _index(v, n, "edge endpoint")
-            w = _finite(float(w), f"edge weight on {(u, v)}")
+            w = float(_finite(w, f"edge weight on {(u, v)}"))
             _require(u != v, f"bad edge endpoint in {(u, v)}")
             _require(w >= 0, f"negative edge weight {w} on {(u, v)}")
             clean.append((u, v, w))
@@ -137,14 +145,17 @@ class CoverageInstance:
         n = self.n = _size(n, "n")
         universe_size = self.universe_size = _size(universe_size, "universe")
         _dense_budget(_COVER_BYTES * n * universe_size, f"n={n}, universe={universe_size}")
+        if n <= _VALIDATE_LIMIT:    # validation's (2^n, universe) float64 product
+            _dense_budget(8 * universe_size << n,
+                          f"validating all 2^{n} subsets at universe={universe_size}")
         cov = np.zeros((n, universe_size), dtype=bool)
         for u, items in covers.items():
             u = _index(u, n, "covering element")
             for it in items:
                 cov[u, _index(it, universe_size, "universe item")] = True
         self.covers = cov
-        self.weights = _finite(np.asarray(weights, dtype=np.float64), "weights")
-        self.costs = _finite(np.asarray(costs, dtype=np.float64), "costs")
+        self.weights = _finite(weights, "weights")
+        self.costs = _finite(costs, "costs")
         _require(self.weights.shape == (universe_size,),
                  f"weights must have length {universe_size}")
         _require(self.costs.shape == (n,), f"costs must have length {n}")
@@ -209,9 +220,9 @@ class MultilinearQuadraticInstance:
 
     def __init__(self, n, c, h, H, validate=True):
         n = self.n = _size(n, "n")
-        self.c = _finite(float(c), "c")
-        self.h = _finite(np.asarray(h, dtype=np.float64), "h")
-        self.H = _finite(np.asarray(H, dtype=np.float64), "H")
+        self.c = float(_finite(c, "c"))
+        self.h = _finite(h, "h")
+        self.H = _finite(H, "H")
         _require(self.h.shape == (n,), f"h must have length {n}")
         _require(self.H.shape == (n, n), f"H must be {n} x {n}")
         _require(np.allclose(self.H, self.H.T), "H must be symmetric")
@@ -267,6 +278,35 @@ class MultilinearQuadraticInstance:
     def to_json_dict(self):
         return {"kind": "quadratic", "n": self.n, "c": self.c,
                 "h": self.h.tolist(), "H": self.H.tolist()}
+
+
+@dataclass
+class BoxDomain:
+    """The box [lower, upper] of a box-constrained run: two finite
+    vectors of one length with lower <= upper."""
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __post_init__(self):
+        self.lower = _finite(self.lower, "box lower")
+        self.upper = _finite(self.upper, "box upper")
+        _require(self.lower.ndim == 1 and self.lower.shape == self.upper.shape,
+                 f"box needs two vectors of one length, got shapes "
+                 f"{self.lower.shape} and {self.upper.shape}")
+        if not (self.lower <= self.upper).all():
+            raise OutOfBox("box needs lower <= upper in every coordinate")
+
+    @property
+    def n(self):
+        return self.lower.size
+
+    @property
+    def width(self):
+        return self.upper - self.lower
+
+    def embed(self, z):
+        """Map a unit-cube point to box coordinates."""
+        return self.lower + self.width * np.asarray(z, dtype=np.float64)
 
 
 # -- generators -----------------------------------------------------------
@@ -374,7 +414,7 @@ def instance_from_json_dict(d):
 
 
 def load_instance(path):
-    """(instance, box or None) from a JSON file; schema errors raise
+    """(instance, BoxDomain or None) from a JSON file; schema errors raise
     InvalidInstance, a file that is no instance at all UnreadableInstance."""
     try:
         with open(path) as fh:
@@ -382,15 +422,14 @@ def load_instance(path):
         inst = instance_from_json_dict(d)
         box = None
         if "lower" in d or "upper" in d:
-            lower = np.asarray(d.get("lower", [0.0] * inst.n), dtype=float)
-            upper = np.asarray(d.get("upper", [1.0] * inst.n), dtype=float)
-            for name, side in (("lower", lower), ("upper", upper)):
-                _require(side.shape == (inst.n,), f"{name} must have length {inst.n}")
-                _require(np.isfinite(side).all(), f"{name} must be finite")
-            _require((lower <= upper).all(), "box needs lower <= upper in every coordinate")
-            box = (lower, upper)
+            sides = d.get("lower", [0.0] * inst.n), d.get("upper", [1.0] * inst.n)
+            for name, side in zip(("lower", "upper"), sides):
+                _require(np.shape(side) == (inst.n,), f"{name} must have length {inst.n}")
+            box = BoxDomain(*sides)
     except (InvalidInstance, NonNegativityViolation):
         raise
+    except OutOfBox as e:       # the file's box is instance data
+        raise InvalidInstance(str(e)) from e
     except (KeyError, ValueError, TypeError) as e:
         raise UnreadableInstance(f"cannot parse {path}: {e}") from e
     return inst, box
@@ -398,10 +437,9 @@ def load_instance(path):
 
 def dump_instance(inst, path, box=None):
     d = inst.to_json_dict()
-    if box is not None:
-        lower, upper = box
-        d["lower"] = list(map(float, lower))
-        d["upper"] = list(map(float, upper))
+    if box is not None:         # a BoxDomain, as load_instance returns it
+        d["lower"] = list(map(float, box.lower))
+        d["upper"] = list(map(float, box.upper))
     with open(path, "w") as fh:
         json.dump(d, fh, indent=1, sort_keys=True)
         fh.write("\n")

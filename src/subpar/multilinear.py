@@ -40,13 +40,20 @@ class ExactTooLarge(ValueError):
     """Exact mode requested for a ground set beyond EXACT_LIMIT."""
 
 
+def in_cube(x):
+    """Whether every coordinate lies within CLAMP_TOL of [0,1]; NaN fails
+    both bounds, so it is outside."""
+    x = np.asarray(x)
+    return bool(((x >= -CLAMP_TOL) & (x <= 1 + CLAMP_TOL)).all())
+
+
 def clamp01(x, n=None):
     """Validate a fractional point, clamping coordinates within CLAMP_TOL
     of [0,1]; NaN fails both bounds, so it is refused too."""
     x = np.asarray(x, dtype=np.float64)
     if n is not None and x.shape != (n,):
         raise ValueError(f"point has shape {x.shape}, expected ({n},)")
-    if not ((x >= -CLAMP_TOL) & (x <= 1 + CLAMP_TOL)).all():
+    if not in_cube(x):
         raise OutOfBox("coordinate outside [0,1] beyond tolerance, or not finite")
     return np.clip(x, 0.0, 1.0)
 
@@ -198,7 +205,8 @@ def _fold_grad_eval(table, pts, elem_budget=1 << 18, work=None, grads=True):
     """
     P, n = pts.shape
     size = table.size
-    assert size == 1 << n
+    if size != 1 << n:
+        raise ValueError(f"table has {size} values, expected 2^{n} = {1 << n}")
     vals = np.empty(P)
     out = np.empty((P, n)) if grads else None
     top = size >> 1

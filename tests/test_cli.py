@@ -358,7 +358,15 @@ def test_negative_weight_instance_names_flag(tmp_path, optimize):
     ({"kind": "cut", "n": 10 ** 6, "edges": []}, "n=1000000 needs"),
     ({"kind": "coverage", "n": 10 ** 6, "universe": 10 ** 6, "covers": {},
       "weights": [], "costs": []}, "n=1000000, universe=1000000 needs"),
-], ids=["cut", "coverage", "quadratic", "negative-quadratic-n21", "huge-cut", "huge-coverage"])
+    # a weight beyond the float64 range is read as an infinity
+    ({"kind": "cut", "n": 3, "edges": [[0, 1, 10 ** 400]]},
+     "edge weight on (0, 1) must be finite"),
+    # validating every subset of n=20 would need 781 GiB at this universe
+    ({"kind": "coverage", "n": 20, "universe": 10 ** 5, "covers": {"0": [0]},
+      "weights": [1.0] * 10 ** 5, "costs": [0.0] * 20},
+     "validating all 2^20 subsets at universe=100000 needs"),
+], ids=["cut", "coverage", "quadratic", "negative-quadratic-n21", "huge-cut", "huge-coverage",
+        "huge-int-weight", "coverage-validation"])
 def test_non_finite_instance_names_flag(tmp_path, doc, message, optimize):
     p = tmp_path / "nonfinite.json"
     p.write_text(json.dumps(doc) + "\n")              # NaN and Infinity are JSON to Python

@@ -84,7 +84,6 @@ def test_preprocess_grid_frozen():
     assert np.abs(g - [0.1, 0.2, 0.3, 0.4]).max() < 1e-12
     for eps in (0.2, 0.1, 0.05):
         assert preprocess_grid(eps).size <= math.floor(0.5 / eps)
-    assert preprocess_grid(0.6).size == 0
 
 
 # -- step rule ------------------------------------------------------------------
@@ -120,15 +119,10 @@ def test_pre_process_fallback_to_half():
     assert (state.x == 0.5).all() and (state.y == 0.5).all()
 
 
-def test_pre_process_empty_grid():
-    oracle = StubOracle(3)
-    state = pre_process(oracle, tau=1.0, epsilon=0.6)
-    assert state.delta == 0.0 and (state.x == 0.5).all()
-
-
-@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan])
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, 1 / 3, 0.5, 0.6])
 def test_grids_reject_an_epsilon_they_never_finish(k2, eps):
-    # a step of eps <= 0 never reaches the end of either grid
+    # a step of eps <= 0 never reaches the end of either grid; the grids
+    # share the drivers' window (0, 1/3), so a pre-processing grid is never empty
     oracle = MultilinearOracle(SetOracle(k2), mode="exact")
     with pytest.raises(ParamOutOfRange, match="epsilon"):
         pre_process(oracle, tau=0.5, epsilon=eps)
@@ -166,6 +160,24 @@ def test_update_rejects_exhausted_state():
         update(oracle, state, gamma=0.1, epsilon=0.1)
 
 
+class OpposedInfOracle(StubOracle):
+    """Gradient +inf at x and -inf at y: both rates read inf / inf = NaN."""
+
+    def _answer(self, pts, grads, values):
+        g, v = super()._answer(pts, grads, values)
+        g[1::2] = -g[1::2]
+        return g, v
+
+
+def test_update_refuses_a_nan_step():
+    # delta below the first grid point: no sweep round, the step is the gap
+    oracle = OpposedInfOracle(2, base_grad=np.inf)
+    state = ContinuousState(x=np.full(2, 0.4), y=np.full(2, 0.405), delta=0.005)
+    with np.errstate(invalid="ignore"), pytest.raises(StateInvariantViolation,
+                                                      match="not finite"):
+        update(oracle, state, gamma=0.1, epsilon=0.1)
+
+
 def test_update_fallback_closes_the_gap():
     # scripted gradients never certify a grid step: lhs = base > rhs
     oracle = StubOracle(3, base_grad=1.0)
@@ -181,6 +193,9 @@ def test_state_validation():
     with pytest.raises(StateInvariantViolation):
         ContinuousState(x=np.array([0.0, -0.1]), y=np.array([1.0, 0.9]),
                         delta=1.0).validate()
+    # a NaN gap passes the gap test, so the cube test must come first
+    with pytest.raises(StateInvariantViolation, match="not finite"):
+        ContinuousState(x=[math.nan, 0.2], y=[math.nan, 0.7], delta=0.5).validate()
     ContinuousState(x=np.zeros(2), y=np.ones(2), delta=1.0).validate()
 
 

@@ -100,9 +100,10 @@ def test_discrete_preprocess_rejects_epsilon_at_or_below_zero(eps):
     assert so.accounting.rounds == 0
 
 
-@pytest.mark.parametrize("eps", [0.0, -0.1, 1.0, 2.0])
+@pytest.mark.parametrize("eps", [0.0, -0.1, 1 / 3, 0.5, 1.0, 2.0])
 def test_discrete_update_grid_rejects_epsilon_outside_0_1(eps):
-    # ln(1/eps) must be positive, or the geometric grid never reaches 1
+    # ln(1/eps) must be positive, or the geometric grid never reaches 1;
+    # the grid shares the drivers' window (0, 1/3)
     with pytest.raises(ParamOutOfRange, match="epsilon"):
         discrete_update_grid(eps)
 

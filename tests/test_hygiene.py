@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
-every local a function assigns is read by that function, and every
-package name the benchmark hooks into still exists.
+every local a function assigns is read by that function, the package
+holds no assert statement, and every package name the benchmark hooks
+into still exists.
 
 The checks walk the AST of the package and of the tests.  An imported
 name counts as used when the module reads it anywhere (an attribute
@@ -96,6 +97,14 @@ def test_no_dead_locals():
     found = [f"{p.relative_to(ROOT)}: {site}"
              for p in SOURCES for site in dead_locals(p.read_text())]
     assert not found, "locals assigned and never read:\n" + "\n".join(found)
+
+
+def test_no_asserts_in_package():
+    # python -O strips assert statements; a check must raise a typed error
+    found = [f"{p.relative_to(ROOT)}:{node.lineno}"
+             for p in sorted((ROOT / "src" / "subpar").glob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text())) if isinstance(node, ast.Assert)]
+    assert not found, "assert statements:\n" + "\n".join(found)
 
 
 def test_benchmark_hooks_resolve():

@@ -7,12 +7,12 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subpar import (CoverageInstance, CutInstance, InvalidInstance, MultilinearQuadraticInstance,
-                    NonNegativityViolation, UnreadableInstance, dump_instance,
-                    generate_random_instance, load_instance)
+from subpar import (BoxDomain, CoverageInstance, CutInstance, InvalidInstance,
+                    MultilinearQuadraticInstance, NonNegativityViolation, UnreadableInstance,
+                    dump_instance, generate_random_instance, load_instance)
 from subpar.instances import (check_nonnegative_exhaustive, check_submodular_exhaustive,
                               instance_from_json_dict)
 from subpar.oracles import all_subsets_matrix
@@ -175,6 +175,19 @@ def test_dense_matrix_budget_checked_before_allocating():
     assert CoverageInstance(200, 400, {0: [399]}, np.ones(400), np.zeros(200)).n == 200
 
 
+def test_coverage_validation_budget_checked_before_allocating():
+    # validating n=20 evaluates all 2^20 subsets at once, through a
+    # (2^20, universe) float64 product: 781 GiB at this universe
+    universe = 100_000
+    with pytest.raises(InvalidInstance,
+                       match="validating all 2\\^20 subsets at universe=100000 needs "
+                             "838,860,800,000 bytes"):
+        CoverageInstance(20, universe, {0: [0]}, np.ones(universe), np.zeros(20))
+    # just past the budget; 128 items would fit exactly
+    with pytest.raises(InvalidInstance, match="universe=129 needs"):
+        CoverageInstance(20, 129, {0: [0]}, np.ones(129), np.zeros(20))
+
+
 def test_quadratic_gradient_batch_matches_single():
     q = generate_random_instance("quadratic", 5, 1)
     X = np.random.default_rng(2).random((6, 5))
@@ -239,10 +252,9 @@ def test_json_roundtrip(tmp_path, kind):
 def test_json_roundtrip_with_box(tmp_path):
     inst = generate_random_instance("quadratic", 3, 1)
     p = tmp_path / "b.json"
-    dump_instance(inst, p, box=(np.zeros(3), np.full(3, 2.0)))
+    dump_instance(inst, p, box=BoxDomain(np.zeros(3), np.full(3, 2.0)))
     back, box = load_instance(p)
-    lower, upper = box
-    assert list(lower) == [0.0] * 3 and list(upper) == [2.0] * 3
+    assert list(box.lower) == [0.0] * 3 and list(box.upper) == [2.0] * 3
 
 
 def test_boxed_quadratic_json_skips_unit_cube_validation(write_instance):
@@ -320,3 +332,41 @@ def test_load_instance_fuzz(data):
     m = all_subsets_matrix(inst.n)
     assert np.isfinite(inst.evaluate_batch(m)).all()
     assert np.isfinite(inst.marginals(m)).all()
+
+
+_HUGE = 10 ** 400       # an integer beyond the float64 range, legal JSON
+_NUMBER = st.integers(-1, 4) | st.sampled_from([_HUGE, -_HUGE]) | st.floats()
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBER | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=4),
+    max_leaves=12)
+# arbitrary JSON, or shaped like the schema's fields with arbitrary numbers
+_FIELD = (_JSON | st.lists(_NUMBER, max_size=4)
+          | st.lists(st.lists(_NUMBER, max_size=4), max_size=4)
+          | st.dictionaries(st.sampled_from(["0", "1", "x"]), st.lists(_NUMBER, max_size=3),
+                            max_size=3))
+_KEYS = ("edges", "universe", "covers", "weights", "costs", "c", "h", "H", "lower", "upper")
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.fixed_dictionaries(
+    {"kind": st.sampled_from(["cut", "coverage", "quadratic"]) | _JSON,
+     "n": st.integers(1, 4) | _JSON},
+    optional={key: _FIELD for key in _KEYS}))
+@example(doc={"kind": "cut", "n": 2, "edges": [[0, 1, _HUGE]]})
+@example(doc={"kind": "coverage", "n": 1, "universe": 1, "covers": {}, "weights": [_HUGE],
+              "costs": [0]})
+@example(doc={"kind": "quadratic", "n": 1, "c": _HUGE, "h": [0], "H": [[0]]})
+@example(doc={"kind": "quadratic", "n": 1, "h": [0], "H": [[0]], "upper": [_HUGE]})
+def test_load_instance_fuzz_any_json(doc):
+    # documents that need not resemble an instance: each loads or fails
+    # with a named error
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        try:
+            load_instance(path)
+        except (InvalidInstance, UnreadableInstance, NonNegativityViolation):
+            pass

@@ -134,6 +134,12 @@ def test_fold_chunking_is_invisible():
         assert np.array_equal(_fold_grad_eval(table, pts, budget, grads=False), v1)
 
 
+def test_fold_refuses_a_table_of_another_size():
+    # a typed error, so that python -O keeps the check
+    with pytest.raises(ValueError, match="table has 8 values, expected 2\\^2 = 4"):
+        _fold_grad_eval(np.zeros(8), np.full((1, 2), 0.5))
+
+
 def level_fold(table, z):
     """One point's value and gradient by the textbook fold: keep every
     level, recompute its difference in the adjoint sweep."""

@@ -57,6 +57,14 @@ def test_invalid_instance_becomes_finding(tmp_path):
     assert "negative edge weight" in findings[0].detail
 
 
+def test_number_beyond_float64_becomes_finding(tmp_path):
+    p = tmp_path / "huge_cut.json"
+    p.write_text(json.dumps({"kind": "cut", "n": 2, "edges": [[0, 1, 10 ** 400]]}) + "\n")
+    names, findings = run_verify(suites=["non-negativity"], instance_path=str(p))
+    assert [(f.suite, f.instance) for f in findings] == [("non-negativity", str(p))]
+    assert "edge weight on (0, 1) must be finite" in findings[0].detail
+
+
 def test_instance_error_is_a_finding_of_each_suite_that_reads_it(tmp_path):
     p = tmp_path / "neg_cut.json"
     p.write_text(json.dumps({"kind": "cut", "n": 2, "edges": [[0, 1, -0.5]]}) + "\n")
