@@ -145,18 +145,29 @@ def _check_exact_size(algorithm, oracle_mode, n, parser):
                      f"use sampled:K")
 
 
-def _load(path, parser):
+def _load(path, algorithm, parser):
+    """(instance, box) from --instance.  Only dr runs on the file's box;
+    any other algorithm reads the instance as a set function, so the box
+    is dropped and a boxed quadratic, built unchecked for its box, is
+    built again with the construction check."""
     if not os.path.exists(path):
         parser.error(f"--instance: file not found: {path}")
     try:
-        return load_instance(path)
+        instance, box = load_instance(path)
+        if box is not None and algorithm != "dr":
+            box = None
+            if isinstance(instance, MultilinearQuadraticInstance):
+                instance = MultilinearQuadraticInstance(instance.n, instance.c,
+                                                        instance.h, instance.H)
     except (InvalidInstance, NonNegativityViolation) as e:
         parser.error(f"--instance: invalid instance: {e}")
+    return instance, box
 
 
-def _opt_for(instance, box=None):
-    """Ground-truth optimum on a fresh oracle (not charged to the run)."""
-    if isinstance(instance, MultilinearQuadraticInstance):
+def _opt_for(instance, alg, box):
+    """Ground-truth optimum on a fresh oracle (not charged to the run):
+    a grid search over dr's box, brute force over the subsets otherwise."""
+    if alg == "dr":
         if instance.n > GRID_OPT_LIMIT:
             return None
         lo = box.lower if box is not None else None
@@ -174,21 +185,21 @@ def _opt_for(instance, box=None):
 
 def cmd_run(args, parser):
     _check_epsilon(args.algorithm, args.epsilon, parser)
-    instance, file_box = _load(args.instance, parser)
+    instance, box = _load(args.instance, args.algorithm, parser)
     instance_id = os.path.splitext(os.path.basename(args.instance))[0]
-    report = execute(instance, file_box, instance_id, args, parser)
+    report = execute(instance, box, instance_id, args, parser)
     emit_report(report, args)
     return 0
 
 
-def execute(instance, file_box, instance_id, args, parser):
-    """Run one algorithm and report it.  wall_time_ms times the solver
-    only: the ground-truth OPT is computed after the clock stops."""
+def execute(instance, box, instance_id, args, parser):
+    """Run one algorithm and report it; box is dr's (None: the unit
+    cube).  wall_time_ms times the solver only: the ground-truth OPT is
+    computed after the clock stops."""
     alg = args.algorithm
     n = instance.n
     oracle_mode, oracle_k = _parse_oracle(args.oracle, parser)
     _check_exact_size(alg, oracle_mode, n, parser)
-    box = file_box if alg == "dr" else None     # only dr runs on the file's box
     if alg == "dr" and not isinstance(instance, MultilinearQuadraticInstance):
         parser.error("--algorithm: dr requires a quadratic instance "
                      f"(got kind {instance.kind!r})")
@@ -250,7 +261,7 @@ def execute(instance, file_box, instance_id, args, parser):
                       delegated=delegated)
 
     wall_time_ms = (time.perf_counter() - t0) * 1000.0
-    opt = fields["value"] if alg == "brute-force" else _opt_for(instance, box)
+    opt = fields["value"] if alg == "brute-force" else _opt_for(instance, alg, box)
     return RunReport(instance_id=instance_id, algorithm=alg, seed=args.seed, n=n,
                      adaptive_rounds=meter.rounds,
                      f_queries=set_oracle.accounting.queries, opt_value=opt,

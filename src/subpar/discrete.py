@@ -77,11 +77,9 @@ def _stream(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed),) + tuple(int(k) for k in key)))
 
 
-def estimate_tau(set_oracle, epsilon, seed, m=None):
+def estimate_tau(set_oracle, epsilon, seed, m):
     """Mean set value over m fresh draws of the all-halves sampling, one round."""
     n = set_oracle.n
-    if m is None:
-        m = DiscreteParams(epsilon=epsilon).tau_samples
     rng = _stream(seed, 1)
     draws = rng.random((m, n)) < 0.5
     return float(set_oracle.eval_batch(draws).mean())
@@ -95,7 +93,7 @@ def _pair_draw(u_mat, delta):
     return in_x, in_y
 
 
-def discrete_preprocess(set_oracle, tau, epsilon, seed, m=None):
+def discrete_preprocess(set_oracle, tau, epsilon, seed, m):
     """Pick the starting offset delta and draw the initial (X, Y) pair.
 
     For each candidate offset the G estimator averages, over m fresh
@@ -106,8 +104,6 @@ def discrete_preprocess(set_oracle, tau, epsilon, seed, m=None):
     """
     n = set_oracle.n
     grid = preprocess_grid(epsilon)
-    if m is None:
-        m = DiscreteParams(epsilon=epsilon).preprocess_samples
     # one pair draw per coordinate u: [grid point, sample, X/Y side, u, element]
     bases = np.empty((grid.size, m, 2, n, n), dtype=bool)
     for g, d in enumerate(grid):
@@ -141,7 +137,7 @@ def round_step(X, Y, r, delta, rng):
     return X2, Y2
 
 
-def discrete_update(set_oracle, X, Y, epsilon, seed, iteration, m=None):
+def discrete_update(set_oracle, X, Y, epsilon, seed, iteration, m):
     """One contraction step of the discrete driver; two rounds when work
     remains, zero when X already equals Y.
 
@@ -164,8 +160,6 @@ def discrete_update(set_oracle, X, Y, epsilon, seed, iteration, m=None):
                                        x_size=int(X.sum()), y_size=int(Y.sum()),
                                        rounds_used=0, queries_used=0)
         return X.copy(), Y.copy(), trace
-    if m is None:
-        m = DiscreteParams(epsilon=epsilon).update_samples
 
     # round 1: marginals a_u = f(u|X), b_u = -f(u|Y-u)
     g = pair_gains(set_oracle, np.stack([X, Y]), idx)

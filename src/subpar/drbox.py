@@ -58,10 +58,11 @@ class QuadraticContinuousOracle(ContinuousOracle):
 def rescale_to_cube(instance, box):
     """Reduce a quadratic on a box to a quadratic on the unit cube.
 
-    Returns (cube_instance, active, embed) where active lists the
-    coordinates with genuine freedom and embed maps a cube point over
-    the active coordinates back to a full-dimensional box point.
-    Returns cube_instance = None when every coordinate is pinned.
+    Returns (cube_instance, active): active lists the coordinates with
+    genuine freedom, and cube_instance is the quadratic over them, or
+    None when every coordinate is pinned.  A cube point z over the
+    active coordinates maps back to the box as box.embed(z') with z'
+    equal to z on active and 0 elsewhere.
     """
     _require_quadratic(instance)
     if box.n != instance.n:
@@ -69,24 +70,16 @@ def rescale_to_cube(instance, box):
     a = box.lower
     d = box.width
     active = np.flatnonzero(d > 0)
-    c_new = float(instance.value(a))
-    h_full = d * (instance.h + instance.H @ a)
-    H_full = instance.H * np.outer(d, d)
-
-    def embed(z_active):
-        x = a.copy()
-        x[active] = a[active] + d[active] * np.asarray(z_active, dtype=np.float64)
-        return x
-
     if active.size == 0:
-        return None, active, embed
+        return None, active
+    h_full = d * (instance.h + instance.H @ a)
     cube = MultilinearQuadraticInstance(
         n=int(active.size),
-        c=c_new,
+        c=float(instance.value(a)),
         h=h_full[active],
-        H=H_full[np.ix_(active, active)],
+        H=(instance.H * np.outer(d, d))[np.ix_(active, active)],
     )
-    return cube, active, embed
+    return cube, active
 
 
 @dataclass
@@ -99,40 +92,33 @@ class DRRunResult:
     core: object = None
 
 
-def run_dr(instance, epsilon, box=None, oracle=None):
-    """Run the continuous driver on a quadratic over a box.
+def run_dr(instance, epsilon, box=None):
+    """Run the continuous driver on a quadratic over a box (default the
+    unit cube).
 
-    The fractional final iterate is the answer; it is returned in the
-    original box coordinates together with its objective value.
-
-    Passing a pre-built oracle skips the box/rescale machinery and
-    drives the core on it directly — useful for checking that two
-    entry points produce the same trajectory on the same oracle.
+    The box is rescaled to the unit cube over its unpinned coordinates,
+    the core runs there, and box.embed maps the fractional final iterate
+    back: that point, in the original box coordinates, is the answer,
+    returned with its objective value.
 
     A box that pins every coordinate leaves nothing to optimize: the
     pinned point is the answer, and the returned oracle was never
     queried, so every meter reads 0.
     """
     check_epsilon(epsilon)
-    if oracle is not None:
-        core = run_core(oracle, epsilon)
-        return DRRunResult(x=core.x, value=core.value,
-                           iterations=core.iterations, tau=core.tau,
-                           oracle=oracle, core=core)
+    n = instance.n
     if box is None:
-        box = BoxDomain(np.zeros(instance.n), np.ones(instance.n))
-    cube, active, embed = rescale_to_cube(instance, box)
-    if cube is None:
-        x = embed(np.zeros(0))
-        return DRRunResult(x=x, value=float(instance.value(x)), iterations=0,
-                           tau=float(instance.value(x)),
-                           oracle=QuadraticContinuousOracle(instance))
-    oracle = QuadraticContinuousOracle(cube)
-    core = run_core(oracle, epsilon)
-    x = embed(core.x)
-    return DRRunResult(x=x, value=float(instance.value(x)),
-                       iterations=core.iterations, tau=core.tau, oracle=oracle,
-                       core=core)
+        box = BoxDomain(np.zeros(n), np.ones(n))
+    cube, active = rescale_to_cube(instance, box)
+    oracle = QuadraticContinuousOracle(instance if cube is None else cube)
+    core = None if cube is None else run_core(oracle, epsilon)
+    z = np.zeros(n)
+    if core is not None:
+        z[active] = core.x
+    x = box.embed(z)
+    value = float(instance.value(x))
+    return DRRunResult(x=x, value=value, iterations=core.iterations if core else 0,
+                       tau=core.tau if core else value, oracle=oracle, core=core)
 
 
 _GRID_RESOLUTION = 9      # grid points per coordinate and pass

@@ -327,7 +327,6 @@ def generate_random_instance(kind, n, seed):
         return _random_coverage(n, rng)
     if kind == "quadratic":
         return _random_quadratic(n, rng)
-    raise ValueError(f"unknown instance kind: {kind!r}")
 
 
 def hash_kind(kind):

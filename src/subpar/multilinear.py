@@ -139,10 +139,6 @@ class MultilinearOracle(ContinuousOracle):
     def rounds_meter(self):
         return self.set_oracle.accounting
 
-    @property
-    def f_queries(self):
-        return self.set_oracle.accounting.queries
-
     def _answer(self, pts, grads, values):
         if self.mode == "exact":
             # one round over the power set, read from the gateway's table

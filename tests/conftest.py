@@ -84,6 +84,13 @@ def write_instance(tmp_path):
     return _write
 
 
+def core_bits(core):
+    """A run_core result as bytes and float reprs: two runs agree bit for
+    bit in every state, trace and the answer exactly when these are equal."""
+    states = [s.x.tobytes() + s.y.tobytes() + repr(s.delta).encode() for s in core.states]
+    return states, repr(core.traces), core.x.tobytes(), repr((core.value, core.tau))
+
+
 # -- acceptance-criteria reporting -------------------------------------------
 # test_acceptance.py registers one PASS/FAIL line per criterion here; the
 # terminal-summary hook prints them so the final pytest output always shows

@@ -19,10 +19,11 @@ import numpy as np
 from subpar import (DiscreteParams, MultilinearOracle, QuadraticContinuousOracle,
                     SetOracle, brute_force, discrete_preprocess, discrete_update,
                     double_greedy, estimate_tau, g_estimates, generate_random_instance,
-                    grid_search_optimum, run_continuous, run_discrete, run_dr, run_verify)
+                    grid_search_optimum, run_continuous, run_core, run_discrete, run_dr,
+                    run_verify)
 from subpar.discrete import round_step, _stream
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, core_bits
 from gain_oracle import expected_update_gain
 
 _C1_RUNS = []    # (epsilon, iterations) audited again by criterion 2
@@ -261,13 +262,19 @@ def test_criterion_8_shared_core_cross_check():
             inst = generate_random_instance("cut", n, n)
             cont = run_continuous(
                 MultilinearOracle(SetOracle(inst), mode="exact"), 0.1, seed=0)
-            dr = run_dr(None, 0.1,
-                        oracle=MultilinearOracle(SetOracle(inst), mode="exact"))
-            tc, td = cont.core.trajectory, dr.core.trajectory
-            assert len(tc) == len(td) and len(tc) >= 2
-            for p, q in zip(tc, td):
-                assert p.tobytes() == q.tobytes()
-            assert cont.core.value == dr.value
-        return ("continuous and box entry points produce bitwise-identical "
-                "trajectories on a shared oracle (cut n in {8,10,12})")
+            core = run_core(MultilinearOracle(SetOracle(inst), mode="exact"), 0.1)
+            assert len(core.states) >= 2
+            assert core_bits(cont.core) == core_bits(core)
+        runs = 0
+        for n in (2, 3, 5, 8, 12):
+            for seed in range(30):
+                inst = generate_random_instance("quadratic", n, seed)
+                dr = run_dr(inst, 0.1)
+                core = run_core(QuadraticContinuousOracle(inst), 0.1)
+                assert core_bits(dr.core) == core_bits(core)
+                assert dr.x.tobytes() == core.x.tobytes()
+                runs += 1
+        return ("run_continuous and run_dr (unit box) match run_core on a fresh "
+                "oracle bit for bit in states, traces and x (cut n in {8,10,12}; "
+                f"{runs} quadratic runs)")
     _record(8, "shared-core cross-check", body)

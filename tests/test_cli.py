@@ -391,6 +391,40 @@ def test_bad_box_names_instance_flag(frozen_quad, write_instance, box, message, 
     assert "Traceback" not in r.stderr
 
 
+def test_set_algorithms_check_a_boxed_quadratic(write_instance, tmp_path, capsys):
+    # f({0,1}) = -1: fine on the box, negative as a set function
+    path = write_instance({"kind": "quadratic", "n": 2, "c": 0, "h": [1, 1],
+                           "H": [[0, -3], [-3, 0]], "lower": [0, 0],
+                           "upper": [0.5, 0.5]}, name="boxed.json")
+    for algorithm in (a for a in cli.ALGORITHMS if a != "dr"):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["run", "--instance", path, "--algorithm", algorithm])
+        assert exit_.value.code == 2, algorithm
+        err = capsys.readouterr().err
+        assert "--instance: invalid instance: quadratic is negative on a vertex" in err
+    out = tmp_path / "dr.json"
+    assert cli.main(["run", "--instance", path, "--algorithm", "dr",
+                     "--out", str(out)]) == 0
+    x = json.loads(out.read_text())["solution"]["fractional"]
+    assert all(0.0 <= v <= 0.5 for v in x)
+
+
+def test_set_algorithms_take_opt_from_brute_force(tmp_path):
+    # n = 8 is past the grid search's reach; brute force covers n <= 24
+    p = tmp_path / "quad8.json"
+    dump_instance(generate_random_instance("quadratic", 8, 1), p)
+    reps = {}
+    for algorithm in ("brute-force", "double-greedy", "dr"):
+        out = tmp_path / f"{algorithm}.json"
+        assert cli.main(["run", "--instance", str(p), "--algorithm", algorithm,
+                         "--out", str(out)]) == 0
+        reps[algorithm] = json.loads(out.read_text())
+    opt = reps["brute-force"]["value"]
+    assert reps["double-greedy"]["opt_value"] == opt
+    assert reps["double-greedy"]["ratio"] == reps["double-greedy"]["value"] / opt
+    assert reps["dr"]["opt_value"] is None     # dr's box optimum is a grid search
+
+
 def test_negative_seed_rejected(k2_path):
     r = run_cli("run", "--instance", k2_path, "--algorithm", "brute-force",
                 "--seed", "-1")

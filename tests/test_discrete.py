@@ -124,17 +124,6 @@ def test_estimate_tau_one_round(k2):
     assert so.accounting.queries == 100
 
 
-def test_default_sample_counts_are_the_params(k2):
-    # m=None reads DiscreteParams: 2 grid points x m samples x n x 4 rows
-    p = DiscreteParams(epsilon=0.2)
-    so = SetOracle(k2)
-    estimate_tau(so, 0.2, seed=0)
-    assert so.accounting.queries == p.tau_samples
-    so = SetOracle(k2)
-    discrete_preprocess(so, tau=0.5, epsilon=0.2, seed=7)
-    assert so.accounting.queries == 2 * p.preprocess_samples * 2 * 4
-
-
 # -- pair draw and rounding ---------------------------------------------------------
 
 def test_pair_draw_marginals():
@@ -212,13 +201,13 @@ def test_update_requires_containment(k2):
     X = np.array([True, False])
     Y = np.array([False, True])
     with pytest.raises(StateInvariantViolation):
-        discrete_update(SetOracle(k2), X, Y, 0.1, seed=0, iteration=0)
+        discrete_update(SetOracle(k2), X, Y, 0.1, seed=0, iteration=0, m=5)
 
 
 def test_update_zero_cost_when_exhausted(k2):
     so = SetOracle(k2)
     X = np.array([True, False])
-    X2, Y2, tr = discrete_update(so, X, X.copy(), 0.1, seed=0, iteration=3)
+    X2, Y2, tr = discrete_update(so, X, X.copy(), 0.1, seed=0, iteration=3, m=5)
     assert tr.rounds_used == 0 and tr.queries_used == 0
     assert so.accounting.rounds == 0
     assert np.array_equal(X2, X) and np.array_equal(Y2, X)

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from subpar import (BoxDomain, ParamOutOfRange, QuadraticContinuousOracle,
-                    run_continuous, run_dr, grid_search_optimum, rescale_to_cube)
+                    run_core, run_dr, grid_search_optimum, rescale_to_cube)
 from subpar.instances import (InvalidInstance, MultilinearQuadraticInstance,
                               NonNegativityViolation, OutOfBox,
                               generate_random_instance)
 from subpar.multilinear import MultilinearOracle
 from subpar.oracles import SetOracle
+
+from conftest import core_bits
 
 
 # -- box ------------------------------------------------------------------------
@@ -121,13 +123,13 @@ def test_rescale_frozen():
     inst = MultilinearQuadraticInstance(
         n=2, c=0.0, h=np.array([1.0, 1.0]),
         H=np.array([[0.0, -0.5], [-0.5, 0.0]]))
-    cube, active, embed = rescale_to_cube(
-        inst, BoxDomain(np.zeros(2), np.full(2, 2.0)))
+    box = BoxDomain(np.zeros(2), np.full(2, 2.0))
+    cube, active = rescale_to_cube(inst, box)
     assert cube.c == 0.0
     assert np.allclose(cube.h, [2.0, 2.0])
     assert np.allclose(cube.H, [[0.0, -2.0], [-2.0, 0.0]])
     assert active.tolist() == [0, 1]
-    assert np.allclose(embed([0.25, 0.5]), [0.5, 1.0])
+    assert np.allclose(box.embed([0.25, 0.5]), [0.5, 1.0])
     # rescaled polynomial agrees with the original across the box
     z = np.array([[0.1, 0.9], [0.7, 0.3], [1.0, 1.0]])
     assert np.allclose(cube.value_batch(z), inst.value_batch(2.0 * z))
@@ -144,19 +146,19 @@ def test_rescale_revalidates_on_the_box():
 
 def test_rescale_all_pinned(frozen_quad):
     box = BoxDomain(np.full(2, 0.5), np.full(2, 0.5))
-    cube, active, embed = rescale_to_cube(frozen_quad, box)
+    cube, active = rescale_to_cube(frozen_quad, box)
     assert cube is None and active.size == 0
-    assert np.allclose(embed(np.zeros(0)), [0.5, 0.5])
+    assert np.allclose(box.embed(np.zeros(2)), [0.5, 0.5])
 
 
 def test_rescale_one_pinned(frozen_quad):
     box = BoxDomain(np.array([0.25, 0.0]), np.array([0.25, 1.0]))
-    cube, active, embed = rescale_to_cube(frozen_quad, box)
+    cube, active = rescale_to_cube(frozen_quad, box)
     assert active.tolist() == [1]
     assert cube.n == 1
     assert cube.c == pytest.approx(0.25)
     assert np.allclose(cube.h, [0.75])     # slope of F(0.25, t) in t
-    assert np.allclose(embed([1.0]), [0.25, 1.0])
+    assert np.allclose(box.embed([0.0, 1.0]), [0.25, 1.0])
 
 
 # -- grid search (test oracle) --------------------------------------------------------
@@ -206,7 +208,7 @@ def test_run_dr_large_n_on_a_shrunk_box():
     n = 21
     inst = MultilinearQuadraticInstance(n, 0.0, np.ones(n), -0.1 * (np.ones((n, n)) - np.eye(n)))
     box = BoxDomain(np.full(n, 0.5), np.ones(n))
-    cube, _, _ = rescale_to_cube(inst, box)
+    cube, _ = rescale_to_cube(inst, box)
     assert cube.c == pytest.approx(5.25)
     assert np.allclose(cube.h + 0.5 * cube.H.sum(axis=1), -0.25)
     res = run_dr(inst, 0.1, box)
@@ -250,14 +252,12 @@ def test_run_dr_one_pinned(frozen_quad):
     assert res.value >= 0.45 * 1.0       # optimum F(0.25, 1) = 1
 
 
-def test_run_dr_oracle_override_matches_continuous():
-    # same driver, two front doors: identical trajectories, bit for bit
-    inst = generate_random_instance("cut", 8, 100)
-    m1 = MultilinearOracle(SetOracle(inst), mode="exact")
-    cont = run_continuous(m1, 0.1, seed=0)
-    m2 = MultilinearOracle(SetOracle(inst), mode="exact")
-    dr = run_dr(None, 0.1, oracle=m2)
-    assert len(cont.core.trajectory) == len(dr.core.trajectory)
-    for p, q in zip(cont.core.trajectory, dr.core.trajectory):
-        assert p.tobytes() == q.tobytes()
-    assert dr.value == cont.core.value
+def test_run_dr_unit_box_matches_the_core():
+    # on the unit box the rescale and the embed are exact identities, so
+    # run_dr is run_core on the instance's own oracle, bit for bit
+    for n, seed in ((2, 0), (5, 7), (8, 3)):
+        inst = generate_random_instance("quadratic", n, seed)
+        dr = run_dr(inst, 0.1)
+        core = run_core(QuadraticContinuousOracle(inst), 0.1)
+        assert core_bits(dr.core) == core_bits(core)
+        assert dr.x.tobytes() == core.x.tobytes()

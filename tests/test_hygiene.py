@@ -11,6 +11,7 @@ the package re-exports its public names.
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -113,10 +114,12 @@ def test_benchmark_hooks_resolve():
     spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)         # stdlib only: it imports no subpar
-    for _, owner_path, attr in spans.ENTRY_POINTS:
+    for layer, owner_path, attr in spans.ENTRY_POINTS:
         mod_path, _, name = owner_path.rpartition(".")
         owner = getattr(importlib.import_module(mod_path), name)
         assert callable(getattr(owner, attr, None)), f"{owner_path}.{attr}"
+        if layer in ("oracles", "instances"):     # wrapped as fn(self, rows)
+            inspect.signature(getattr(owner, attr)).bind(None, None)
     tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
     names = [a.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module == "subpar"
@@ -124,4 +127,19 @@ def test_benchmark_hooks_resolve():
     subpar = importlib.import_module("subpar")
     missing = [name for name in names if not hasattr(subpar, name)]
     assert names and not missing, f"not in subpar: {missing}"
+    # every call the benchmark makes into subpar still binds: the same
+    # number of positional arguments and the same keyword names
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id in names]
+    assert {c.func.id for c in calls} >= {"MultilinearOracle", "run_continuous",
+                                          "run_discrete", "DiscreteParams",
+                                          "generate_random_instance"}
+    for call in calls:
+        args = [None] * len(call.args)
+        kwargs = {kw.arg: None for kw in call.keywords}
+        try:
+            inspect.signature(getattr(subpar, call.func.id)).bind(*args, **kwargs)
+        except TypeError as e:
+            raise AssertionError(f"perfbench/workloads.py:{call.lineno} "
+                                 f"{ast.unparse(call)}: {e}") from None
     assert callable(importlib.import_module("subpar.oracles").default_threads)

@@ -185,7 +185,7 @@ def test_exact_round_and_query_accounting(spy_oracle, k2):
     assert so.accounting.rounds == 3
     assert oracle.F_queries == 35 + (2 * 2 + 1) * 7
     assert so.batches == so.accounting.rounds
-    assert oracle.f_queries == so.rows
+    assert so.accounting.queries == so.rows
 
 
 def test_sampled_round_and_query_accounting(k2):
