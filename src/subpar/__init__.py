@@ -20,7 +20,7 @@ from .continuous import (ContinuousState, ParamOutOfRange, StateInvariantViolati
                          compute_rates, pre_process, run_continuous, run_core, update)
 from .discrete import (DiscreteParams, discrete_preprocess, discrete_update,
                        estimate_tau, finalize, g_estimates, round_step, run_discrete)
-from .drbox import QuadraticContinuousOracle, grid_search_optimum, rescale_to_cube, run_dr
+from .drbox import QuadraticContinuousOracle, box_optimum, rescale_to_cube, run_dr
 from .instances import (BoxDomain, CoverageInstance, CutInstance, InvalidInstance,
                         MultilinearQuadraticInstance, NonNegativityViolation, OutOfBox,
                         UnreadableInstance, dump_instance, generate_random_instance,
@@ -39,10 +39,10 @@ __all__ = [
     "OracleAccounting", "OutOfBox", "ParamOutOfRange",
     "QuadraticContinuousOracle", "RunReport", "SetOracle",
     "StateInvariantViolation", "TooLarge", "UnreadableInstance",
-    "brute_force", "compute_rates", "discrete_preprocess",
+    "box_optimum", "brute_force", "compute_rates", "discrete_preprocess",
     "discrete_update", "double_greedy", "dump_instance", "estimate_tau",
     "finalize", "g_estimates", "generate_random_instance",
-    "grid_search_optimum", "ids_of",
+    "ids_of",
     "load_instance", "lovasz_value", "pre_process", "random_half",
     "rescale_to_cube", "round_step", "run_continuous", "run_core",
     "run_discrete", "run_dr", "run_verify", "sample_set", "update",

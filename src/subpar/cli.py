@@ -21,7 +21,7 @@ from . import __version__
 from .baselines import BRUTE_LIMIT, TooLarge, brute_force, double_greedy, random_half
 from .continuous import ParamOutOfRange, check_epsilon, run_continuous
 from .discrete import DiscreteParams, run_discrete
-from .drbox import grid_search_optimum, run_dr
+from .drbox import box_optimum, rescale_to_cube, run_dr
 from .instances import (InvalidInstance, MultilinearQuadraticInstance,
                         NonNegativityViolation, UnreadableInstance,
                         generate_random_instance, load_instance)
@@ -31,7 +31,6 @@ from .reports import CSV_COLUMNS, RunReport, csv_row
 
 ALGORITHMS = ("continuous", "discrete", "dr", "double-greedy",
               "double-greedy-det", "random-half", "brute-force")
-GRID_OPT_LIMIT = 6
 SMALL_N = 3     # below this, set algorithms delegate to brute force
 
 
@@ -146,37 +145,36 @@ def _check_exact_size(algorithm, oracle_mode, n, parser):
 
 
 def _load(path, algorithm, parser):
-    """(instance, box) from --instance.  Only dr runs on the file's box;
-    any other algorithm reads the instance as a set function, so the box
-    is dropped and a boxed quadratic, built unchecked for its box, is
-    built again with the construction check."""
+    """(instance, box) from --instance.  Only dr runs on the file's box,
+    so a boxed quadratic, built unchecked for its box, is checked there
+    now; any other algorithm reads the instance as a set function, so
+    the box is dropped and the quadratic is built again with the
+    construction check."""
     if not os.path.exists(path):
         parser.error(f"--instance: file not found: {path}")
     try:
         instance, box = load_instance(path)
-        if box is not None and algorithm != "dr":
-            box = None
-            if isinstance(instance, MultilinearQuadraticInstance):
+        if box is not None and isinstance(instance, MultilinearQuadraticInstance):
+            if algorithm == "dr":
+                rescale_to_cube(instance, box)
+            else:
                 instance = MultilinearQuadraticInstance(instance.n, instance.c,
                                                         instance.h, instance.H)
+        if algorithm != "dr":
+            box = None
     except (InvalidInstance, NonNegativityViolation) as e:
         parser.error(f"--instance: invalid instance: {e}")
     return instance, box
 
 
 def _opt_for(instance, alg, box):
-    """Ground-truth optimum on a fresh oracle (not charged to the run):
-    a grid search over dr's box, brute force over the subsets otherwise."""
-    if alg == "dr":
-        if instance.n > GRID_OPT_LIMIT:
-            return None
-        lo = box.lower if box is not None else None
-        hi = box.upper if box is not None else None
-        _, opt = grid_search_optimum(instance.value_batch, instance.n,
-                                     lower=lo, upper=hi)
-        return opt
+    """Ground-truth optimum on a fresh oracle (not charged to the run),
+    up to BRUTE_LIMIT: the best vertex of dr's box, the best subset
+    otherwise."""
     if instance.n > BRUTE_LIMIT:
         return None
+    if alg == "dr":
+        return box_optimum(instance, box)
     _, opt = brute_force(SetOracle(instance))
     return opt
 

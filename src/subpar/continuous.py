@@ -205,11 +205,6 @@ class CoreResult:
     traces: list
     states: list   # the pair after pre-processing and after every update
 
-    @property
-    def trajectory(self):
-        """x after pre-processing and after every update."""
-        return [s.x for s in self.states]
-
 
 def run_core(oracle, epsilon):
     """Full driver: tau, pre-process, update until the pair meets.

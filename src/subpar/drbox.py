@@ -15,16 +15,22 @@ family:  with D = diag(b - a),
 
 Coordinates with a_u = b_u carry no freedom and are eliminated before
 the run; the returned point re-embeds them at their pinned value.
+
+The same rescaling gives the exact optimum over the box: the cube
+instance still has a zero diagonal, so it is multilinear and its
+maximum sits on a cube vertex, which brute force finds.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .continuous import ParamOutOfRange, check_epsilon, run_core
-from .instances import BoxDomain, InvalidInstance, MultilinearQuadraticInstance
+from .baselines import brute_force
+from .continuous import check_epsilon, run_core
+from .instances import (NEGATIVE_TOL, BoxDomain, InvalidInstance,
+                        MultilinearQuadraticInstance, NonNegativityViolation)
 from .multilinear import ContinuousOracle
-from .oracles import OracleAccounting
+from .oracles import OracleAccounting, SetOracle
 
 
 def _require_quadratic(instance):
@@ -63,6 +69,11 @@ def rescale_to_cube(instance, box):
     None when every coordinate is pinned.  A cube point z over the
     active coordinates maps back to the box as box.embed(z') with z'
     equal to z on active and 0 elsewhere.
+
+    Either way the objective is checked non-negative on the box: the
+    cube instance is built with the construction check, and a pinned
+    point's value must not dip below the same tolerance, or
+    NonNegativityViolation is raised.
     """
     _require_quadratic(instance)
     if box.n != instance.n:
@@ -70,12 +81,16 @@ def rescale_to_cube(instance, box):
     a = box.lower
     d = box.width
     active = np.flatnonzero(d > 0)
+    fa = float(instance.value_batch(a)[0])
     if active.size == 0:
+        if fa < -NEGATIVE_TOL:
+            raise NonNegativityViolation(f"quadratic is negative at the pinned "
+                                         f"point (value {fa:g})")
         return None, active
     h_full = d * (instance.h + instance.H @ a)
     cube = MultilinearQuadraticInstance(
         n=int(active.size),
-        c=float(instance.value(a)),
+        c=fa,
         h=h_full[active],
         H=(instance.H * np.outer(d, d))[np.ix_(active, active)],
     )
@@ -116,37 +131,25 @@ def run_dr(instance, epsilon, box=None):
     if core is not None:
         z[active] = core.x
     x = box.embed(z)
-    value = float(instance.value(x))
+    value = float(instance.value_batch(x)[0])
     return DRRunResult(x=x, value=value, iterations=core.iterations if core else 0,
                        tau=core.tau if core else value, oracle=oracle, core=core)
 
 
-_GRID_RESOLUTION = 9      # grid points per coordinate and pass
-_GRID_REFINEMENTS = 3     # passes, each around the best point so far
+def box_optimum(instance, box=None):
+    """The exact maximum of a quadratic over a box (default the unit cube).
 
-
-def grid_search_optimum(value_batch_fn, n, lower=None, upper=None):
-    """Dense coordinate-grid maximization with window refinement.
-
-    Test oracle for small n: evaluates _GRID_RESOLUTION**n points per
-    pass, then shrinks the window around the best point and repeats.
-    Keep n small; the point count is checked to stay under ~5e6 per pass.
+    F has a zero-diagonal H, so along any one coordinate it is affine:
+    moving x_u to whichever bound does not lower F never lowers it, and
+    doing so for every coordinate in turn reaches a vertex of the box
+    at least as good as any point in it.  The rescaled cube instance
+    keeps the zero diagonal, so the maximum is brute force over its
+    2^n vertices (n <= BRUTE_LIMIT; TooLarge beyond).  A box that pins
+    every coordinate has one point, whose value is the optimum.
     """
-    lo = np.zeros(n) if lower is None else np.asarray(lower, dtype=np.float64).copy()
-    hi = np.ones(n) if upper is None else np.asarray(upper, dtype=np.float64).copy()
-    if not _GRID_RESOLUTION ** n <= 5_000_000:
-        raise ParamOutOfRange(f"grid search needs {_GRID_RESOLUTION}**n <= 5e6, got n={n}")
-    best_x, best_v = lo.copy(), -np.inf
-    for _ in range(_GRID_REFINEMENTS):
-        axes = [np.linspace(lo[u], hi[u], _GRID_RESOLUTION) for u in range(n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = value_batch_fn(pts)
-        j = int(np.argmax(vals))
-        if vals[j] > best_v:
-            best_v = float(vals[j])
-            best_x = pts[j].copy()
-        pad = (hi - lo) / (_GRID_RESOLUTION - 1)
-        lo = np.maximum(lo, best_x - pad)
-        hi = np.minimum(hi, best_x + pad)
-    return best_x, best_v
+    if box is None:
+        box = BoxDomain(np.zeros(instance.n), np.ones(instance.n))
+    cube, _ = rescale_to_cube(instance, box)
+    if cube is None:
+        return float(instance.value_batch(box.lower)[0])
+    return brute_force(SetOracle(cube))[1]

@@ -45,7 +45,7 @@ class OutOfBox(ValueError):
 
 
 _VALIDATE_LIMIT = 20  # exhaustive non-negativity validation up to this n
-_NEGATIVE_TOL = 1e-12  # a quadratic may dip this far below zero
+NEGATIVE_TOL = 1e-12  # a quadratic may dip this far below zero
 EXHAUSTIVE_LIMIT = 12  # largest n of the exhaustive property checks
 _DENSE_BYTES_LIMIT = 1 << 30  # most bytes an instance's dense matrices may hold
 _COVER_BYTES = 17  # per (element, item): the bool covers and two float64 copies
@@ -233,38 +233,31 @@ class MultilinearQuadraticInstance:
         self._H_sym = 0.5 * (self.H + self.H.T)
         if validate and n > _VALIDATE_LIMIT:
             bound = self.c + np.minimum(self.h + 0.5 * self.H.sum(axis=1), 0.0).sum()
-            if bound < -_NEGATIVE_TOL:
+            if bound < -NEGATIVE_TOL:
                 raise NonNegativityViolation(
                     f"quadratic with n={n} > {_VALIDATE_LIMIT} requires "
                     f"c + sum_u min(0, h_u + sum_v H_uv / 2) >= 0 (got {bound:g})")
         elif validate:
             vals = self.evaluate_batch(all_subsets_matrix(n))
-            if vals.min() < -_NEGATIVE_TOL:
+            if vals.min() < -NEGATIVE_TOL:
                 raise NonNegativityViolation(
                     f"quadratic is negative on a vertex (min {vals.min():g})")
 
     # fractional interface ------------------------------------------------
 
-    def value(self, x):
-        x = self._point(x)
-        return float(self.c + self.h @ x + 0.5 * x @ self.H @ x)
-
     def value_batch(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = self._rows(X)
         return self.c + X @ self.h + 0.5 * np.einsum("bi,ij,bj->b", X, self.H, X)
 
-    def gradient(self, x):
-        return self.h + self.H @ self._point(x)
-
     def gradient_batch(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return self.h[None, :] + X @ self.H.T
+        return self.h[None, :] + self._rows(X) @ self.H.T
 
-    def _point(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n,):
-            raise InvalidElement(f"point has shape {x.shape}, expected ({self.n},)")
-        return x
+    def _rows(self, X):
+        """X as a (P, n) float array; one point (n,) is a batch of one."""
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise InvalidElement(f"points have shape {X.shape}, expected (P, {self.n})")
+        return X
 
     # set interface (vertex restriction; F is its own extension) ----------
 

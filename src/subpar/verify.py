@@ -27,7 +27,7 @@ import numpy as np
 
 from .baselines import brute_force
 from .continuous import run_core
-from .drbox import grid_search_optimum, run_dr
+from .drbox import box_optimum, run_dr
 from .instances import (EXHAUSTIVE_LIMIT, CutInstance, InvalidInstance,
                         NonNegativityViolation, check_nonnegative_exhaustive,
                         check_submodular_exhaustive, generate_random_instance,
@@ -260,30 +260,32 @@ def _suite_dr(ctx):
         for _ in range(6):
             x = rng.random(n)
             y = np.minimum(x + rng.random(n) * (1 - x), 1.0)
-            gx, gy = inst.gradient(x), inst.gradient(y)
+            gx, gy = inst.gradient_batch([x, y])
             if (gx < gy - 1e-12).any():
                 out.append(Finding("dr", name, "gradient not antitone"))
         # closed-form gradient vs central differences
         x = rng.random(n) * 0.8 + 0.1
-        g = inst.gradient(x)
+        g = inst.gradient_batch(x)[0]
         h = 1e-6
         for u in range(n):
             e = np.zeros(n)
             e[u] = h
-            fd = (inst.value(x + e) - inst.value(x - e)) / (2 * h)
+            fp, fm = inst.value_batch([x + e, x - e])
+            fd = (fp - fm) / (2 * h)
             ref = max(1.0, abs(g[u]))
             if abs(fd - g[u]) > 1e-5 * ref:
                 out.append(Finding("dr", name,
                                    f"gradient coord {u}: {g[u]:.8g} vs "
                                    f"finite difference {fd:.8g}"))
-        # driver invariants: tau sandwich vs grid search, potential decrease
-        # (the unit box pins no coordinate, so the run always has a core)
+        # driver invariants: tau sandwich vs the exact box optimum,
+        # potential decrease (the unit box pins no coordinate, so the run
+        # always has a core)
         core = run_dr(inst, ctx.epsilon).core
-        opt_x, opt_v = grid_search_optimum(inst.value_batch, n)
-        if not (opt_v / 4.0 - 1e-9 <= core.tau <= opt_v + 1e-6):
+        opt_v = box_optimum(inst)
+        if not (opt_v / 4.0 - 1e-9 <= core.tau <= opt_v + 1e-9):
             out.append(Finding("dr", name,
                                f"tau = {core.tau:.6g} outside [opt/4, opt] with "
-                               f"grid-search opt {opt_v:.6g}"))
+                               f"box optimum {opt_v:.6g}"))
         trs = core.traces
         for j in range(len(trs) - 1):
             if trs[j].delta_after > 0 and \

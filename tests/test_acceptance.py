@@ -17,10 +17,10 @@ import time
 import numpy as np
 
 from subpar import (DiscreteParams, MultilinearOracle, QuadraticContinuousOracle,
-                    SetOracle, brute_force, discrete_preprocess, discrete_update,
-                    double_greedy, estimate_tau, g_estimates, generate_random_instance,
-                    grid_search_optimum, run_continuous, run_core, run_discrete, run_dr,
-                    run_verify)
+                    SetOracle, box_optimum, brute_force, discrete_preprocess,
+                    discrete_update, double_greedy, estimate_tau, g_estimates,
+                    generate_random_instance, run_continuous, run_core, run_discrete,
+                    run_dr, run_verify)
 from subpar.discrete import round_step, _stream
 
 from conftest import ACCEPTANCE_LINES, core_bits
@@ -234,7 +234,7 @@ def test_criterion_7_box_constrained_driver():
         for i in range(10):
             inst = generate_random_instance("quadratic", 2 + i % 4, 200 + i)
             res = run_dr(inst, 0.05)
-            _, opt = grid_search_optimum(inst.value_batch, inst.n)
+            opt = box_optimum(inst)
             assert res.value >= (0.5 - 44 * 0.05) * opt
             assert opt > 0 and res.value >= 0.45 * opt
             worst = min(worst, res.value / opt)
@@ -247,7 +247,8 @@ def test_criterion_7_box_constrained_driver():
                 zp, zm = z.copy(), z.copy()
                 zp[u] += h
                 zm[u] -= h
-                fd = (inst.value(zp) - inst.value(zm)) / (2 * h)
+                fp, fm = inst.value_batch([zp, zm])
+                fd = (fp - fm) / (2 * h)
                 assert abs(fd - g[u]) <= 1e-5 * max(1.0, abs(g[u]))
         elapsed = time.perf_counter() - t0
         assert elapsed <= 60.0
@@ -273,8 +274,9 @@ def test_criterion_8_shared_core_cross_check():
                 core = run_core(QuadraticContinuousOracle(inst), 0.1)
                 assert core_bits(dr.core) == core_bits(core)
                 assert dr.x.tobytes() == core.x.tobytes()
+                assert dr.value == core.value
                 runs += 1
         return ("run_continuous and run_dr (unit box) match run_core on a fresh "
-                "oracle bit for bit in states, traces and x (cut n in {8,10,12}; "
-                f"{runs} quadratic runs)")
+                "oracle bit for bit in states, traces and x, and run_dr in value "
+                f"(cut n in {{8,10,12}}; {runs} quadratic runs)")
     _record(8, "shared-core cross-check", body)

@@ -382,6 +382,11 @@ def test_non_finite_instance_names_flag(tmp_path, doc, message, optimize):
     ({"lower": [0.0, 0.0, 0.0]}, "lower must have length 2"),
     ({"upper": [1.0, float("nan")]}, "upper must be finite"),
     ({"lower": [0.6, 0.0], "upper": [0.4, 1.0]}, "lower <= upper"),
+    # with H = -3, f({0,1}) = -1 lies in the box: dr checks the box at load
+    ({"H": [[0, -3], [-3, 0]], "lower": [0, 0], "upper": [1, 1]},
+     "invalid instance: quadratic is negative on a vertex"),
+    ({"H": [[0, -3], [-3, 0]], "lower": [1, 1], "upper": [1, 1]},
+     "invalid instance: quadratic is negative at the pinned point"),
 ])
 def test_bad_box_names_instance_flag(frozen_quad, write_instance, box, message, optimize):
     path = write_instance(frozen_quad, extra=box)
@@ -410,7 +415,7 @@ def test_set_algorithms_check_a_boxed_quadratic(write_instance, tmp_path, capsys
 
 
 def test_set_algorithms_take_opt_from_brute_force(tmp_path):
-    # n = 8 is past the grid search's reach; brute force covers n <= 24
+    # brute force covers n <= 24, over the subsets or over dr's box vertices
     p = tmp_path / "quad8.json"
     dump_instance(generate_random_instance("quadratic", 8, 1), p)
     reps = {}
@@ -422,7 +427,9 @@ def test_set_algorithms_take_opt_from_brute_force(tmp_path):
     opt = reps["brute-force"]["value"]
     assert reps["double-greedy"]["opt_value"] == opt
     assert reps["double-greedy"]["ratio"] == reps["double-greedy"]["value"] / opt
-    assert reps["dr"]["opt_value"] is None     # dr's box optimum is a grid search
+    # a zero-diagonal quadratic peaks on a vertex of the unit box: a subset
+    assert reps["dr"]["opt_value"] == opt
+    assert reps["dr"]["ratio"] == reps["dr"]["value"] / opt
 
 
 def test_negative_seed_rejected(k2_path):

@@ -208,7 +208,7 @@ def test_run_core_k2(k2):
     assert res.value == pytest.approx(0.5, abs=1e-9)
     assert res.tau == pytest.approx(0.5)
     assert res.iterations == 8                   # measured; stable under exact math
-    assert len(res.trajectory) == res.iterations + 1
+    assert len(res.states) == res.iterations + 1
 
 
 @pytest.mark.parametrize("kind,n", [("cut", 8), ("coverage", 7), ("quadratic", 6)])
@@ -231,7 +231,6 @@ def test_run_core_states_are_the_stepwise_loop(kind, n):
         assert got.x.tobytes() == want.x.tobytes()
         assert got.y.tobytes() == want.y.tobytes()
         assert (got.delta, got.iteration) == (want.delta, want.iteration)
-    assert [x.tobytes() for x in res.trajectory] == [s.x.tobytes() for s in states]
 
 
 def test_epsilon_validation(k2):

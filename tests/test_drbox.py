@@ -8,13 +8,13 @@ so the cube optimum sits at (1,1) with value 1.
 import numpy as np
 import pytest
 
-from subpar import (BoxDomain, ParamOutOfRange, QuadraticContinuousOracle,
-                    run_core, run_dr, grid_search_optimum, rescale_to_cube)
+from subpar import (BoxDomain, ParamOutOfRange, QuadraticContinuousOracle, box_optimum,
+                    run_core, run_dr, rescale_to_cube)
 from subpar.instances import (InvalidInstance, MultilinearQuadraticInstance,
                               NonNegativityViolation, OutOfBox,
                               generate_random_instance)
 from subpar.multilinear import MultilinearOracle
-from subpar.oracles import SetOracle
+from subpar.oracles import SetOracle, all_subsets_matrix
 
 from conftest import core_bits
 
@@ -101,7 +101,8 @@ def test_oracle_gradient_matches_finite_differences():
         zp, zm = z.copy(), z.copy()
         zp[u] += h
         zm[u] -= h
-        fd = (inst.value(zp) - inst.value(zm)) / (2 * h)
+        fp, fm = inst.value_batch([zp, zm])
+        fd = (fp - fm) / (2 * h)
         assert abs(fd - g[u]) <= 1e-5 * max(1.0, abs(g[u]))
 
 
@@ -151,6 +152,16 @@ def test_rescale_all_pinned(frozen_quad):
     assert np.allclose(box.embed(np.zeros(2)), [0.5, 0.5])
 
 
+def test_rescale_checks_a_pinned_point():
+    # F(1, 1) = 2 - 3 = -1: a box pinned there has one point, and it is negative
+    inst = MultilinearQuadraticInstance(2, 0.0, [1.0, 1.0], [[0.0, -3.0], [-3.0, 0.0]],
+                                        validate=False)
+    with pytest.raises(NonNegativityViolation, match="pinned point"):
+        rescale_to_cube(inst, BoxDomain(np.ones(2), np.ones(2)))
+    cube, active = rescale_to_cube(inst, BoxDomain(np.zeros(2), np.zeros(2)))
+    assert cube is None and active.size == 0
+
+
 def test_rescale_one_pinned(frozen_quad):
     box = BoxDomain(np.array([0.25, 0.0]), np.array([0.25, 1.0]))
     cube, active = rescale_to_cube(frozen_quad, box)
@@ -161,21 +172,42 @@ def test_rescale_one_pinned(frozen_quad):
     assert np.allclose(box.embed([0.0, 1.0]), [0.25, 1.0])
 
 
-# -- grid search (test oracle) --------------------------------------------------------
+# -- exact box optimum ----------------------------------------------------------------
 
-def test_grid_search_refines_to_peak():
-    def f(pts):
-        return -((pts[:, 0] - 0.37) ** 2)
-    x, v = grid_search_optimum(f, 1)
-    assert abs(x[0] - 0.37) < 0.01 and v <= 0.0
+def test_box_optimum_exact_at_corner(frozen_quad):
+    # the optimum value 1.0 is attained on two whole edges, vertices included
+    assert box_optimum(frozen_quad) == 1.0
+    box = BoxDomain(np.array([0.25, 0.0]), np.array([0.25, 1.0]))
+    assert box_optimum(frozen_quad, box) == pytest.approx(1.0)   # F(0.25, 1)
+    pinned = BoxDomain(np.full(2, 0.5), np.full(2, 0.5))
+    assert box_optimum(frozen_quad, pinned) == 0.75
 
 
-def test_grid_search_exact_at_corner(frozen_quad):
-    # the optimum value 1.0 is attained on two whole edges, so only the
-    # value is pinned; the returned point must merely attain it
-    x, v = grid_search_optimum(frozen_quad.value_batch, 2)
-    assert v == pytest.approx(1.0)
-    assert frozen_quad.value(x) == pytest.approx(1.0)
+def _random_box(rng, n, shape):
+    if shape == "unit":
+        return BoxDomain(np.zeros(n), np.ones(n))
+    lower = rng.random(n) * 0.5
+    upper = lower + rng.random(n) * (1.0 - lower)
+    if shape == "one-pinned":
+        k = rng.integers(n)
+        upper[k] = lower[k]
+    return BoxDomain(lower, upper)
+
+
+@pytest.mark.parametrize("shape", ["inner", "unit", "one-pinned"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_box_optimum_bounds_the_box_and_sits_on_a_vertex(n, shape):
+    # the zero diagonal makes F affine along each coordinate, so no point
+    # of the box beats its best vertex
+    rng = np.random.default_rng(100 * n + len(shape))
+    for seed in range(4):
+        inst = generate_random_instance("quadratic", n, seed)
+        box = _random_box(rng, n, shape)
+        opt = box_optimum(inst, box)
+        pts = box.lower + box.width * rng.random((4096, n))
+        assert opt >= inst.value_batch(pts).max() - 1e-12
+        vertices = np.where(all_subsets_matrix(n), box.upper, box.lower)
+        assert opt == pytest.approx(inst.value_batch(vertices).max(), rel=1e-12, abs=1e-12)
 
 
 # -- full runs ----------------------------------------------------------------------
@@ -183,7 +215,7 @@ def test_grid_search_exact_at_corner(frozen_quad):
 def test_run_dr_unit_cube(frozen_quad):
     res = run_dr(frozen_quad, 0.05)
     assert res.value >= 0.45 * 1.0
-    assert res.value == pytest.approx(float(frozen_quad.value(res.x)))
+    assert res.value == frozen_quad.value_batch(res.x)[0]
     assert res.tau == pytest.approx(0.75)  # F at the all-halves point
     assert res.oracle.rounds_meter.rounds <= 2 + 1 + 2 * res.iterations + 1
 
@@ -195,11 +227,10 @@ def test_run_dr_scaled_box():
     box = BoxDomain(np.zeros(2), np.full(2, 2.0))
     res = run_dr(inst, 0.05, box=box)
     assert (res.x >= -1e-12).all() and (res.x <= 2.0 + 1e-12).all()
-    _, opt = grid_search_optimum(inst.value_batch, 2, lower=box.lower,
-                                 upper=box.upper)
+    opt = box_optimum(inst, box)
     assert opt == pytest.approx(2.0)
     assert res.value >= 0.45 * opt
-    assert res.value == pytest.approx(float(inst.value(res.x)))
+    assert res.value == inst.value_batch(res.x)[0]
 
 
 def test_run_dr_large_n_on_a_shrunk_box():
@@ -213,7 +244,7 @@ def test_run_dr_large_n_on_a_shrunk_box():
     assert np.allclose(cube.h + 0.5 * cube.H.sum(axis=1), -0.25)
     res = run_dr(inst, 0.1, box)
     assert (res.x >= 0.5).all() and (res.x <= 1.0).all()
-    assert res.value == pytest.approx(float(inst.value(res.x)))
+    assert res.value == inst.value_batch(res.x)[0]
     assert res.value >= 0.0
 
 
@@ -221,7 +252,7 @@ def test_run_dr_quarter_bound_and_tau_sandwich():
     for seed in range(5):
         inst = generate_random_instance("quadratic", 3, 40 + seed)
         res = run_dr(inst, 0.05)
-        _, opt = grid_search_optimum(inst.value_batch, 3)
+        opt = box_optimum(inst)
         assert res.value >= 0.45 * opt - 1e-9
         assert opt + 1e-9 >= res.tau >= opt / 4.0 - 1e-9
 
@@ -254,10 +285,12 @@ def test_run_dr_one_pinned(frozen_quad):
 
 def test_run_dr_unit_box_matches_the_core():
     # on the unit box the rescale and the embed are exact identities, so
-    # run_dr is run_core on the instance's own oracle, bit for bit
+    # run_dr is run_core on the instance's own oracle, value included,
+    # bit for bit
     for n, seed in ((2, 0), (5, 7), (8, 3)):
         inst = generate_random_instance("quadratic", n, seed)
         dr = run_dr(inst, 0.1)
         core = run_core(QuadraticContinuousOracle(inst), 0.1)
         assert core_bits(dr.core) == core_bits(core)
         assert dr.x.tobytes() == core.x.tobytes()
+        assert dr.value == core.value

@@ -116,8 +116,8 @@ def test_coverage_submodular_nonneg_exhaustive(tiny_coverage):
 
 def test_quadratic_frozen(frozen_quad):
     q = frozen_quad
-    assert q.value([0.5, 0.5]) == 0.75
-    assert list(q.gradient([0.5, 0.5])) == [0.5, 0.5]
+    assert list(q.value_batch([0.5, 0.5])) == [0.75]
+    assert q.gradient_batch([0.5, 0.5]).tolist() == [[0.5, 0.5]]
     assert list(q.evaluate_batch(all_subsets_matrix(2))) == [0.0, 1.0, 1.0, 1.0]
     X = np.array([[0.0, 0.0], [1.0, 1.0], [0.3, 0.8]])
     want = [0.0, 1.0, 0.3 + 0.8 - 0.24]
@@ -139,7 +139,7 @@ def test_quadratic_negative_vertex_rejected_unless_unvalidated():
         MultilinearQuadraticInstance(2, 0.0, [0.2, 0.2], [[0, -1], [-1, 0]])
     q = MultilinearQuadraticInstance(2, 0.0, [0.2, 0.2], [[0, -1], [-1, 0]],
                                      validate=False)
-    assert q.value([1.0, 1.0]) == pytest.approx(-0.6)
+    assert q.value_batch([1.0, 1.0])[0] == pytest.approx(-0.6)
 
 
 def test_quadratic_large_n_requires_the_structural_bound():
@@ -148,14 +148,14 @@ def test_quadratic_large_n_requires_the_structural_bound():
         MultilinearQuadraticInstance(n, -1.0, np.zeros(n), np.zeros((n, n)))  # f(empty) = -1
     H = -np.ones((n, n)) + np.eye(n)
     h = np.full(n, 10.0)                         # f(N) = 210 - 210 = 0: admitted
-    assert MultilinearQuadraticInstance(n, 0.0, h, H).value(np.ones(n)) == 0.0
+    assert MultilinearQuadraticInstance(n, 0.0, h, H).value_batch(np.ones(n))[0] == 0.0
     h[3] = 9.0                                   # f(N) = -1
     with pytest.raises(NonNegativityViolation, match=r"n=21 .*\(got -1\)"):
         MultilinearQuadraticInstance(n, 0.0, h, H)
     MultilinearQuadraticInstance(n, 0.0, h, H, validate=False)
     # c may absorb negative rows: f = 100 - |S| >= 79
     q = MultilinearQuadraticInstance(n, 100.0, -np.ones(n), np.zeros((n, n)))
-    assert q.value(np.ones(n)) == 79.0
+    assert q.value_batch(np.ones(n))[0] == 79.0
 
 
 def test_dense_matrix_budget_checked_before_allocating():
@@ -193,7 +193,11 @@ def test_quadratic_gradient_batch_matches_single():
     X = np.random.default_rng(2).random((6, 5))
     G = q.gradient_batch(X)
     for i in range(6):
-        assert np.abs(G[i] - q.gradient(X[i])).max() < 1e-12
+        # one (n,) point is a batch of one; both give the closed form h + Hx
+        single = q.gradient_batch(X[i])
+        assert single.shape == (1, 5)
+        assert np.abs(G[i] - single[0]).max() < 1e-12
+        assert np.abs(G[i] - (q.h + q.H @ X[i])).max() < 1e-12
 
 
 # -- generators ------------------------------------------------------------------
@@ -263,7 +267,7 @@ def test_boxed_quadratic_json_skips_unit_cube_validation(write_instance):
          "H": [[0.0, -1.0], [-1.0, 0.0]], "lower": [0.0, 0.0], "upper": [0.5, 0.5]}
     inst, box = load_instance(write_instance(d))
     assert box is not None
-    assert inst.value([0.25, 0.25]) > 0
+    assert inst.value_batch([0.25, 0.25])[0] > 0
 
 
 def test_json_unknown_kind():

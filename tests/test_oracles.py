@@ -400,6 +400,7 @@ import numpy as np
 from subpar import *
 from subpar.instances import check_nonnegative_exhaustive, check_submodular_exhaustive
 q = MultilinearQuadraticInstance(2, 0.0, [1, 1], [[0, -1], [-1, 0]])
+q25 = MultilinearQuadraticInstance(25, 0.0, np.ones(25), np.zeros((25, 25)))
 X = np.array([True, False, False])
 """
 
@@ -420,9 +421,9 @@ def raised(stderr):
      "np.zeros(0), np.array([0.5]), 0, 0, 4)", "undecided element"),
     ("g_estimates(SetOracle(generate_random_instance('cut', 3, 0)), X, ~X, "
      "np.full(2, 0.5), np.zeros(0), 0, 0, 4)", "at least one step size"),
-    ("grid_search_optimum(q.value_batch, 8)", "<= 5e6"),
-    ("q.value([0.5, 0.5, 0.5])", "expected (2,)"),
-    ("q.gradient([0.5])", "expected (2,)"),
+    ("box_optimum(q25)", "n <= 24"),
+    ("q.value_batch([[0.5, 0.5, 0.5]])", "(P, 2)"),
+    ("q.gradient_batch([0.5])", "(P, 2)"),
     ("QuadraticContinuousOracle(CutInstance(2, []))", "expected a quadratic"),
     ("rescale_to_cube(CutInstance(2, []), BoxDomain([0, 0], [1, 1]))",
      "expected a quadratic"),
