@@ -17,9 +17,8 @@ __version__ = "0.1.0"
 
 from .baselines import TooLarge, brute_force, double_greedy, random_half
 from .continuous import (ContinuousState, ParamOutOfRange, StateInvariantViolation,
-                         compute_rates, pre_process, run_continuous, run_core, update)
-from .discrete import (DiscreteParams, discrete_preprocess, discrete_update,
-                       estimate_tau, finalize, g_estimates, round_step, run_discrete)
+                         run_continuous, run_core)
+from .discrete import DiscreteParams, run_discrete
 from .drbox import QuadraticContinuousOracle, box_optimum, rescale_to_cube, run_dr
 from .instances import (BoxDomain, CoverageInstance, CutInstance, InvalidInstance,
                         MultilinearQuadraticInstance, NonNegativityViolation, OutOfBox,
@@ -39,11 +38,8 @@ __all__ = [
     "OracleAccounting", "OutOfBox", "ParamOutOfRange",
     "QuadraticContinuousOracle", "RunReport", "SetOracle",
     "StateInvariantViolation", "TooLarge", "UnreadableInstance",
-    "box_optimum", "brute_force", "compute_rates", "discrete_preprocess",
-    "discrete_update", "double_greedy", "dump_instance", "estimate_tau",
-    "finalize", "g_estimates", "generate_random_instance",
-    "ids_of",
-    "load_instance", "lovasz_value", "pre_process", "random_half",
-    "rescale_to_cube", "round_step", "run_continuous", "run_core",
-    "run_discrete", "run_dr", "run_verify", "sample_set", "update",
+    "box_optimum", "brute_force", "double_greedy", "dump_instance",
+    "generate_random_instance", "ids_of", "load_instance", "lovasz_value",
+    "random_half", "rescale_to_cube", "run_continuous", "run_core",
+    "run_discrete", "run_dr", "run_verify", "sample_set",
 ]

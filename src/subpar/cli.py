@@ -339,7 +339,7 @@ def cmd_sweep(args, parser):
     return 0
 
 
-AUTO_EXACT_LIMIT = 16   # exact extension folding is cheap up to here
+AUTO_EXACT_LIMIT = 16   # auto stays exact while a round charges at most 2^16 queries
 
 
 def _resolve_auto(spec, mode, k, n):

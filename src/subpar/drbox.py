@@ -55,10 +55,8 @@ class QuadraticContinuousOracle(ContinuousOracle):
 
     def _answer(self, pts, grads, values):
         self.rounds_meter.charge(pts.shape[0])
-        if not grads:
-            return self.instance.value_batch(pts)
-        g = self.instance.gradient_batch(pts)
-        return (g, self.instance.value_batch(pts)) if values else g
+        out = self.instance.extension(pts, grads)
+        return out if values else out[0]
 
 
 def rescale_to_cube(instance, box):

@@ -7,6 +7,11 @@ All instances are immutable after construction and expose
                           membership matrix, returning a float vector
     marginals(m)       -- the (B, n) matrix of f(S+u) - f(S-u) in closed
                           form, which answers SetOracle.eval_marginals
+    extension(X, grads=True)
+                       -- the multilinear extension F in closed form at
+                          each row of a float (P, n) batch X, as
+                          (gradients, values) or, with grads=False, the
+                          values; it answers SetOracle.eval_extension
 
 Every number an instance is built from must be finite; construction
 rejects NaN, infinities and integers beyond the float64 range with
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import TooLarge
-from .oracles import InvalidElement, all_subsets_matrix
+from .oracles import InvalidElement, OutOfBox, all_subsets_matrix
 
 
 class InvalidInstance(ValueError):
@@ -38,10 +43,6 @@ class NonNegativityViolation(ValueError):
 
 class UnreadableInstance(ValueError):
     """An instance file that is not JSON or lacks a field of its kind."""
-
-
-class OutOfBox(ValueError):
-    """A fractional point lies outside [0,1]^n."""
 
 
 _VALIDATE_LIMIT = 20  # exhaustive non-negativity validation up to this n
@@ -125,6 +126,12 @@ class CutInstance:
         # W has a zero diagonal, so u's own membership drops out
         return self._d - 2.0 * (m.astype(np.float64) @ self._W)
 
+    def extension(self, X, grads=True):
+        # the zero diagonal of W makes E[m_u m_v] = x_u x_v on every edge
+        XW = X @ self._W
+        vals = X @ self._d - (XW * X).sum(axis=1)
+        return (self._d - 2.0 * XW, vals) if grads else vals
+
     def to_json_dict(self):
         return {"kind": "cut", "n": self.n,
                 "edges": [[u, v, w] for u, v, w in self.edges]}
@@ -187,6 +194,21 @@ class CoverageInstance:
         gain_in = (counts == 1).astype(np.float64) @ self._gain_w
         gain_out = (counts == 0).astype(np.float64) @ self._gain_w
         return np.where(m, gain_in, gain_out) - self.costs
+
+    def extension(self, X, grads=True):
+        # item j stays uncovered with the product of 1 - x_v over the
+        # elements v that cover it; the others contribute a factor of 1
+        miss = np.where(self.covers, 1.0 - X[:, :, None], 1.0)    # (P, n, universe)
+        vals = (1.0 - miss.prod(axis=1)) @ self.weights - X @ self.costs
+        if not grads:
+            return vals
+        # u's partial weighs its items by the product over the *other*
+        # elements: exclusive prefix and suffix products, never a division
+        # by 1 - x_u, which is 0 at x_u = 1
+        one = np.ones_like(miss[:, :1])
+        before = np.cumprod(np.concatenate([one, miss[:, :-1]], axis=1), axis=1)
+        after = np.cumprod(np.concatenate([one, miss[:, :0:-1]], axis=1), axis=1)[:, ::-1]
+        return (before * after * self._gain_w.T).sum(axis=2) - self.costs, vals
 
     def to_json_dict(self):
         return {
@@ -267,6 +289,11 @@ class MultilinearQuadraticInstance:
     def marginals(self, m):
         # the zero diagonal leaves u's own membership out of its marginal
         return self.h + m.astype(np.float64) @ self._H_sym
+
+    def extension(self, X, grads=True):
+        # F is its own extension
+        vals = self.value_batch(X)
+        return (self.gradient_batch(X), vals) if grads else vals
 
     def to_json_dict(self):
         return {"kind": "quadratic", "n": self.n, "c": self.c,

@@ -1,14 +1,12 @@
-"""Multilinear extension oracles: exact enumeration and Monte-Carlo.
+"""Multilinear extension oracles: closed-form exact mode and Monte-Carlo.
 
 F(x) is the expected value of f on the random set that keeps element u
 with probability x_u.  Both oracle modes answer *batches* of extension
 arguments in a single adaptive round of the underlying set oracle:
 
-  exact    -- one round containing the full power set; every requested
-              argument is then an exactly weighted sum of that round's
-              values (n <= EXACT_LIMIT).  The gateway evaluates the
-              power set once and charges each later round from its
-              table.
+  exact    -- one round charged as the full power set, answered by the
+              instance's closed-form extension through
+              SetOracle.eval_extension (n <= EXACT_LIMIT).
   sampled  -- one round containing k random sets per argument, all
               thresholded against one shared uniform panel (common
               random numbers); the answer is the sample mean per
@@ -17,7 +15,7 @@ arguments in a single adaptive round of the underlying set oracle:
 Gradients use the defining identity of multilinear functions: the u-th
 partial at x equals F at (x with u forced to 1) minus F at (x with u
 forced to 0), priced as 2n extension arguments per point.  Exact mode
-reads them all off the power-set table in one adjoint fold.  In sampled
+takes them from the same closed form as the values.  In sampled
 mode, thresholding the shared panel at those forced arguments gives the
 panel's base set S with u added or removed, so the estimate is the mean
 over draws of the marginal f(S+u) - f(S-u): one marginal-gain round of
@@ -29,7 +27,7 @@ box oracle of drbox.py share with the continuous driver.
 
 import numpy as np
 
-from .instances import OutOfBox
+from .oracles import OutOfBox
 
 
 EXACT_LIMIT = 20      # largest n allowed in exact mode
@@ -129,7 +127,6 @@ class MultilinearOracle(ContinuousOracle):
         self.mode = mode
         self.samples = int(samples)
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self._fold_work = []          # scratch reused by every exact fold
 
     @property
     def n(self):
@@ -141,9 +138,7 @@ class MultilinearOracle(ContinuousOracle):
 
     def _answer(self, pts, grads, values):
         if self.mode == "exact":
-            # one round over the power set, read from the gateway's table
-            table = self.set_oracle.eval_batch(self.set_oracle.power_set_rows())
-            out = _fold_grad_eval(table, pts, grads=grads, work=self._fold_work)
+            out = self.set_oracle.eval_extension(pts, grads)
             return out if values else out[0]
         P, n = pts.shape
         k = self.samples
@@ -169,98 +164,6 @@ class MultilinearOracle(ContinuousOracle):
         k = self.samples
         panel = self.rng.random((k, n))
         return (panel[None] < args[:, None]).reshape(A * k, n)
-
-
-def _fold_grad_eval(table, pts, elem_budget=1 << 18, work=None, grads=True):
-    """Values and full gradients from one power-set table.
-
-    Forward pass: contract the table one coordinate at a time (highest
-    element id first, matching bit u of the mask = element u), each
-    level a + z*(b - a), keeping each level's difference b - a.  Adjoint
-    pass: the contraction is linear in the level values, so one sweep
-    back up the chain yields every partial derivative (the coordinate-u
-    partial is the adjoint-weighted sum of level u's difference).  Costs
-    a small constant times a single fold, instead of 2n folds.  Returns
-    (grads, vals); with grads=False the adjoint pass is skipped and only
-    vals is returned.
-
-    The top level's difference depends only on the table, so every
-    point shares it.  A chunk folds elem_budget // 2^n points, so each
-    of its three buffers (kept differences, and two that take turns as
-    the current level and the adjoint weights) holds at most
-    elem_budget / 2 floats: 1 MB at the default, near L2 size.  All of
-    them are cut, on cache lines, from one scratch array.  `work` may be
-    a list holding that array from an earlier call: it is reused, or
-    replaced by a larger one, so a caller folding round after round
-    allocates nothing big.  Fresh arrays of this size come from malloc
-    either out of warm memory or freshly mapped and faulted in, which
-    depends on the allocation history of the process, so the cost of a
-    fold depended on it too.  Every step is elementwise per point and
-    each partial is a row sum, so a point's answer never depends on the
-    chunk it was folded in.
-    """
-    P, n = pts.shape
-    size = table.size
-    if size != 1 << n:
-        raise ValueError(f"table has {size} values, expected 2^{n} = {1 << n}")
-    vals = np.empty(P)
-    out = np.empty((P, n)) if grads else None
-    top = size >> 1
-    chunk = min(P, max(1, elem_budget // size))
-    lines = -(-top // 8) * 8               # whole cache lines of floats
-    span = -(-chunk * top // 8) * 8
-    need = 7 + lines + 3 * span            # 7: room to start on a line
-    if work is None:
-        work = [np.empty(need)]
-    elif not work or work[0].size < need:
-        work[:] = [np.empty(need)]
-    first = (-work[0].ctypes.data % 64) // 8
-    scratch = work[0][first:first + lines + 3 * span]
-    a_top = table[:top]
-    d_top = scratch[:top]
-    np.subtract(table[top:], a_top, out=d_top)
-    kept, turn0, turn1 = (scratch[lines + i * span:lines + (i + 1) * span] for i in range(3))
-    turns = [turn0, turn1]
-    for lo in range(0, P, chunk):
-        hi = min(lo + chunk, P)
-        rows = hi - lo
-        z = pts[lo:hi]
-        diffs = [d_top]
-        cur = turns[0][:rows * top].reshape(rows, top)
-        np.multiply(z[:, n - 1:n], d_top, out=cur)
-        cur += a_top
-        used = 0
-        for u in range(n - 2, -1, -1):
-            half = 1 << u
-            a = cur[:, :half]
-            d = kept[used:used + rows * half].reshape(rows, half)
-            used += rows * half
-            np.subtract(cur[:, half:], a, out=d)
-            diffs.append(d)
-            cur = turns[(n - 1 - u) % 2][:rows * half].reshape(rows, half)
-            np.multiply(z[:, u:u + 1], d, out=cur)
-            cur += a
-        vals[lo:hi] = cur[:, 0]
-        if not grads:
-            continue
-        w = turns[0][:rows].reshape(rows, 1)
-        w.fill(1.0)
-        for u in range(n):
-            half = 1 << u
-            spare = turns[(u + 1) % 2]
-            if u < n - 1:
-                nxt = spare[:rows * 2 * half].reshape(rows, 2 * half)
-                prod = nxt[:, half:]        # overwritten by the next weights below
-            else:
-                prod = spare[:rows * half].reshape(rows, half)
-            np.multiply(w, diffs[n - 1 - u], out=prod)
-            out[lo:hi, u] = prod.sum(axis=1)
-            if u < n - 1:
-                zu = z[:, u:u + 1]
-                np.multiply(w, 1.0 - zu, out=nxt[:, :half])
-                np.multiply(w, zu, out=nxt[:, half:])
-                w = nxt
-    return (out, vals) if grads else vals
 
 
 def lovasz_value(set_oracle, x):

@@ -10,14 +10,6 @@ which is the point of the instrument.  How a batch is computed does not
 change its cost, so the gateway starts no workers: it evaluates a batch
 within the call, slice by slice.
 
-In exact mode the multilinear layer asks for the whole power set every
-round.  power_set_rows() hands out one read-only 2^n-row membership
-matrix per gateway; eval_batch recognises that very array (by identity,
-not by comparing rows), evaluates it once, keeps the read-only values,
-and answers every later power-set round from them.  Each such round is
-still charged as one round of 2^n queries: the table changes the cost
-of evaluation, never the meters.
-
 A marginal-gain round (eval_marginals) asks, for every base set S of a
 batch and every element u, for f(S+u) - f(S-u); it is priced as the 2n
 explicit rows it stands for and answered by the instance's closed-form
@@ -25,14 +17,19 @@ marginals, so the closed form changes the cost of evaluation but never
 the meters.  pair_rows builds the explicit S+u / S-u rows, and
 pair_gains reads their differences in one eval_batch round.
 
+An extension round (eval_extension) asks for the multilinear extension
+F, and optionally its gradient, at a batch of fractional points.  F at a
+point weighs f over the whole power set, so the round is charged as its
+2^n rows, and it is answered by the instance's closed-form extension:
+again the closed form changes the cost of evaluation, never the
+meters.
+
 Subsets are boolean membership matrices of shape (batch, n); one (n,)
 row is read as a batch of one.  Element ids, sets and 0/1 numbers are
 rejected with InvalidElement, never converted.
 """
 
-import ctypes
 import os
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -43,6 +40,10 @@ class InvalidElement(ValueError):
 
 class NonFiniteValue(ValueError):
     """The instance answered a round with NaN or an infinity."""
+
+
+class OutOfBox(ValueError):
+    """A fractional point lies outside [0,1]^n."""
 
 
 class OracleAccounting:
@@ -101,56 +102,6 @@ def all_subsets_matrix(n):
 _EVAL_CHUNK = 1 << 21  # rows per evaluation slice, keeps memory bounded
 
 
-def _openblas_thread_calls():
-    """(get, set) of the thread count of the OpenBLAS this process has
-    loaded, or None (another BLAS, or no /proc/self/maps to find it)."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({ln.split()[-1] for ln in fh
-                            if "openblas" in ln.lower() and ln.split()[-1].startswith("/")})
-    except OSError:
-        return None
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    put.argtypes = [ctypes.c_int]
-                    return get, put
-    return None
-
-
-_blas_thread_calls = None     # looked up on first use; False when not found
-
-
-@contextmanager
-def single_blas_thread():
-    """Run the body with BLAS on the calling thread only.
-
-    For small products between single-threaded numpy work: a threaded
-    OpenBLAS call wakes workers that keep spinning on the other cores
-    after it returns, and it stalls until every worker has been
-    scheduled, so load or steal on any core slows the caller.  The
-    thread count is process-wide and restored on exit.  Without OpenBLAS
-    the body runs unchanged.
-    """
-    global _blas_thread_calls
-    if _blas_thread_calls is None:
-        _blas_thread_calls = _openblas_thread_calls() or False
-    if not _blas_thread_calls:
-        yield
-        return
-    get, put = _blas_thread_calls
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
-
-
 def default_threads():
     """The core count.  The gateway runs on the caller's thread; the
     benchmark records this number as context only."""
@@ -189,39 +140,26 @@ def pair_gains(set_oracle, bases, elements):
 class SetOracle:
     """Round-counting batched gateway in front of a set-function instance.
 
-    The instance must expose `n` and two pure, vectorized functions of a
-    boolean (B, n) matrix: `evaluate_batch(members)`, the B values, and
-    `marginals(members)`, the (B, n) matrix of f(S+u) - f(S-u).  Every
-    batch handed to the gateway must pass members_matrix.  A batch is
-    evaluated within the call, in slices of at most _EVAL_CHUNK rows, one
-    after another.  All mutability lives in the accounting record,
-    updated once per batch, and in the power-set table, set once.
+    The instance must expose `n` and three pure, vectorized functions:
+    `evaluate_batch(members)`, the B values of a boolean (B, n) matrix,
+    `marginals(members)`, its (B, n) matrix of f(S+u) - f(S-u), and
+    `extension(points, grads)`, the multilinear extension at a float
+    (P, n) batch.  Every batch of sets handed to the gateway must pass
+    members_matrix.  A batch is evaluated within the call, in slices of
+    at most _EVAL_CHUNK rows, one after another.  All mutability lives in
+    the accounting record, updated once per batch.
     """
 
     def __init__(self, instance):
         self.instance = instance
         self.accounting = OracleAccounting()
-        self._power_set = None        # power_set_rows(), built on first use
-        self._power_set_vals = None   # f on those rows, once a round has evaluated them
 
     @property
     def n(self):
         return self.instance.n
 
-    def power_set_rows(self):
-        """The read-only (2^n, n) membership matrix of every subset, row i
-        the subset with mask i, built on first use and kept.  Passing this
-        array to eval_batch reads the gateway's power-set value table."""
-        if self._power_set is None:
-            rows = all_subsets_matrix(self.n)
-            rows.setflags(write=False)
-            self._power_set = rows
-        return self._power_set
-
     def eval_batch(self, subsets):
         """Evaluate every subset in the batch; one adaptive round total."""
-        if self._power_set is not None and subsets is self._power_set:
-            return self._power_set_table()
         m = members_matrix(subsets, self.n)
         if m.shape[0] == 0:
             raise ValueError("empty batch")
@@ -257,20 +195,24 @@ class SetOracle:
             return self._finite(marg), self._finite(vals)
         return self._finite(marg)
 
-    # -- internal ------------------------------------------------------
+    def eval_extension(self, points, grads=True):
+        """The multilinear extension F at every point of a float (P, n)
+        batch in [0, 1]^n: (gradients, values) when grads=True, else the
+        values.
 
-    def _power_set_table(self):
-        # charged like any round of 2^n rows; evaluated on the first one
-        # only.  A 2^n x n product on one BLAS thread: threaded, its idle
-        # workers spin beside the single-threaded fold that reads it
-        rows = self._power_set
-        self.accounting.charge(rows.shape[0])
-        if self._power_set_vals is None:
-            with single_blas_thread():
-                vals = self._finite(self._evaluate(rows))
-            vals.setflags(write=False)
-            self._power_set_vals = vals
-        return self._power_set_vals
+        One adaptive round, charged as the 2^n power-set rows that F
+        weighs, and answered by the instance's closed-form extension.
+        """
+        pts = np.asarray(points, dtype=np.float64)
+        if pts.ndim != 2 or pts.shape[1] != self.n or pts.shape[0] == 0:
+            raise ValueError(f"points have shape {pts.shape}, expected (P, {self.n}), P >= 1")
+        if not ((pts >= 0.0) & (pts <= 1.0)).all():     # NaN fails both
+            raise OutOfBox("a coordinate is outside [0,1] or not finite")
+        self.accounting.charge(1 << self.n)
+        out = self.instance.extension(pts, grads)
+        return tuple(map(self._finite, out)) if grads else self._finite(out)
+
+    # -- internal ------------------------------------------------------
 
     def _finite(self, vals):
         if not np.isfinite(vals).all():

@@ -1,11 +1,13 @@
 """Shared fixtures: canonical tiny instances, a spying oracle, tmp files."""
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from subpar import CoverageInstance, CutInstance, MultilinearQuadraticInstance, SetOracle
-from subpar.oracles import members_matrix
+from subpar.oracles import all_subsets_matrix, members_matrix
 
 
 @pytest.fixture
@@ -43,7 +45,8 @@ class SpySetOracle(SetOracle):
     The accounting record is the instrument under test; the spy counts
     at the call boundary so the two can be cross-checked.  A marginal
     round counts as one batch of the 2n (+1) rows per base it stands
-    for; marginal_batches counts those rounds on their own.
+    for; marginal_batches counts those rounds on their own.  An
+    extension round counts as one batch of the 2^n power-set rows.
     """
 
     def __init__(self, instance, **kw):
@@ -62,6 +65,11 @@ class SpySetOracle(SetOracle):
         self.marginal_batches += 1
         self.rows += members_matrix(bases, self.n).shape[0] * (2 * self.n + int(values))
         return super().eval_marginals(bases, values=values)
+
+    def eval_extension(self, points, grads=True):
+        self.batches += 1
+        self.rows += 1 << self.n
+        return super().eval_extension(points, grads)
 
 
 @pytest.fixture
@@ -84,11 +92,36 @@ def write_instance(tmp_path):
     return _write
 
 
-def core_bits(core):
+def power_set_extension(instance, X, grads=True):
+    """instance.extension(X, grads) the slow way: F at each row of X as the
+    power-set sum of f(S) prod_{u in S} x_u prod_{v not in S} (1 - x_v),
+    from evaluate_batch over all_subsets_matrix, and each partial as
+    F(x, u<-1) - F(x, u<-0) from the same sum."""
+    sets = all_subsets_matrix(instance.n)
+    table = instance.evaluate_batch(sets)
+
+    def F(points):
+        return np.where(sets, points[:, None, :], 1.0 - points[:, None, :]).prod(axis=2) @ table
+
+    vals = F(X)
+    if not grads:
+        return vals
+    partials = np.empty(X.shape)
+    for u in range(instance.n):
+        up, down = X.copy(), X.copy()
+        up[:, u], down[:, u] = 1.0, 0.0
+        partials[:, u] = F(up) - F(down)
+    return partials, vals
+
+
+def core_bits(core, queries=True):
     """A run_core result as bytes and float reprs: two runs agree bit for
-    bit in every state, trace and the answer exactly when these are equal."""
+    bit in every state, trace and the answer exactly when these are equal.
+    queries=False leaves out the traces' queries_used, which counts
+    another unit on each kind of oracle."""
     states = [s.x.tobytes() + s.y.tobytes() + repr(s.delta).encode() for s in core.states]
-    return states, repr(core.traces), core.x.tobytes(), repr((core.value, core.tau))
+    traces = core.traces if queries else [replace(t, queries_used=None) for t in core.traces]
+    return states, repr(traces), core.x.tobytes(), repr((core.value, core.tau))
 
 
 # -- acceptance-criteria reporting -------------------------------------------

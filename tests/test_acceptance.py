@@ -17,11 +17,11 @@ import time
 import numpy as np
 
 from subpar import (DiscreteParams, MultilinearOracle, QuadraticContinuousOracle,
-                    SetOracle, box_optimum, brute_force, discrete_preprocess,
-                    discrete_update, double_greedy, estimate_tau, g_estimates,
+                    SetOracle, box_optimum, brute_force, double_greedy,
                     generate_random_instance, run_continuous, run_core, run_discrete,
                     run_dr, run_verify)
-from subpar.discrete import round_step, _stream
+from subpar.discrete import (_stream, discrete_preprocess, discrete_update, estimate_tau,
+                             g_estimates, round_step)
 
 from conftest import ACCEPTANCE_LINES, core_bits
 from gain_oracle import expected_update_gain
@@ -275,8 +275,14 @@ def test_criterion_8_shared_core_cross_check():
                 assert core_bits(dr.core) == core_bits(core)
                 assert dr.x.tobytes() == core.x.tobytes()
                 assert dr.value == core.value
+                # the quadratic is its own extension, so exact mode walks
+                # the same core; only the meters' units differ
+                cont = run_continuous(
+                    MultilinearOracle(SetOracle(inst), mode="exact"), 0.1, seed=seed)
+                assert core_bits(cont.core, queries=False) == core_bits(dr.core, queries=False)
                 runs += 1
         return ("run_continuous and run_dr (unit box) match run_core on a fresh "
-                "oracle bit for bit in states, traces and x, and run_dr in value "
-                f"(cut n in {{8,10,12}}; {runs} quadratic runs)")
+                "oracle bit for bit in states, traces and x, and run_dr in value; "
+                "on quadratics exact run_continuous matches run_dr's core in all "
+                f"but queries_used (cut n in {{8,10,12}}; {runs} quadratic runs)")
     _record(8, "shared-core cross-check", body)

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from subpar import (DiscreteParams, ParamOutOfRange, SetOracle,
-                    StateInvariantViolation, discrete_preprocess,
-                    discrete_update, estimate_tau, finalize, g_estimates,
-                    generate_random_instance, run_discrete)
-from subpar.discrete import _pair_draw, _stream, discrete_update_grid, round_step
+                    StateInvariantViolation, generate_random_instance, run_discrete)
+from subpar.discrete import (_pair_draw, _stream, discrete_preprocess, discrete_update,
+                             discrete_update_grid, estimate_tau, finalize, g_estimates,
+                             round_step)
 from subpar.oracles import OracleAccounting
 
 from gain_oracle import expected_update_gain

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
 every local a function assigns is read by that function, the package
-holds no assert statement, and every package name the benchmark hooks
+holds no assert statement, every gateway method that charges rounds is
+counted by the tests' spy, and every package name the benchmark hooks
 into still exists.
 
 The checks walk the AST of the package and of the tests.  An imported
@@ -106,6 +107,19 @@ def test_no_asserts_in_package():
              for p in sorted((ROOT / "src" / "subpar").glob("*.py"))
              for node in ast.walk(ast.parse(p.read_text())) if isinstance(node, ast.Assert)]
     assert not found, "assert statements:\n" + "\n".join(found)
+
+
+def test_spy_counts_every_charging_gateway_method():
+    # the round audits compare the accounting with SpySetOracle's counts;
+    # a public entry point the spy does not override would slip past them
+    from conftest import SpySetOracle
+    from subpar import SetOracle
+    charging = [name for name, fn in vars(SetOracle).items()
+                if not name.startswith("_") and callable(fn)
+                and "self.accounting.charge(" in inspect.getsource(fn)]
+    assert {"eval_batch", "eval_marginals", "eval_extension"} <= set(charging)
+    missing = [name for name in charging if name not in vars(SpySetOracle)]
+    assert not missing, f"SpySetOracle does not count: {missing}"
 
 
 def test_benchmark_hooks_resolve():

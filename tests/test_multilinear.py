@@ -2,8 +2,9 @@
 
 naive_extension below recomputes F(x) as the literal probability-weighted
 sum over all 2^n subsets, with pure-python products -- slow, obvious, and
-sharing no code with the package's fold.  Every exact-mode answer is
-checked against it; frozen literals were derived by hand first.
+sharing no code with the instances' closed-form extensions.  Every
+exact-mode answer is checked against it or against conftest's
+power_set_extension, its vectorized twin; frozen literals were derived by hand first.
 """
 
 import itertools
@@ -13,10 +14,11 @@ import pytest
 
 from subpar import (ExactTooLarge, MultilinearOracle, SetOracle,
                     generate_random_instance, lovasz_value, sample_set)
-import subpar.oracles as oracles
 from subpar.instances import OutOfBox
-from subpar.multilinear import _fold_grad_eval, as_points, clamp01
+from subpar.multilinear import as_points, clamp01
 from subpar.oracles import all_subsets_matrix
+
+from conftest import power_set_extension
 
 
 def naive_extension(instance, x):
@@ -95,77 +97,26 @@ def test_grad_and_value_consistent(k2):
     assert np.array_equal(g1, g2) and np.array_equal(v1, v2)
 
 
-def test_adjoint_fold_matches_forced_coordinate_folds():
-    inst = generate_random_instance("cut", 8, 6)
-    table = SetOracle(inst).eval_batch(all_subsets_matrix(8))
-    pts = np.random.default_rng(5).random((7, 8))
-    grads, vals = _fold_grad_eval(table, pts)
-    ref_vals = _fold_grad_eval(table, pts, grads=False)
-    # per point, 2n forced arguments: u -> 1 in block 0, u -> 0 in block 1
-    forced = np.repeat(pts[:, None, None, :], 2, axis=1).repeat(8, axis=2)
-    idx = np.arange(8)
-    forced[:, 0, idx, idx] = 1.0
-    forced[:, 1, idx, idx] = 0.0
-    folded = _fold_grad_eval(table, forced.reshape(-1, 8), grads=False).reshape(7, 2, 8)
-    ref_grads = folded[:, 0] - folded[:, 1]
-    assert np.abs(vals - ref_vals).max() < 1e-12
-    assert np.abs(grads - ref_grads).max() < 1e-12
-
-
-def test_fold_chunking_is_invisible():
-    inst = generate_random_instance("coverage", 6, 9)
-    table = SetOracle(inst).eval_batch(all_subsets_matrix(6))
-    pts = np.random.default_rng(6).random((50, 6))
-    g1, v1 = _fold_grad_eval(table, pts)
-    g2, v2 = _fold_grad_eval(table, pts, elem_budget=1)
-    assert np.array_equal(g1, g2) and np.array_equal(v1, v2)
-    # the forward-only fold gives the same values, in any chunks
-    for budget in (1, 1 << 18):
-        assert np.array_equal(_fold_grad_eval(table, pts, budget, grads=False), v1)
-    # at n=14 the default budget folds 16 points per chunk, so 40 points
-    # really split; one point per chunk and one chunk for all must agree
-    inst = generate_random_instance("cut", 14, 9)
-    table = SetOracle(inst).eval_batch(all_subsets_matrix(14))
-    pts = np.random.default_rng(7).random((40, 14))
-    g1, v1 = _fold_grad_eval(table, pts)
-    for budget in (1, 1 << 18, 1 << 30):
-        g2, v2 = _fold_grad_eval(table, pts, elem_budget=budget)
-        assert np.array_equal(g1, g2) and np.array_equal(v1, v2)
-        assert np.array_equal(_fold_grad_eval(table, pts, budget, grads=False), v1)
-
-
-def test_fold_refuses_a_table_of_another_size():
-    # a typed error, so that python -O keeps the check
-    with pytest.raises(ValueError, match="table has 8 values, expected 2\\^2 = 4"):
-        _fold_grad_eval(np.zeros(8), np.full((1, 2), 0.5))
-
-
-def level_fold(table, z):
-    """One point's value and gradient by the textbook fold: keep every
-    level, recompute its difference in the adjoint sweep."""
-    n = z.size
-    levels, cur = [], table
-    for u in range(n - 1, -1, -1):
-        levels.append(cur)
-        half = 1 << u
-        cur = cur[:half] + z[u] * (cur[half:] - cur[:half])
-    grad, w = np.empty(n), np.ones(1)
-    for u in range(n):
-        inp, half = levels[n - 1 - u], 1 << u
-        grad[u] = (w * (inp[half:] - inp[:half])).sum()
-        w = np.concatenate([w * (1.0 - z[u]), w * z[u]])
-    return grad, cur[0]
-
-
-@pytest.mark.parametrize("kind,n", [("cut", 10), ("coverage", 9), ("quadratic", 8)])
-def test_grad_fold_is_the_per_point_level_fold(kind, n):
-    # same arithmetic per point, so equal bits, whatever the batch
-    table = SetOracle(generate_random_instance(kind, n, 5)).eval_batch(all_subsets_matrix(n))
-    pts = np.random.default_rng(1).random((12, n))
-    grads, vals = _fold_grad_eval(table, pts)
-    for i in range(12):
-        g, v = level_fold(table, pts[i])
-        assert np.array_equal(grads[i], g) and vals[i] == v
+@pytest.mark.parametrize("kind,n", [("cut", 1), ("cut", 7), ("cut", 10), ("coverage", 1),
+                                    ("coverage", 6), ("coverage", 10), ("quadratic", 2),
+                                    ("quadratic", 9)])
+def test_extension_is_the_power_set_sum(kind, n):
+    inst = generate_random_instance(kind, n, 23)
+    rng = np.random.default_rng(n)
+    X = rng.random((6, n))
+    X[0], X[1] = 0.0, 1.0                          # the empty and the full set
+    X[2, ::2], X[3, 1::2] = 1.0, 0.0               # coordinates at exactly 1 and 0
+    X[4] = rng.integers(0, 2, n)                   # a vertex
+    tol = 1e-12 * max(1.0, np.abs(inst.evaluate_batch(all_subsets_matrix(n))).max())
+    grads, vals = inst.extension(X)
+    want_grads, want_vals = power_set_extension(inst, X)
+    assert np.abs(vals - want_vals).max() <= tol
+    assert np.abs(grads - want_grads).max() <= tol
+    assert np.array_equal(inst.extension(X, grads=False), vals)
+    # a one-point batch answers as the same row of a larger one
+    g1, v1 = inst.extension(X[2:3])
+    assert g1.shape == (1, n) and v1.shape == (1,)
+    assert np.abs(g1 - grads[2]).max() <= tol and abs(v1[0] - vals[2]) <= tol
 
 
 # -- accounting ------------------------------------------------------------------
@@ -254,72 +205,6 @@ def test_sampled_needs_a_draw(samples):
         MultilinearOracle(SetOracle(generate_random_instance("cut", 4, 0)),
                           mode="sampled", samples=samples)
 
-
-def test_exact_power_set_rows_built_once(monkeypatch, k2):
-    # the rows are the gateway's power_set_rows, built on first use
-    built = []
-
-    def counting(n):
-        built.append(n)
-        return all_subsets_matrix(n)
-
-    monkeypatch.setattr(oracles, "all_subsets_matrix", counting)
-    so = SetOracle(k2)
-    oracle = MultilinearOracle(so, mode="exact")
-    pts = np.random.default_rng(3).random((3, 2))
-    oracle.value_batch(pts)
-    oracle.gradient_batch(pts)
-    oracle.grad_and_value_batch(pts)
-    assert built == [2]                       # three rounds, one build
-    assert so.accounting.snapshot() == (3, 12)
-    rows = so.power_set_rows()
-    assert rows is so.power_set_rows() and not rows.flags.writeable
-    assert np.array_equal(rows, all_subsets_matrix(2))
-    assert built == [2]
-
-
-def test_exact_fold_scratch_is_reused():
-    # the oracle folds every round in one kept scratch array, grown only
-    # for a larger chunk; the answers match a fold with its own scratch
-    inst = generate_random_instance("coverage", 10, 2)
-    so = SetOracle(inst)
-    oracle = MultilinearOracle(so, mode="exact")
-    table = so.eval_batch(all_subsets_matrix(10))
-    rng = np.random.default_rng(8)
-    big, small = rng.random((40, 10)), rng.random((3, 10))
-    g, v = oracle.grad_and_value_batch(big)
-    scratch = oracle._fold_work[0]
-    assert np.array_equal(g, _fold_grad_eval(table, big)[0])
-    assert np.array_equal(v, _fold_grad_eval(table, big)[1])
-    assert np.array_equal(oracle.gradient_batch(small), _fold_grad_eval(table, small)[0])
-    assert oracle._fold_work[0] is scratch
-    work = [np.empty(1)]
-    g2, v2 = _fold_grad_eval(table, big, elem_budget=1 << 12, work=work)
-    assert work[0].size > 1
-    assert np.array_equal(g2, g) and np.array_equal(v2, v)
-
-def test_exact_power_set_round_runs_on_one_blas_thread():
-    calls = oracles._openblas_thread_calls()
-    if calls is None:
-        pytest.skip("numpy is not linked against an OpenBLAS with thread calls")
-    get = calls[0]
-    inst = generate_random_instance("cut", 12, 4)
-    seen = []
-
-    class Spy:
-        n = inst.n
-
-        def evaluate_batch(self, m):
-            seen.append((m.shape[0], get()))
-            return inst.evaluate_batch(m)
-
-    before = get()
-    oracle = MultilinearOracle(SetOracle(Spy()), mode="exact")
-    pts = np.random.default_rng(6).random((5, 12))
-    oracle.value_batch(pts)
-    oracle.grad_and_value_batch(pts)
-    assert seen == [(1 << 12, 1)]         # two rounds, one evaluation
-    assert get() == before
 
 # -- sampled estimator ---------------------------------------------------------
 

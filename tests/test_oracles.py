@@ -1,5 +1,5 @@
 """Oracle gateway: the boolean-row contract, accounting, batching,
-dedupe, the one-BLAS-thread switch, the power-set table."""
+dedupe, marginal-gain rounds and extension rounds."""
 
 import importlib
 import os
@@ -15,8 +15,10 @@ import subpar.oracles as oracles
 from subpar import (CutInstance, InvalidElement, MultilinearOracle, NonFiniteValue,
                     OracleAccounting, SetOracle, generate_random_instance, ids_of,
                     run_continuous)
-from subpar.oracles import (all_subsets_matrix, default_threads, members_matrix, pair_gains,
-                            pair_rows, single_blas_thread)
+from subpar.oracles import (OutOfBox, all_subsets_matrix, default_threads, members_matrix,
+                            pair_gains, pair_rows)
+
+from conftest import power_set_extension
 
 
 def test_members_matrix_accepts_bool_matrix():
@@ -135,37 +137,6 @@ def test_chunked_evaluation_matches_its_slices(monkeypatch):
 def test_threads_default_to_core_count():
     assert default_threads() == (os.cpu_count() or 1)
 
-
-def openblas_threads():
-    calls = oracles._openblas_thread_calls()
-    if calls is None:
-        pytest.skip("numpy is not linked against an OpenBLAS with thread calls")
-    return calls[0]
-
-
-def test_single_blas_thread_restores_the_count():
-    get = openblas_threads()
-    before = get()
-    with single_blas_thread():
-        assert get() == 1
-    assert get() == before
-    with pytest.raises(RuntimeError):
-        with single_blas_thread():
-            raise RuntimeError("body failed")
-    assert get() == before
-
-
-@pytest.mark.parametrize("kind", ["cut", "coverage", "quadratic"])
-def test_single_blas_thread_keeps_power_set_bits(kind):
-    # a power set splits evenly over BLAS threads, so one thread sums
-    # every row in the same order
-    openblas_threads()
-    m = all_subsets_matrix(14)
-    inst = generate_random_instance(kind, 14, 5)
-    threaded = inst.evaluate_batch(m)
-    with single_blas_thread():
-        single = inst.evaluate_batch(m)
-    assert np.array_equal(threaded, single)
 
 def test_pair_rows_shared_base_order():
     # one base per row of `bases`, shared by every element: [base, +/-, element]
@@ -310,6 +281,10 @@ class PoisonedInstance:
     def marginals(self, m):
         return explicit_marginals(self, m)
 
+    def extension(self, X, grads=True):
+        with np.errstate(invalid="ignore"):     # 0 * inf is NaN, poisoned too
+            return power_set_extension(self, X, grads)
+
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_gateway_rejects_non_finite_values(value):
@@ -329,75 +304,59 @@ def test_non_finite_oracle_fails_the_driver_by_name():
         run_continuous(oracle, 0.1)
 
 
-# -- the power-set value table ------------------------------------------------------
+# -- extension rounds ----------------------------------------------------------------
 
-class Counting:
-    """An instance that counts the rows of each evaluate_batch call."""
-
-    def __init__(self, inst):
-        self.n, self.inst, self.calls = inst.n, inst, []
-
-    def evaluate_batch(self, m):
-        self.calls.append(m.shape[0])
-        return self.inst.evaluate_batch(m)
-
-
-@pytest.mark.parametrize("k", [1, 2, 5])
-def test_power_set_rounds_are_charged_but_evaluated_once(k):
-    inst = Counting(generate_random_instance("cut", 9, 3))
-    so = SetOracle(inst)
-    rows = so.power_set_rows()
-    tables = [so.eval_batch(rows) for _ in range(k)]
-    assert so.accounting.snapshot() == (k, k << 9)
-    assert inst.calls == [1 << 9]
-    assert all(t is tables[0] for t in tables)
+@pytest.mark.parametrize("kind,n", [("cut", 3), ("coverage", 7), ("quadratic", 10)])
+@pytest.mark.parametrize("grads", [True, False])
+def test_eval_extension_is_one_power_set_round(kind, n, grads, spy_oracle):
+    inst = generate_random_instance(kind, n, 4)
+    spy = spy_oracle(inst)
+    X = np.random.default_rng(n).random((5, n))
+    out = spy.eval_extension(X, grads)
+    assert spy.accounting.snapshot() == (1, 1 << n)
+    assert (spy.batches, spy.rows) == (1, 1 << n)
+    want = inst.extension(X, grads)
+    if grads:
+        assert np.array_equal(out[0], want[0]) and np.array_equal(out[1], want[1])
+    else:
+        assert np.array_equal(out, want)
+    spy.eval_extension(X[:1], grads)
+    assert spy.accounting.snapshot() == (2, 2 << n)
 
 
-def test_power_set_table_is_read_only(k2):
-    so = SetOracle(k2)
-    table = so.eval_batch(so.power_set_rows())
-    assert not table.flags.writeable and not so.power_set_rows().flags.writeable
-    with pytest.raises(ValueError):
-        table[0] = 5.0
-    assert so.eval_batch(so.power_set_rows()).tolist() == [0.0, 1.0, 1.0, 0.0]
+@pytest.mark.parametrize("points, error", [
+    (np.full((2, 4), 0.5), ValueError),            # wrong width
+    (np.full(3, 0.5), ValueError),                 # one point is not a batch here
+    (np.full((2, 2, 3), 0.5), ValueError),         # 3-D batch
+    (np.zeros((0, 3)), ValueError),                # empty batch
+    ([[0.5, 0.5, 1.0 + 1e-15]], OutOfBox),         # no clamping at the gateway
+    ([[0.5, -1e-300, 0.5]], OutOfBox),
+    ([[0.5, np.nan, 0.5]], OutOfBox),
+    ([[0.5, 0.5, np.inf]], OutOfBox),
+])
+def test_eval_extension_refuses_a_bad_batch_before_charging(triangle, points, error):
+    so = SetOracle(triangle)
+    with pytest.raises(error):
+        so.eval_extension(points)
+    assert so.accounting.snapshot() == (0, 0)
 
 
-@pytest.mark.parametrize("kind", ["cut", "coverage", "quadratic"])
-def test_power_set_table_bits_match_a_fresh_gateway(kind):
-    inst = generate_random_instance(kind, 12, 7)
-    so = SetOracle(inst)
-    so.eval_batch(so.power_set_rows())
-    kept = so.eval_batch(so.power_set_rows())
-    fresh = SetOracle(inst)
-    assert np.array_equal(kept, fresh.eval_batch(fresh.power_set_rows()))
-    assert np.array_equal(kept, SetOracle(inst).eval_batch(all_subsets_matrix(12)))
-
-
-def test_non_finite_power_set_table_still_raises():
-    inst = Counting(PoisonedInstance(3, 2, np.nan))
-    so = SetOracle(inst)
-    for r in (1, 2):                          # nothing is kept from a failed round
-        with pytest.raises(NonFiniteValue, match=f"round {r}"):
-            so.eval_batch(so.power_set_rows())
-    assert inst.calls == [8, 8]
-    assert so.accounting.snapshot() == (2, 16)
-
-
-def test_equal_but_distinct_power_set_is_evaluated(k2):
-    inst = Counting(k2)
-    so = SetOracle(inst)
-    kept = so.eval_batch(so.power_set_rows())
-    again = so.eval_batch(all_subsets_matrix(2))
-    copy = so.eval_batch(so.power_set_rows().copy())
-    assert inst.calls == [4, 4, 4]
-    assert again is not kept and again.flags.writeable and copy.flags.writeable
-    assert np.array_equal(again, kept) and np.array_equal(copy, kept)
-    assert so.accounting.snapshot() == (3, 12)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_extension_raises(value):
+    so = SetOracle(PoisonedInstance(3, 2, value))
+    so.eval_batch(np.array([[True, True, False]]))
+    with pytest.raises(NonFiniteValue, match="round 2"):
+        so.eval_extension(np.full((2, 3), 0.5), grads=False)
+    with pytest.raises(NonFiniteValue, match="round 3"):
+        so.eval_extension(np.full((2, 3), 0.5))
+    assert so.accounting.snapshot() == (3, 1 + 2 * 8)
 
 
 _PRELUDE = """\
 import numpy as np
 from subpar import *
+from subpar.continuous import pre_process, update
+from subpar.discrete import g_estimates
 from subpar.instances import check_nonnegative_exhaustive, check_submodular_exhaustive
 q = MultilinearQuadraticInstance(2, 0.0, [1, 1], [[0, -1], [-1, 0]])
 q25 = MultilinearQuadraticInstance(25, 0.0, np.ones(25), np.zeros((25, 25)))
