@@ -22,7 +22,7 @@ from .baselines import BRUTE_LIMIT, TooLarge, brute_force, double_greedy, random
 from .continuous import ParamOutOfRange, check_epsilon, run_continuous
 from .discrete import DiscreteParams, run_discrete
 from .drbox import box_optimum, rescale_to_cube, run_dr
-from .instances import (InvalidInstance, MultilinearQuadraticInstance,
+from .instances import (BoxDomain, InvalidInstance, MultilinearQuadraticInstance,
                         NonNegativityViolation, UnreadableInstance,
                         generate_random_instance, load_instance)
 from .multilinear import EXACT_LIMIT, MultilinearOracle
@@ -146,35 +146,32 @@ def _check_exact_size(algorithm, oracle_mode, n, parser):
 
 def _load(path, algorithm, parser):
     """(instance, box) from --instance.  Only dr runs on the file's box,
-    so a boxed quadratic, built unchecked for its box, is checked there
-    now; any other algorithm reads the instance as a set function, so
-    the box is dropped and the quadratic is built again with the
+    and execute checks a boxed quadratic there, once, before its clock
+    starts; any other algorithm reads the instance as a set function,
+    so the box is dropped and the quadratic is built again with the
     construction check."""
     if not os.path.exists(path):
         parser.error(f"--instance: file not found: {path}")
     try:
         instance, box = load_instance(path)
-        if box is not None and isinstance(instance, MultilinearQuadraticInstance):
-            if algorithm == "dr":
-                rescale_to_cube(instance, box)
-            else:
+        if algorithm != "dr":
+            if box is not None and isinstance(instance, MultilinearQuadraticInstance):
                 instance = MultilinearQuadraticInstance(instance.n, instance.c,
                                                         instance.h, instance.H)
-        if algorithm != "dr":
             box = None
     except (InvalidInstance, NonNegativityViolation) as e:
         parser.error(f"--instance: invalid instance: {e}")
     return instance, box
 
 
-def _opt_for(instance, alg, box):
+def _opt_for(instance, alg, box, reduced):
     """Ground-truth optimum on a fresh oracle (not charged to the run),
     up to BRUTE_LIMIT: the best vertex of dr's box, the best subset
     otherwise."""
     if instance.n > BRUTE_LIMIT:
         return None
     if alg == "dr":
-        return box_optimum(instance, box)
+        return box_optimum(instance, box, reduced)
     _, opt = brute_force(SetOracle(instance))
     return opt
 
@@ -192,15 +189,23 @@ def cmd_run(args, parser):
 
 def execute(instance, box, instance_id, args, parser):
     """Run one algorithm and report it; box is dr's (None: the unit
-    cube).  wall_time_ms times the solver only: the ground-truth OPT is
-    computed after the clock stops."""
+    cube).  wall_time_ms times the solver only: dr's box check runs
+    before the clock starts, and the ground-truth OPT after it stops."""
     alg = args.algorithm
     n = instance.n
     oracle_mode, oracle_k = _parse_oracle(args.oracle, parser)
     _check_exact_size(alg, oracle_mode, n, parser)
-    if alg == "dr" and not isinstance(instance, MultilinearQuadraticInstance):
-        parser.error("--algorithm: dr requires a quadratic instance "
-                     f"(got kind {instance.kind!r})")
+    reduced = None
+    if alg == "dr":
+        if not isinstance(instance, MultilinearQuadraticInstance):
+            parser.error("--algorithm: dr requires a quadratic instance "
+                         f"(got kind {instance.kind!r})")
+        if box is None:
+            box = BoxDomain(np.zeros(n), np.ones(n))
+        try:    # the box's one non-negativity check; the run and its OPT reuse it
+            reduced = rescale_to_cube(instance, box)
+        except (InvalidInstance, NonNegativityViolation) as e:
+            parser.error(f"--instance: invalid instance: {e}")
     delegated = None
     if alg in ("continuous", "discrete") and n < SMALL_N:
         delegated = alg
@@ -210,7 +215,7 @@ def execute(instance, box, instance_id, args, parser):
     t0 = time.perf_counter()
 
     if alg == "dr":
-        res = run_dr(instance, args.epsilon, box)
+        res = run_dr(instance, args.epsilon, box, reduced)
         meter = res.oracle.rounds_meter   # its rounds; it makes no set queries
         fields = dict(solution={"fractional": [float(v) for v in res.x]},
                       value=res.value, F_queries=res.oracle.F_queries,
@@ -259,7 +264,7 @@ def execute(instance, box, instance_id, args, parser):
                       delegated=delegated)
 
     wall_time_ms = (time.perf_counter() - t0) * 1000.0
-    opt = fields["value"] if alg == "brute-force" else _opt_for(instance, alg, box)
+    opt = fields["value"] if alg == "brute-force" else _opt_for(instance, alg, box, reduced)
     return RunReport(instance_id=instance_id, algorithm=alg, seed=args.seed, n=n,
                      adaptive_rounds=meter.rounds,
                      f_queries=set_oracle.accounting.queries, opt_value=opt,

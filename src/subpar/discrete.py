@@ -189,7 +189,9 @@ def g_estimates(set_oracle, X, Y, r, deltas, seed, iteration, m):
     For each candidate d and sample: draw R_x ~ product(d * r) over the
     undecided set and R_y ~ product(d * (1-r)), form the stepped pair
     (X u R_x, Y \\ R_y), and read the rate-weighted marginal sum across
-    undecided elements.  Sample s of candidate g comes from the
+    undecided elements.  The marginals come from one eval_gains round,
+    which evaluates each stepped set once plus its single-element
+    flips.  Sample s of candidate g comes from the
     sub-stream keyed (seed, 4, iteration, g), so estimates are
     reproducible and independent across candidates.
     """
@@ -209,7 +211,7 @@ def g_estimates(set_oracle, X, Y, r, deltas, seed, iteration, m):
         draw_y = rng.random((m, k)) < d * (1.0 - r)[None, :]
         bases[g, :, 0][:, idx] |= draw_x        # X u R(d*r)
         bases[g, :, 1][:, idx] &= ~draw_y       # Y \ R(d*(1-r))
-    gains = pair_gains(set_oracle, bases.reshape(-1, n), idx).reshape(deltas.size, m, 2, k)
+    gains = set_oracle.eval_gains(bases.reshape(-1, n), idx).reshape(deltas.size, m, 2, k)
     per_u = r[None, None, :] * gains[:, :, 0] - (1.0 - r)[None, None, :] * gains[:, :, 1]
     return per_u.sum(axis=2).mean(axis=1)
 

@@ -105,14 +105,27 @@ class DRRunResult:
     core: object = None
 
 
-def run_dr(instance, epsilon, box=None):
+def _reduce(instance, box, reduced):
+    """(box, cube, active): the box, default the unit cube, and
+    rescale_to_cube's answer for it, made and checked here unless the
+    caller hands it on as `reduced`."""
+    if box is None:
+        box = BoxDomain(np.zeros(instance.n), np.ones(instance.n))
+    if reduced is None:
+        reduced = rescale_to_cube(instance, box)
+    return box, *reduced
+
+
+def run_dr(instance, epsilon, box=None, reduced=None):
     """Run the continuous driver on a quadratic over a box (default the
     unit cube).
 
     The box is rescaled to the unit cube over its unpinned coordinates,
     the core runs there, and box.embed maps the fractional final iterate
     back: that point, in the original box coordinates, is the answer,
-    returned with its objective value.
+    returned with its objective value.  A caller that has already made
+    (and so checked) rescale_to_cube(instance, box) hands it on as
+    `reduced`, and the box is not checked again.
 
     A box that pins every coordinate leaves nothing to optimize: the
     pinned point is the answer, and the returned oracle was never
@@ -120,9 +133,7 @@ def run_dr(instance, epsilon, box=None):
     """
     check_epsilon(epsilon)
     n = instance.n
-    if box is None:
-        box = BoxDomain(np.zeros(n), np.ones(n))
-    cube, active = rescale_to_cube(instance, box)
+    box, cube, active = _reduce(instance, box, reduced)
     oracle = QuadraticContinuousOracle(instance if cube is None else cube)
     core = None if cube is None else run_core(oracle, epsilon)
     z = np.zeros(n)
@@ -134,7 +145,7 @@ def run_dr(instance, epsilon, box=None):
                        tau=core.tau if core else value, oracle=oracle, core=core)
 
 
-def box_optimum(instance, box=None):
+def box_optimum(instance, box=None, reduced=None):
     """The exact maximum of a quadratic over a box (default the unit cube).
 
     F has a zero-diagonal H, so along any one coordinate it is affine:
@@ -144,10 +155,9 @@ def box_optimum(instance, box=None):
     keeps the zero diagonal, so the maximum is brute force over its
     2^n vertices (n <= BRUTE_LIMIT; TooLarge beyond).  A box that pins
     every coordinate has one point, whose value is the optimum.
+    `reduced` is as for run_dr.
     """
-    if box is None:
-        box = BoxDomain(np.zeros(instance.n), np.ones(instance.n))
-    cube, _ = rescale_to_cube(instance, box)
+    box, cube, _ = _reduce(instance, box, reduced)
     if cube is None:
         return float(instance.value_batch(box.lower)[0])
     return brute_force(SetOracle(cube))[1]

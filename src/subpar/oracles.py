@@ -17,6 +17,14 @@ marginals, so the closed form changes the cost of evaluation but never
 the meters.  pair_rows builds the explicit S+u / S-u rows, and
 pair_gains reads their differences in one eval_batch round.
 
+A pair-gain round (eval_gains) asks for the same differences
+f(S+u) - f(S-u) at a batch of bases and a list of elements, and is
+charged as the same 2k pair rows per base.  One of S+u and S-u is S
+itself, so it evaluates each base once plus its k single-element flips
+S^u: B(k+1) rows in place of 2Bk, and the same meters.  The discrete
+driver's G-estimate round reads its gains this way; its other pair-gain
+reads keep pair_gains.
+
 An extension round (eval_extension) asks for the multilinear extension
 F, and optionally its gradient, at a batch of fractional points.  F at a
 point weighs f over the whole power set, so the round is charged as its
@@ -99,7 +107,14 @@ def all_subsets_matrix(n):
     return (masks[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & 1 == 1
 
 
-_EVAL_CHUNK = 1 << 21  # rows per evaluation slice, keeps memory bounded
+# Rows per evaluation slice.  An instance's float temporaries for a
+# slice are a few (rows, n) arrays, 2.6 MB each at n = 20: small enough
+# to be reused from the heap and to stay in cache, where the temporaries
+# of a whole discrete round (74 MB each) take fresh pages every round.
+# A longer batch is cut into equal slices, between half a chunk and a
+# chunk each: BLAS picks its kernel by batch shape, and a short tail
+# slice would run another kernel than the rest of its batch.
+_EVAL_CHUNK = 1 << 14
 
 
 def default_threads():
@@ -145,9 +160,9 @@ class SetOracle:
     `marginals(members)`, its (B, n) matrix of f(S+u) - f(S-u), and
     `extension(points, grads)`, the multilinear extension at a float
     (P, n) batch.  Every batch of sets handed to the gateway must pass
-    members_matrix.  A batch is evaluated within the call, in slices of
-    at most _EVAL_CHUNK rows, one after another.  All mutability lives in
-    the accounting record, updated once per batch.
+    members_matrix.  A batch is evaluated within the call, in equal
+    slices of at most _EVAL_CHUNK rows, one after another.  All
+    mutability lives in the accounting record, updated once per batch.
     """
 
     def __init__(self, instance):
@@ -165,6 +180,34 @@ class SetOracle:
             raise ValueError("empty batch")
         self.accounting.charge(m.shape[0])
         return self._finite(self._evaluate(m))
+
+    def eval_gains(self, bases, elements):
+        """The (B, k) gains f(S+u) - f(S-u) of every base S of a boolean
+        (B, n) batch and every u in `elements`, as pair_gains reads them.
+
+        One adaptive round, charged as the 2k pair rows per base that
+        pair_gains would evaluate.  One of S+u and S-u is S itself, so
+        the round evaluates each base once and its k flips S^u once:
+        f(S^u) - f(S) when u is outside S, f(S) - f(S^u) when inside.
+        """
+        m = members_matrix(bases, self.n)
+        B, n = m.shape
+        if B == 0:
+            raise ValueError("empty batch")
+        elements = np.asarray(elements)
+        if not (elements.ndim == 1 and elements.size and elements.dtype.kind in "iu"
+                and (elements >= 0).all() and (elements < n).all()):
+            raise InvalidElement(f"elements must be a non-empty list of ids in "
+                                 f"0..{n - 1}, got {elements!r}")
+        k = elements.size
+        self.accounting.charge(2 * k * B)
+        inside = m[:, elements]
+        rows = np.empty((B, k + 1, n), dtype=bool)   # [base, S then its flips]
+        rows[:] = m[:, None, :]
+        rows[:, 1 + np.arange(k), elements] = ~inside
+        vals = self._finite(self._evaluate(rows.reshape(-1, n))).reshape(B, k + 1)
+        base, flips = vals[:, :1], vals[:, 1:]
+        return np.where(inside, base - flips, flips - base)
 
     def eval_marginals(self, bases, values=False):
         """Marginals f(S+u) - f(S-u) of every element u at every base S.
@@ -237,9 +280,12 @@ class SetOracle:
             pos = np.empty(1 << n, dtype=np.int64)
             pos[uniq] = np.arange(uniq.size)
             return vals[pos[keys]].astype(np.float64, copy=False)
+        # equal slices of at most _EVAL_CHUNK rows, lengths differing by
+        # at most one, so every slice of a long batch is at least half one
         out = np.empty(rows, dtype=np.float64)
-        for lo in range(0, rows, _EVAL_CHUNK):
-            hi = min(lo + _EVAL_CHUNK, rows)
+        parts = -(-rows // _EVAL_CHUNK)
+        cuts = np.arange(parts + 1) * rows // parts
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
             out[lo:hi] = self.instance.evaluate_batch(m[lo:hi])
         return out
 

@@ -45,8 +45,10 @@ class SpySetOracle(SetOracle):
     The accounting record is the instrument under test; the spy counts
     at the call boundary so the two can be cross-checked.  A marginal
     round counts as one batch of the 2n (+1) rows per base it stands
-    for; marginal_batches counts those rounds on their own.  An
-    extension round counts as one batch of the 2^n power-set rows.
+    for; marginal_batches counts those rounds on their own.  A pair-gain
+    round counts as one batch of the 2k pair rows per base it stands
+    for.  An extension round counts as one batch of the 2^n power-set
+    rows.
     """
 
     def __init__(self, instance, **kw):
@@ -65,6 +67,11 @@ class SpySetOracle(SetOracle):
         self.marginal_batches += 1
         self.rows += members_matrix(bases, self.n).shape[0] * (2 * self.n + int(values))
         return super().eval_marginals(bases, values=values)
+
+    def eval_gains(self, bases, elements):
+        self.batches += 1
+        self.rows += members_matrix(bases, self.n).shape[0] * 2 * np.size(elements)
+        return super().eval_gains(bases, elements)
 
     def eval_extension(self, points, grads=True):
         self.batches += 1

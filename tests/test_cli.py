@@ -150,6 +150,25 @@ def test_run_dr_on_fully_pinned_box(frozen_quad, write_instance, tmp_path):
     assert rep["solution"]["fractional"] == [0.5, 0.5]
 
 
+def test_run_dr_checks_a_boxed_file_once(monkeypatch, tmp_path):
+    # the box's vertex check runs once, before the clock; the run and its
+    # OPT take the checked cube from it
+    from subpar import instances
+    inst = generate_random_instance("quadratic", 8, 2)
+    path = tmp_path / "boxed.json"
+    path.write_text(json.dumps({**inst.to_json_dict(), "lower": [0.1] * 8,
+                                "upper": [0.9] * 8}))
+    check, calls = instances.all_subsets_matrix, []
+    monkeypatch.setattr(instances, "all_subsets_matrix",
+                        lambda n: calls.append(n) or check(n))
+    out = tmp_path / "rep.json"
+    assert cli.main(["run", "--instance", str(path), "--algorithm", "dr",
+                     "--out", str(out)]) == 0
+    assert calls == [8]
+    rep = json.loads(out.read_text())
+    assert 0.0 < rep["value"] <= rep["opt_value"]
+
+
 # -- in process: every branch's report fields, and what the clock covers ----------
 
 SUBSET = {"subset"}

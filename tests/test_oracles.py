@@ -124,14 +124,24 @@ def test_dedupe_path_matches_direct_evaluation():
 
 
 def test_chunked_evaluation_matches_its_slices(monkeypatch):
-    # a batch longer than one chunk is cut into whole chunks, in order
+    # a batch longer than one chunk is cut into equal slices, in order:
+    # none longer than a chunk, none shorter than half of one
     monkeypatch.setattr(oracles, "_EVAL_CHUNK", 64)
     inst = CutInstance(18, [(u, u + 1, 1.0) for u in range(17)])
-    m = np.random.default_rng(5).random((1000, 18)) < 0.5
-    want = np.concatenate([inst.evaluate_batch(m[lo:lo + 64]) for lo in range(0, 1000, 64)])
-    so = SetOracle(inst)
-    assert np.array_equal(so.eval_batch(m), want)
-    assert so.accounting.snapshot() == (1, 1000)
+    evaluate, sizes = inst.evaluate_batch, []
+    monkeypatch.setattr(inst, "evaluate_batch",
+                        lambda m: sizes.append(m.shape[0]) or evaluate(m))
+    for rows in (65, 1000):
+        sizes.clear()
+        m = np.random.default_rng(5).random((rows, 18)) < 0.5
+        so = SetOracle(inst)
+        got = so.eval_batch(m)
+        assert sum(sizes) == rows and len(sizes) > 1
+        assert 32 <= min(sizes) and max(sizes) <= 64
+        cuts = np.cumsum([0] + sizes)
+        want = np.concatenate([evaluate(m[lo:hi]) for lo, hi in zip(cuts[:-1], cuts[1:])])
+        assert np.array_equal(got, want)
+        assert so.accounting.snapshot() == (1, rows)
 
 
 def test_threads_default_to_core_count():
@@ -198,6 +208,56 @@ def test_pair_gains_need_only_eval_batch(triangle):
     g = pair_gains(EvalOnly(SetOracle(triangle)), bases, [0, 2])
     # unit triangle: f(S+u) - f(S-u) = 2 - 2 * |S - u|
     assert np.array_equal(g, [[2.0, 0.0], [0.0, -2.0]])
+
+
+# -- pair-gain rounds --------------------------------------------------------------
+
+@pytest.mark.parametrize("kind,n", [("cut", 9), ("coverage", 8), ("quadratic", 7)])
+def test_eval_gains_are_pair_gains(kind, n):
+    inst = generate_random_instance(kind, n, 3)
+    bases = np.random.default_rng(6).random((40, n)) < 0.5
+    elements = [n - 1, 0, 3]
+    inside = bases[:, elements]
+    assert inside.any() and not inside.all()        # u both in and out of S
+    so = SetOracle(inst)
+    g = so.eval_gains(bases, elements)
+    assert g.shape == (40, 3)
+    assert so.accounting.snapshot() == (1, 40 * 2 * 3)
+    want = pair_gains(SetOracle(inst), bases, elements)
+    assert np.allclose(g, want, rtol=0.0, atol=1e-12)
+
+
+def test_eval_gains_evaluate_each_base_once(monkeypatch):
+    # n > 16 keeps the dedupe out: B bases and their B*k flips reach the
+    # instance, against the 2*B*k pair rows the round is charged
+    inst = generate_random_instance("cut", 18, 0)
+    evaluate, sizes = inst.evaluate_batch, []
+    monkeypatch.setattr(inst, "evaluate_batch",
+                        lambda m: sizes.append(m.shape[0]) or evaluate(m))
+    bases = np.random.default_rng(7).random((30, 18)) < 0.5
+    so = SetOracle(inst)
+    so.eval_gains(bases, [2, 17, 5, 0, 9])
+    assert sum(sizes) == 30 * 6
+    assert so.accounting.snapshot() == (1, 30 * 2 * 5)
+
+
+@pytest.mark.parametrize("bases, elements", [
+    (np.zeros((2, 4)), [0]),                        # float bases
+    (np.zeros((2, 4), dtype=bool), [4]),
+    (np.zeros((2, 4), dtype=bool), [-1]),
+    (np.zeros((2, 4), dtype=bool), [1.0]),
+    (np.zeros((2, 4), dtype=bool), []),
+])
+def test_eval_gains_reject_bad_input(bases, elements):
+    so = SetOracle(CutInstance(4, [(0, 1, 1.0)]))
+    with pytest.raises(InvalidElement):
+        so.eval_gains(bases, elements)
+    assert so.accounting.snapshot() == (0, 0)
+
+
+def test_eval_gains_reject_empty(k2):
+    with pytest.raises(ValueError):
+        SetOracle(k2).eval_gains(np.zeros((0, 2), dtype=bool), [0])
 
 
 def test_spy_matches_accounting(k2, spy_oracle):
