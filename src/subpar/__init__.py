@@ -3,7 +3,8 @@ adaptive-round accounting.
 
 The package provides:
   - instrumented set/extension oracles that count queries and adaptive
-    rounds (one batch = one round),
+    rounds (one batch = one round); the one extension oracle prices a
+    round as set queries (exact, sampled) or as its points (direct),
   - a continuous double-auction driver over the multilinear extension
     with constant adaptivity in the ground-set size,
   - a sampling-only discrete variant of the same driver,
@@ -19,7 +20,7 @@ from .baselines import TooLarge, brute_force, double_greedy, random_half
 from .continuous import (ContinuousState, ParamOutOfRange, StateInvariantViolation,
                          run_continuous, run_core)
 from .discrete import DiscreteParams, run_discrete
-from .drbox import QuadraticContinuousOracle, box_optimum, rescale_to_cube, run_dr
+from .drbox import box_optimum, rescale_to_cube, run_dr
 from .instances import (BoxDomain, CoverageInstance, CutInstance, InvalidInstance,
                         MultilinearQuadraticInstance, NonNegativityViolation, OutOfBox,
                         UnreadableInstance, dump_instance, generate_random_instance,
@@ -35,8 +36,7 @@ __all__ = [
     "DiscreteIterationTrace", "DiscreteParams", "ExactTooLarge", "Finding",
     "InvalidElement", "InvalidInstance", "IterationTrace", "MultilinearOracle",
     "MultilinearQuadraticInstance", "NonFiniteValue", "NonNegativityViolation",
-    "OracleAccounting", "OutOfBox", "ParamOutOfRange",
-    "QuadraticContinuousOracle", "RunReport", "SetOracle",
+    "OracleAccounting", "OutOfBox", "ParamOutOfRange", "RunReport", "SetOracle",
     "StateInvariantViolation", "TooLarge", "UnreadableInstance",
     "box_optimum", "brute_force", "double_greedy", "dump_instance",
     "generate_random_instance", "ids_of", "load_instance", "lovasz_value",

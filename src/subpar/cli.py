@@ -22,7 +22,7 @@ from .baselines import BRUTE_LIMIT, TooLarge, brute_force, double_greedy, random
 from .continuous import ParamOutOfRange, check_epsilon, run_continuous
 from .discrete import DiscreteParams, run_discrete
 from .drbox import box_optimum, rescale_to_cube, run_dr
-from .instances import (BoxDomain, InvalidInstance, MultilinearQuadraticInstance,
+from .instances import (InvalidInstance, MultilinearQuadraticInstance,
                         NonNegativityViolation, UnreadableInstance,
                         generate_random_instance, load_instance)
 from .multilinear import EXACT_LIMIT, MultilinearOracle
@@ -145,19 +145,18 @@ def _check_exact_size(algorithm, oracle_mode, n, parser):
 
 
 def _load(path, algorithm, parser):
-    """(instance, box) from --instance.  Only dr runs on the file's box,
-    and execute checks a boxed quadratic there, once, before its clock
-    starts; any other algorithm reads the instance as a set function,
-    so the box is dropped and the quadratic is built again with the
-    construction check."""
+    """(instance, box) from --instance.  Only a quadratic takes a box,
+    and only dr runs on it: execute checks a boxed quadratic there, once,
+    before its clock starts.  Any other algorithm reads the instance as
+    a set function, so the box is dropped and the quadratic is built
+    again with the construction check."""
     if not os.path.exists(path):
         parser.error(f"--instance: file not found: {path}")
     try:
         instance, box = load_instance(path)
-        if algorithm != "dr":
-            if box is not None and isinstance(instance, MultilinearQuadraticInstance):
-                instance = MultilinearQuadraticInstance(instance.n, instance.c,
-                                                        instance.h, instance.H)
+        if algorithm != "dr" and box is not None:
+            instance = MultilinearQuadraticInstance(instance.n, instance.c,
+                                                    instance.h, instance.H)
             box = None
     except (InvalidInstance, NonNegativityViolation) as e:
         parser.error(f"--instance: invalid instance: {e}")
@@ -197,15 +196,16 @@ def execute(instance, box, instance_id, args, parser):
     _check_exact_size(alg, oracle_mode, n, parser)
     reduced = None
     if alg == "dr":
-        if not isinstance(instance, MultilinearQuadraticInstance):
+        if instance.kind != "quadratic":
             parser.error("--algorithm: dr requires a quadratic instance "
                          f"(got kind {instance.kind!r})")
-        if box is None:
-            box = BoxDomain(np.zeros(n), np.ones(n))
-        try:    # the box's one non-negativity check; the run and its OPT reuse it
-            reduced = rescale_to_cube(instance, box)
-        except (InvalidInstance, NonNegativityViolation) as e:
-            parser.error(f"--instance: invalid instance: {e}")
+        if box is None:     # checked at construction on the unit cube,
+            reduced = instance, np.arange(n)    # where the rescale is the identity
+        else:
+            try:    # the box's one non-negativity check; the run and its OPT reuse it
+                reduced = rescale_to_cube(instance, box)
+            except (InvalidInstance, NonNegativityViolation) as e:
+                parser.error(f"--instance: invalid instance: {e}")
     delegated = None
     if alg in ("continuous", "discrete") and n < SMALL_N:
         delegated = alg

@@ -3,10 +3,12 @@
 The continuous driver in continuous.py only sees the ContinuousOracle
 protocol of multilinear.py (value_batch / gradient_batch /
 grad_and_value_batch / rounds_meter), so the same code path runs
-unchanged here: the box [a, b] is rescaled to the unit cube,
-QuadraticContinuousOracle answers the protocol with the objective's
-closed-form values and gradients in place of the extension estimator,
-and the fractional iterate itself is the output — no rounding step.
+unchanged here: the box [a, b] is rescaled to the unit cube, a
+MultilinearOracle in direct mode answers the protocol with the
+objective's closed-form values and gradients, charged as the points
+asked for, and the fractional iterate itself is the output — no
+rounding step.  Exact `continuous` reads the same closed form, priced
+as a set oracle's power set.
 
 For the quadratic family the rescaling is exact and stays in the
 family:  with D = diag(b - a),
@@ -29,34 +31,8 @@ from .baselines import brute_force
 from .continuous import check_epsilon, run_core
 from .instances import (NEGATIVE_TOL, BoxDomain, InvalidInstance,
                         MultilinearQuadraticInstance, NonNegativityViolation)
-from .multilinear import ContinuousOracle
-from .oracles import OracleAccounting, SetOracle
-
-
-def _require_quadratic(instance):
-    if not isinstance(instance, MultilinearQuadraticInstance):
-        raise InvalidInstance(f"expected a quadratic instance, got "
-                              f"{type(instance).__name__}")
-
-
-class QuadraticContinuousOracle(ContinuousOracle):
-    """Direct value/gradient oracle over a quadratic on the unit cube,
-    with its own round meter.  Its partials are closed-form, so they
-    cost no F-queries."""
-
-    def __init__(self, instance):
-        _require_quadratic(instance)
-        self.instance = instance
-        self.rounds_meter = OracleAccounting()
-
-    @property
-    def n(self):
-        return self.instance.n
-
-    def _answer(self, pts, grads, values):
-        self.rounds_meter.charge(pts.shape[0])
-        out = self.instance.extension(pts, grads)
-        return out if values else out[0]
+from .multilinear import MultilinearOracle
+from .oracles import SetOracle
 
 
 def rescale_to_cube(instance, box):
@@ -73,7 +49,9 @@ def rescale_to_cube(instance, box):
     point's value must not dip below the same tolerance, or
     NonNegativityViolation is raised.
     """
-    _require_quadratic(instance)
+    if instance.kind != "quadratic":
+        raise InvalidInstance(f"expected a quadratic instance, got "
+                              f"{type(instance).__name__}")
     if box.n != instance.n:
         raise InvalidInstance(f"box has {box.n} coordinates, the instance n={instance.n}")
     a = box.lower
@@ -125,7 +103,8 @@ def run_dr(instance, epsilon, box=None, reduced=None):
     back: that point, in the original box coordinates, is the answer,
     returned with its objective value.  A caller that has already made
     (and so checked) rescale_to_cube(instance, box) hands it on as
-    `reduced`, and the box is not checked again.
+    `reduced`, and the box is not checked again.  The core runs on a
+    MultilinearOracle in direct mode, whose meters are the run's.
 
     A box that pins every coordinate leaves nothing to optimize: the
     pinned point is the answer, and the returned oracle was never
@@ -134,7 +113,8 @@ def run_dr(instance, epsilon, box=None, reduced=None):
     check_epsilon(epsilon)
     n = instance.n
     box, cube, active = _reduce(instance, box, reduced)
-    oracle = QuadraticContinuousOracle(instance if cube is None else cube)
+    oracle = MultilinearOracle(SetOracle(instance if cube is None else cube),
+                               mode="direct")
     core = None if cube is None else run_core(oracle, epsilon)
     z = np.zeros(n)
     if core is not None:

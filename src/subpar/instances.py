@@ -433,14 +433,17 @@ def instance_from_json_dict(d):
 
 
 def load_instance(path):
-    """(instance, BoxDomain or None) from a JSON file; schema errors raise
-    InvalidInstance, a file that is no instance at all UnreadableInstance."""
+    """(instance, BoxDomain or None) from a JSON file; only a quadratic
+    takes a box.  Schema errors raise InvalidInstance, a file that is no
+    instance at all UnreadableInstance."""
     try:
         with open(path) as fh:
             d = json.load(fh)
         inst = instance_from_json_dict(d)
         box = None
         if "lower" in d or "upper" in d:
+            _require(inst.kind == "quadratic",
+                     f"a {inst.kind} instance takes no box (lower/upper)")
             sides = d.get("lower", [0.0] * inst.n), d.get("upper", [1.0] * inst.n)
             for name, side in zip(("lower", "upper"), sides):
                 _require(np.shape(side) == (inst.n,), f"{name} must have length {inst.n}")

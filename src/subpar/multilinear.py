@@ -1,12 +1,16 @@
-"""Multilinear extension oracles: closed-form exact mode and Monte-Carlo.
+"""Multilinear extension oracles: closed-form exact and direct modes,
+and Monte-Carlo.
 
 F(x) is the expected value of f on the random set that keeps element u
-with probability x_u.  Both oracle modes answer *batches* of extension
+with probability x_u.  Every oracle mode answers a *batch* of extension
 arguments in a single adaptive round of the underlying set oracle:
 
   exact    -- one round charged as the full power set, answered by the
               instance's closed-form extension through
               SetOracle.eval_extension (n <= EXACT_LIMIT).
+  direct   -- the same round charged as its P points: the extension is
+              the oracle itself, as for the box-constrained objective
+              of drbox.py, so a partial costs no F-queries.
   sampled  -- one round containing k random sets per argument, all
               thresholded against one shared uniform panel (common
               random numbers); the answer is the sample mean per
@@ -14,15 +18,15 @@ arguments in a single adaptive round of the underlying set oracle:
 
 Gradients use the defining identity of multilinear functions: the u-th
 partial at x equals F at (x with u forced to 1) minus F at (x with u
-forced to 0), priced as 2n extension arguments per point.  Exact mode
-takes them from the same closed form as the values.  In sampled
+forced to 0), priced as 2n extension arguments per point.  Exact and
+direct modes take them from the same closed form as the values.  In sampled
 mode, thresholding the shared panel at those forced arguments gives the
 panel's base set S with u added or removed, so the estimate is the mean
 over draws of the marginal f(S+u) - f(S-u): one marginal-gain round of
 the set oracle.
 
-ContinuousOracle holds the batched protocol that this oracle and the
-box oracle of drbox.py share with the continuous driver.
+ContinuousOracle holds the batched protocol that the continuous driver
+reads; MultilinearOracle, in any mode, speaks it.
 """
 
 import numpy as np
@@ -105,7 +109,7 @@ class ContinuousOracle:
 class MultilinearOracle(ContinuousOracle):
     """Extension-value and gradient oracle over a batched set oracle.
 
-    mode    -- "exact" (n <= EXACT_LIMIT) or "sampled"
+    mode    -- "exact" (n <= EXACT_LIMIT), "direct" or "sampled"
     samples -- draws per extension argument (sampled mode)
     rng     -- generator for sampled mode (fresh draws per argument)
 
@@ -116,13 +120,15 @@ class MultilinearOracle(ContinuousOracle):
     F_PER_PARTIAL = 2     # a partial is the difference of two F values
 
     def __init__(self, set_oracle, mode="exact", samples=1000, rng=None):
-        if mode not in ("exact", "sampled"):
-            raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+        if mode not in ("exact", "direct", "sampled"):
+            raise ValueError(f"mode must be 'exact', 'direct' or 'sampled', got {mode!r}")
         if mode == "exact" and set_oracle.n > EXACT_LIMIT:
             raise ExactTooLarge(
                 f"exact mode needs n <= {EXACT_LIMIT}, got n={set_oracle.n}")
         if mode == "sampled" and int(samples) < 1:
             raise ValueError(f"sampled mode needs samples >= 1, got {samples}")
+        if mode == "direct":    # a partial is an answer, not two F values
+            self.F_PER_PARTIAL = 0
         self.set_oracle = set_oracle
         self.mode = mode
         self.samples = int(samples)
@@ -137,8 +143,8 @@ class MultilinearOracle(ContinuousOracle):
         return self.set_oracle.accounting
 
     def _answer(self, pts, grads, values):
-        if self.mode == "exact":
-            out = self.set_oracle.eval_extension(pts, grads)
+        if self.mode != "sampled":
+            out = self.set_oracle.eval_extension(pts, grads, self.mode == "direct")
             return out if values else out[0]
         P, n = pts.shape
         k = self.samples

@@ -26,11 +26,13 @@ driver's G-estimate round reads its gains this way; its other pair-gain
 reads keep pair_gains.
 
 An extension round (eval_extension) asks for the multilinear extension
-F, and optionally its gradient, at a batch of fractional points.  F at a
-point weighs f over the whole power set, so the round is charged as its
-2^n rows, and it is answered by the instance's closed-form extension:
-again the closed form changes the cost of evaluation, never the
-meters.
+F, and optionally its gradient, at a batch of fractional points, and is
+answered by the instance's closed-form extension.  It has two prices.
+By default F at a point weighs f over the whole power set, so the round
+is charged as its 2^n rows: again the closed form changes the cost of
+evaluation, never the meters.  With direct=True the extension itself is
+the oracle (the box-constrained objective of drbox.py), and the round is
+charged as its P points.
 
 Subsets are boolean membership matrices of shape (batch, n); one (n,)
 row is read as a batch of one.  Element ids, sets and 0/1 numbers are
@@ -238,20 +240,21 @@ class SetOracle:
             return self._finite(marg), self._finite(vals)
         return self._finite(marg)
 
-    def eval_extension(self, points, grads=True):
+    def eval_extension(self, points, grads=True, direct=False):
         """The multilinear extension F at every point of a float (P, n)
         batch in [0, 1]^n: (gradients, values) when grads=True, else the
         values.
 
-        One adaptive round, charged as the 2^n power-set rows that F
-        weighs, and answered by the instance's closed-form extension.
+        One adaptive round, answered by the instance's closed-form
+        extension and charged as the 2^n power-set rows that F weighs,
+        or, when direct=True, as the P points asked for.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.n or pts.shape[0] == 0:
             raise ValueError(f"points have shape {pts.shape}, expected (P, {self.n}), P >= 1")
         if not ((pts >= 0.0) & (pts <= 1.0)).all():     # NaN fails both
             raise OutOfBox("a coordinate is outside [0,1] or not finite")
-        self.accounting.charge(1 << self.n)
+        self.accounting.charge(pts.shape[0] if direct else 1 << self.n)
         out = self.instance.extension(pts, grads)
         return tuple(map(self._finite, out)) if grads else self._finite(out)
 

@@ -48,7 +48,7 @@ class SpySetOracle(SetOracle):
     for; marginal_batches counts those rounds on their own.  A pair-gain
     round counts as one batch of the 2k pair rows per base it stands
     for.  An extension round counts as one batch of the 2^n power-set
-    rows.
+    rows, or of its P points when it is direct.
     """
 
     def __init__(self, instance, **kw):
@@ -73,10 +73,10 @@ class SpySetOracle(SetOracle):
         self.rows += members_matrix(bases, self.n).shape[0] * 2 * np.size(elements)
         return super().eval_gains(bases, elements)
 
-    def eval_extension(self, points, grads=True):
+    def eval_extension(self, points, grads=True, direct=False):
         self.batches += 1
-        self.rows += 1 << self.n
-        return super().eval_extension(points, grads)
+        self.rows += len(points) if direct else 1 << self.n
+        return super().eval_extension(points, grads, direct)
 
 
 @pytest.fixture

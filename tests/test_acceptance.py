@@ -16,10 +16,9 @@ import time
 
 import numpy as np
 
-from subpar import (DiscreteParams, MultilinearOracle, QuadraticContinuousOracle,
-                    SetOracle, box_optimum, brute_force, double_greedy,
-                    generate_random_instance, run_continuous, run_core, run_discrete,
-                    run_dr, run_verify)
+from subpar import (DiscreteParams, MultilinearOracle, SetOracle, box_optimum,
+                    brute_force, double_greedy, generate_random_instance,
+                    run_continuous, run_core, run_discrete, run_dr, run_verify)
 from subpar.discrete import (_stream, discrete_preprocess, discrete_update, estimate_tau,
                              g_estimates, round_step)
 
@@ -239,7 +238,7 @@ def test_criterion_7_box_constrained_driver():
             assert opt > 0 and res.value >= 0.45 * opt
             worst = min(worst, res.value / opt)
 
-            oracle = QuadraticContinuousOracle(inst)
+            oracle = MultilinearOracle(SetOracle(inst), mode="direct")
             z = _stream(3, i).random(inst.n) * 0.9 + 0.05
             g = oracle.gradient_batch(z[None, :])[0]
             h = 1e-6
@@ -271,7 +270,7 @@ def test_criterion_8_shared_core_cross_check():
             for seed in range(30):
                 inst = generate_random_instance("quadratic", n, seed)
                 dr = run_dr(inst, 0.1)
-                core = run_core(QuadraticContinuousOracle(inst), 0.1)
+                core = run_core(MultilinearOracle(SetOracle(inst), mode="direct"), 0.1)
                 assert core_bits(dr.core) == core_bits(core)
                 assert dr.x.tobytes() == core.x.tobytes()
                 assert dr.value == core.value

@@ -169,6 +169,37 @@ def test_run_dr_checks_a_boxed_file_once(monkeypatch, tmp_path):
     assert 0.0 < rep["value"] <= rep["opt_value"]
 
 
+def test_run_dr_checks_an_unboxed_file_once(monkeypatch, tmp_path):
+    # the loader's construction check is the unit cube's vertex check;
+    # dr runs on the loaded instance without checking it again
+    from subpar import instances
+    path = tmp_path / "quad12.json"
+    dump_instance(generate_random_instance("quadratic", 12, 4), path)
+    check, calls = instances.all_subsets_matrix, []
+    monkeypatch.setattr(instances, "all_subsets_matrix",
+                        lambda n: calls.append(n) or check(n))
+    out = tmp_path / "rep.json"
+    assert cli.main(["run", "--instance", str(path), "--algorithm", "dr",
+                     "--out", str(out)]) == 0
+    assert calls == [12]
+    rep = json.loads(out.read_text())
+    assert 0.0 < rep["value"] <= rep["opt_value"]
+
+
+def test_run_dr_refuses_a_non_finite_value(tmp_path):
+    # F(x) = 1e308 (x0 + x1) overflows once x0 + x1 > 1.8; n = 25 is past
+    # BRUTE_LIMIT, so the gateway's finite check is the one that sees it
+    n = 25
+    h = [0.0] * n
+    h[0] = h[1] = 1e308
+    p = tmp_path / "overflow.json"
+    p.write_text(json.dumps({"kind": "quadratic", "n": n, "c": 0.0, "h": h,
+                             "H": [[0.0] * n] * n}) + "\n")
+    r = run_cli("run", "--instance", str(p), "--algorithm", "dr")
+    assert r.returncode == 1, r.stdout
+    assert "non-finite value" in r.stderr and "Traceback" not in r.stderr
+
+
 # -- in process: every branch's report fields, and what the clock covers ----------
 
 SUBSET = {"subset"}
@@ -288,6 +319,15 @@ def test_dr_rejects_set_instances(k2_path):
     r = run_cli("run", "--instance", k2_path, "--algorithm", "dr")
     assert r.returncode == 2
     assert "--algorithm" in r.stderr and "quadratic" in r.stderr
+
+
+@pytest.mark.parametrize("algorithm", ["brute-force", "dr"])
+def test_boxed_set_instance_names_instance_flag(k2, write_instance, algorithm):
+    # only a quadratic takes a box; a set function's box is refused, not dropped
+    path = write_instance(k2, extra={"lower": [0.0, 0.0], "upper": [1.0, 1.0]})
+    r = run_cli("run", "--instance", path, "--algorithm", algorithm)
+    assert r.returncode == 2
+    assert "--instance" in r.stderr and "takes no box" in r.stderr
 
 
 def test_bad_oracle_spec_names_flag(k2_path):

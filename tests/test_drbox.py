@@ -8,8 +8,8 @@ so the cube optimum sits at (1,1) with value 1.
 import numpy as np
 import pytest
 
-from subpar import (BoxDomain, ParamOutOfRange, QuadraticContinuousOracle, box_optimum,
-                    run_core, run_dr, rescale_to_cube)
+from subpar import (BoxDomain, ParamOutOfRange, box_optimum, run_core, run_dr,
+                    rescale_to_cube)
 from subpar.instances import (InvalidInstance, MultilinearQuadraticInstance,
                               NonNegativityViolation, OutOfBox,
                               generate_random_instance)
@@ -44,7 +44,7 @@ def test_box_rejects_non_finite_bounds(frozen_quad, lower, upper, name):
 # -- direct oracle ----------------------------------------------------------------
 
 def test_oracle_frozen_values(frozen_quad):
-    oracle = QuadraticContinuousOracle(frozen_quad)
+    oracle = MultilinearOracle(SetOracle(frozen_quad), mode="direct")
     assert oracle.value_batch([[0.5, 0.5]])[0] == pytest.approx(0.75)
     g = oracle.gradient_batch([[0.5, 0.5]])[0]
     assert np.allclose(g, [0.5, 0.5])
@@ -53,7 +53,7 @@ def test_oracle_frozen_values(frozen_quad):
 
 
 def test_oracle_guard(frozen_quad):
-    oracle = QuadraticContinuousOracle(frozen_quad)
+    oracle = MultilinearOracle(SetOracle(frozen_quad), mode="direct")
     with pytest.raises(OutOfBox):
         oracle.value_batch([[1.1, 0.0]])
     with pytest.raises(OutOfBox):
@@ -63,10 +63,10 @@ def test_oracle_guard(frozen_quad):
     assert v == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("kind", ["dr", "exact", "sampled"])
-def test_oracle_checks_the_batch_before_charging(frozen_quad, kind):
-    oracle = (QuadraticContinuousOracle(frozen_quad) if kind == "dr" else
-              MultilinearOracle(SetOracle(frozen_quad), mode=kind, samples=50))
+@pytest.mark.parametrize("mode", ["direct", "exact", "sampled"],
+                         ids=["dr", "exact", "sampled"])
+def test_oracle_checks_the_batch_before_charging(frozen_quad, mode):
+    oracle = MultilinearOracle(SetOracle(frozen_quad), mode=mode, samples=50)
     for bad, error in (([[0.5, 0.5, 0.5]], ValueError),           # wrong width
                        (np.full((2, 2, 2), 0.5), ValueError),     # 3-D batch
                        ([[0.5, 1.5]], OutOfBox),                  # outside the cube
@@ -81,7 +81,7 @@ def test_oracle_checks_the_batch_before_charging(frozen_quad, kind):
 
 
 def test_oracle_accounting(frozen_quad):
-    oracle = QuadraticContinuousOracle(frozen_quad)
+    oracle = MultilinearOracle(SetOracle(frozen_quad), mode="direct")
     oracle.value_batch([[0.5, 0.5], [0, 0], [1, 1]])
     oracle.gradient_batch([[0.5, 0.5], [0.25, 0.25]])
     oracle.grad_and_value_batch([[0.1, 0.2]])
@@ -93,7 +93,7 @@ def test_oracle_accounting(frozen_quad):
 
 def test_oracle_gradient_matches_finite_differences():
     inst = generate_random_instance("quadratic", 4, 31)
-    oracle = QuadraticContinuousOracle(inst)
+    oracle = MultilinearOracle(SetOracle(inst), mode="direct")
     z = np.array([0.31, 0.62, 0.18, 0.55])
     g = oracle.gradient_batch(z[None, :])[0]
     h = 1e-6
@@ -109,7 +109,7 @@ def test_oracle_gradient_matches_finite_differences():
 def test_gradient_antitone():
     # diminishing returns: raising any coordinate can only lower gradients
     inst = generate_random_instance("quadratic", 5, 32)
-    oracle = QuadraticContinuousOracle(inst)
+    oracle = MultilinearOracle(SetOracle(inst), mode="direct")
     rng = np.random.default_rng(5)
     lo = rng.random((20, 5)) * 0.5
     hi = lo + rng.random((20, 5)) * 0.5
@@ -290,7 +290,7 @@ def test_run_dr_unit_box_matches_the_core():
     for n, seed in ((2, 0), (5, 7), (8, 3)):
         inst = generate_random_instance("quadratic", n, seed)
         dr = run_dr(inst, 0.1)
-        core = run_core(QuadraticContinuousOracle(inst), 0.1)
+        core = run_core(MultilinearOracle(SetOracle(inst), mode="direct"), 0.1)
         assert core_bits(dr.core) == core_bits(core)
         assert dr.x.tobytes() == core.x.tobytes()
         assert dr.value == core.value

@@ -120,6 +120,11 @@ def test_spy_counts_every_charging_gateway_method():
     assert {"eval_batch", "eval_marginals", "eval_extension"} <= set(charging)
     missing = [name for name in charging if name not in vars(SpySetOracle)]
     assert not missing, f"SpySetOracle does not count: {missing}"
+    # an override must take every argument the gateway method takes
+    drift = [name for name in charging
+             if inspect.signature(getattr(SpySetOracle, name))
+             != inspect.signature(getattr(SetOracle, name))]
+    assert not drift, f"SpySetOracle signatures differ: {drift}"
 
 
 def test_benchmark_hooks_resolve():

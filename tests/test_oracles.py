@@ -384,6 +384,21 @@ def test_eval_extension_is_one_power_set_round(kind, n, grads, spy_oracle):
     assert spy.accounting.snapshot() == (2, 2 << n)
 
 
+@pytest.mark.parametrize("grads", [True, False])
+def test_direct_extension_round_charges_its_points(grads, spy_oracle):
+    inst = generate_random_instance("quadratic", 10, 4)
+    spy = spy_oracle(inst)
+    X = np.random.default_rng(10).random((5, 10))
+    out = spy.eval_extension(X, grads, direct=True)
+    assert spy.accounting.snapshot() == (1, 5)
+    assert (spy.batches, spy.rows) == (1, 5)
+    want = inst.extension(X, grads)
+    if grads:
+        assert np.array_equal(out[0], want[0]) and np.array_equal(out[1], want[1])
+    else:
+        assert np.array_equal(out, want)
+
+
 @pytest.mark.parametrize("points, error", [
     (np.full((2, 4), 0.5), ValueError),            # wrong width
     (np.full(3, 0.5), ValueError),                 # one point is not a batch here
@@ -410,6 +425,17 @@ def test_non_finite_extension_raises(value):
     with pytest.raises(NonFiniteValue, match="round 3"):
         so.eval_extension(np.full((2, 3), 0.5))
     assert so.accounting.snapshot() == (3, 1 + 2 * 8)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_direct_extension_raises(value):
+    # direct mode prices the round by its points, but checks it the same way
+    oracle = MultilinearOracle(SetOracle(PoisonedInstance(3, 2, value)), mode="direct")
+    with pytest.raises(NonFiniteValue, match="round 1"):
+        oracle.value_batch(np.full((2, 3), 0.5))
+    with pytest.raises(NonFiniteValue, match="round 2"):
+        oracle.gradient_batch(np.full((2, 3), 0.5))
+    assert oracle.rounds_meter.snapshot() == (2, 2 * 2)
 
 
 _PRELUDE = """\
@@ -443,7 +469,6 @@ def raised(stderr):
     ("box_optimum(q25)", "n <= 24"),
     ("q.value_batch([[0.5, 0.5, 0.5]])", "(P, 2)"),
     ("q.gradient_batch([0.5])", "(P, 2)"),
-    ("QuadraticContinuousOracle(CutInstance(2, []))", "expected a quadratic"),
     ("rescale_to_cube(CutInstance(2, []), BoxDomain([0, 0], [1, 1]))",
      "expected a quadratic"),
     ("rescale_to_cube(q, BoxDomain([0, 0, 0], [1, 1, 1]))", "box has 3 coordinates"),
@@ -452,8 +477,9 @@ def raised(stderr):
      "too large for exhaustive check"),
     ("check_submodular_exhaustive(generate_random_instance('cut', 13, 0))",
      "too large for exhaustive check"),
-    ("pre_process(QuadraticContinuousOracle(q), -1.0, 0.1)", "tau must be >= 0"),
-    ("update(QuadraticContinuousOracle(q), "
+    ("pre_process(MultilinearOracle(SetOracle(q), mode='direct'), -1.0, 0.1)",
+     "tau must be >= 0"),
+    ("update(MultilinearOracle(SetOracle(q), mode='direct'), "
      "ContinuousState(np.zeros(2), np.ones(2), 1.0), -1.0, 0.1)", "gamma must be >= 0"),
     ("generate_random_instance('coverage', -1, 0)", "n must be >= 1"),
 ])
