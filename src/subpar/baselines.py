@@ -9,7 +9,7 @@ benchmark sweep contrasts against the constant-round driver.
 
 import numpy as np
 
-from .oracles import all_subsets_matrix, pair_gains
+from .oracles import all_subsets_matrix
 
 
 BRUTE_LIMIT = 24     # largest n brute force enumerates
@@ -33,7 +33,7 @@ def double_greedy(set_oracle, randomized=True, rng=None):
     X = np.zeros(n, dtype=bool)
     Y = np.ones(n, dtype=bool)
     for u in range(n):
-        g = pair_gains(set_oracle, np.stack([X, Y]), [u])[:, 0]
+        g = set_oracle.eval_gains(np.stack([X, Y]), [u])[:, 0]
         a, b = g[0], -g[1]
         if randomized:
             ap, bp = max(a, 0.0), max(b, 0.0)

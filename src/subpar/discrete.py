@@ -19,7 +19,7 @@ import numpy as np
 
 from .continuous import (ParamOutOfRange, StateInvariantViolation, check_epsilon,
                          compute_rates, first_step, geometric_grid, preprocess_grid)
-from .oracles import ids_of, pair_gains, pair_rows
+from .oracles import ids_of
 from .reports import DiscreteIterationTrace
 
 
@@ -109,7 +109,7 @@ def discrete_preprocess(set_oracle, tau, epsilon, seed, m):
     for g, d in enumerate(grid):
         u_mat = _stream(seed, 2, g).random((m, n, n))
         bases[g, :, 0], bases[g, :, 1] = _pair_draw(u_mat, d)
-    gains = pair_gains(set_oracle, bases.reshape(-1, n, n), np.arange(n))  # one round
+    gains = set_oracle.eval_gains(bases.reshape(-1, n, n), np.arange(n))  # one round
     gains = gains.reshape(grid.size, m, 2, n)
     G = (gains[:, :, 0] - gains[:, :, 1]).sum(axis=2).mean(axis=1)
     delta = first_step(grid, G, 30.0 * tau, 0.5)
@@ -162,7 +162,9 @@ def discrete_update(set_oracle, X, Y, epsilon, seed, iteration, m):
         return X.copy(), Y.copy(), trace
 
     # round 1: marginals a_u = f(u|X), b_u = -f(u|Y-u)
-    g = pair_gains(set_oracle, np.stack([X, Y]), idx)
+    # per element, not shared: a shared f(X) breaks zero-potential float ties the other way
+    bases = np.repeat(np.stack([X, Y])[:, None], idx.size, axis=1)
+    g = set_oracle.eval_gains(bases, idx)
     a, b = g[0], -g[1]
     potential = float((a + b).sum())
     r = compute_rates(a, b)
@@ -229,11 +231,8 @@ def finalize(set_oracle, X, Y):
     idx = np.flatnonzero(Y & ~X)
     Z = X.copy()
     if idx.size:
-        # element-major rows keep each X+u beside its X, so both land in
-        # the same BLAS block and a zero gain comes out exactly zero
-        rows = pair_rows(X[None], idx)[0].swapaxes(0, 1).reshape(-1, X.size)
-        vals = set_oracle.eval_batch(rows).reshape(idx.size, 2)
-        gain = vals[:, 0] - vals[:, 1]
+        # per element, not shared: X+u beside its X makes a zero gain exactly zero
+        gain = set_oracle.eval_gains(np.repeat(X[None, None], idx.size, axis=1), idx)[0]
         Z[idx[gain > 0]] = True
     return Z
 

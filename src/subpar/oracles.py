@@ -14,16 +14,15 @@ A marginal-gain round (eval_marginals) asks, for every base set S of a
 batch and every element u, for f(S+u) - f(S-u); it is priced as the 2n
 explicit rows it stands for and answered by the instance's closed-form
 marginals, so the closed form changes the cost of evaluation but never
-the meters.  pair_rows builds the explicit S+u / S-u rows, and
-pair_gains reads their differences in one eval_batch round.
+the meters.
 
 A pair-gain round (eval_gains) asks for the same differences
 f(S+u) - f(S-u) at a batch of bases and a list of elements, and is
-charged as the same 2k pair rows per base.  One of S+u and S-u is S
-itself, so it evaluates each base once plus its k single-element flips
-S^u: B(k+1) rows in place of 2Bk, and the same meters.  The discrete
-driver's G-estimate round reads its gains this way; its other pair-gain
-reads keep pair_gains.
+charged as the 2k pair rows per base it stands for, evaluated
+explicitly.  It is the only pair-gain read.  A base shared by all k
+elements is evaluated once plus its k single-element flips S^u: B(k+1)
+rows in place of 2Bk.  A base per element is evaluated as the adjacent
+rows S+u, S-u of each pair.
 
 An extension round (eval_extension) asks for the multilinear extension
 F, and optionally its gradient, at a batch of fractional points, and is
@@ -125,35 +124,6 @@ def default_threads():
     return os.cpu_count() or 1
 
 
-def pair_rows(bases, elements):
-    """The rows S+u, then the rows S-u, for every base S and every u in
-    `elements`: the boolean (B, 2, k, n) array whose [b, 0, j] is
-    bases[b] plus elements[j] and whose [b, 1, j] is bases[b] minus it.
-
-    bases is (B, n), one base shared by all k elements, or (B, k, n),
-    one base per element.
-    """
-    elements = np.asarray(elements)
-    k = elements.size
-    B, n = bases.shape[0], bases.shape[-1]
-    rows = np.empty((B, 2, k, n), dtype=bool)
-    rows[:] = bases.reshape(B, 1, -1, n)
-    j = np.arange(k)
-    rows[:, 0, j, elements] = True
-    rows[:, 1, j, elements] = False
-    return rows
-
-
-def pair_gains(set_oracle, bases, elements):
-    """The (B, k) gains f(S+u) - f(S-u) of pair_rows(bases, elements),
-    read off one eval_batch round of 2k queries per base; any object with
-    that method serves."""
-    rows = pair_rows(bases, elements)
-    B, _, k, n = rows.shape
-    vals = set_oracle.eval_batch(rows.reshape(-1, n)).reshape(B, 2, k)
-    return vals[:, 0] - vals[:, 1]
-
-
 class SetOracle:
     """Round-counting batched gateway in front of a set-function instance.
 
@@ -184,16 +154,20 @@ class SetOracle:
         return self._finite(self._evaluate(m))
 
     def eval_gains(self, bases, elements):
-        """The (B, k) gains f(S+u) - f(S-u) of every base S of a boolean
-        (B, n) batch and every u in `elements`, as pair_gains reads them.
+        """The (B, k) gains f(S+u) - f(S-u) of every base S and every u
+        in `elements`.  bases is a boolean (B, n) batch, one base shared
+        by all k elements, or (B, k, n), one base per element.
 
-        One adaptive round, charged as the 2k pair rows per base that
-        pair_gains would evaluate.  One of S+u and S-u is S itself, so
-        the round evaluates each base once and its k flips S^u once:
+        One adaptive round, charged as the 2k pair rows per base.  A
+        shared base is evaluated once and its k flips S^u once:
         f(S^u) - f(S) when u is outside S, f(S) - f(S^u) when inside.
+        A per-element base is evaluated as its rows S+u, S-u side by
+        side, element-major.
         """
-        m = members_matrix(bases, self.n)
-        B, n = m.shape
+        n = self.n
+        per_element = isinstance(bases, np.ndarray) and bases.ndim == 3
+        m = members_matrix(bases.reshape(-1, bases.shape[-1]) if per_element else bases, n)
+        B = len(bases) if per_element else len(m)
         if B == 0:
             raise ValueError("empty batch")
         elements = np.asarray(elements)
@@ -202,11 +176,20 @@ class SetOracle:
             raise InvalidElement(f"elements must be a non-empty list of ids in "
                                  f"0..{n - 1}, got {elements!r}")
         k = elements.size
+        if per_element and bases.shape[1] != k:
+            raise InvalidElement(f"{bases.shape[1]} bases per row for {k} elements")
         self.accounting.charge(2 * k * B)
+        j = np.arange(k)
+        if per_element:
+            rows = np.repeat(m, 2, axis=0).reshape(B, k, 2, n)   # [base, element, +/-]
+            rows[:, j, 0, elements] = True
+            rows[:, j, 1, elements] = False
+            vals = self._finite(self._evaluate(rows.reshape(-1, n))).reshape(B, k, 2)
+            return vals[..., 0] - vals[..., 1]
         inside = m[:, elements]
         rows = np.empty((B, k + 1, n), dtype=bool)   # [base, S then its flips]
         rows[:] = m[:, None, :]
-        rows[:, 1 + np.arange(k), elements] = ~inside
+        rows[:, 1 + j, elements] = ~inside
         vals = self._finite(self._evaluate(rows.reshape(-1, n))).reshape(B, k + 1)
         base, flips = vals[:, :1], vals[:, 1:]
         return np.where(inside, base - flips, flips - base)

@@ -70,7 +70,8 @@ class SpySetOracle(SetOracle):
 
     def eval_gains(self, bases, elements):
         self.batches += 1
-        self.rows += members_matrix(bases, self.n).shape[0] * 2 * np.size(elements)
+        # per-element (B, k, n) bases count B too; members_matrix takes no 3-D batch
+        self.rows += np.atleast_2d(bases).shape[0] * 2 * np.size(elements)
         return super().eval_gains(bases, elements)
 
     def eval_extension(self, points, grads=True, direct=False):

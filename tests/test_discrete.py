@@ -9,29 +9,24 @@ import math
 import numpy as np
 import pytest
 
-from subpar import (DiscreteParams, ParamOutOfRange, SetOracle,
+from subpar import (CutInstance, DiscreteParams, ParamOutOfRange, SetOracle,
                     StateInvariantViolation, generate_random_instance, run_discrete)
 from subpar.discrete import (_pair_draw, _stream, discrete_preprocess, discrete_update,
                              discrete_update_grid, estimate_tau, finalize, g_estimates,
                              round_step)
-from subpar.oracles import OracleAccounting, pair_gains
+from subpar.oracles import OracleAccounting
 
 from gain_oracle import expected_update_gain
 
 
 class ScriptedSetOracle:
-    """Duck-typed set oracle that scripts values by pair-row position.
+    """Duck-typed set oracle that scripts the gains of every pair-gain read.
 
-    It has `eval_batch`, `eval_gains` and the accounting record the
-    driver snapshots, nothing more: every discrete round is a pair-gain
-    read, through oracles.pair_gains, which needs only `eval_batch`, or
-    through `eval_gains`, which this double answers with pair_gains over
-    its own `eval_batch`.  Its rows are pair rows
-    (oracles.pair_rows) laid out as [..., X/Y side, plus/minus u,
-    element], and the gain of each pair is its plus value minus its
-    minus value.  A pattern gives the values [X+u, X-u, Y+u, Y-u], the
-    same for every element and every leading index; the scripted runs
-    start from X = {} and Y = N, so each round spans all n elements.
+    It has `eval_gains` and the accounting record the driver snapshots,
+    nothing more: every pre-processing and update round is an eval_gains
+    read, charged 2k per base.  A pattern gives the values
+    [X+u, X-u, Y+u, Y-u], the same for every element; bases alternate
+    X side, Y side, so an X base gains p0 - p1 and a Y base p2 - p3.
     Call 1 (the marginal round) replays `first`; later calls replay
     `rest`.  Used to steer the update into chosen branches.
     """
@@ -43,16 +38,13 @@ class ScriptedSetOracle:
         self.accounting = OracleAccounting()
         self.calls = 0
 
-    def eval_batch(self, subsets):
-        rows = subsets.shape[0]
-        self.accounting.charge(rows)
-        pattern = self.first if self.calls == 0 else self.rest
-        self.calls += 1
-        block = np.repeat(np.asarray(pattern, dtype=float), self.n)
-        return np.tile(block, rows // block.size)
-
     def eval_gains(self, bases, elements):
-        return pair_gains(self, bases, elements)
+        B, k = bases.shape[0], len(elements)
+        self.accounting.charge(2 * k * B)
+        p = np.asarray(self.first if self.calls == 0 else self.rest, dtype=float)
+        self.calls += 1
+        side = np.tile([p[0] - p[1], p[2] - p[3]], B // 2)
+        return np.repeat(side[:, None], k, axis=1)
 
 
 # -- parameters -----------------------------------------------------------------
@@ -290,6 +282,22 @@ def test_finalize_skips_zero_marginals(triangle):
     Y = np.ones(3, dtype=bool)
     Z = finalize(SetOracle(triangle), X, Y)
     assert np.array_equal(Z, X)
+
+
+def test_finalize_never_adds_an_isolated_vertex():
+    # n > 16 keeps the dedupe out, so X+u and X are evaluated as rows of
+    # one batch; an isolated vertex gains exactly 0 only when each X+u
+    # is evaluated beside its X
+    for i in range(200):
+        rng = np.random.default_rng(1000 + i)
+        n = int(rng.integers(17, 40))
+        iso = rng.choice(n, 3, replace=False)
+        edges = [e for e in generate_random_instance("cut", n, i).edges
+                 if e[0] not in iso and e[1] not in iso]
+        X = rng.random(n) < 0.5
+        X[iso] = False
+        Z = finalize(SetOracle(CutInstance(n, edges)), X, np.ones(n, dtype=bool))
+        assert not Z[iso].any(), (i, n)
 
 
 def test_finalize_requires_containment(k2):

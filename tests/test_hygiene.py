@@ -117,7 +117,7 @@ def test_spy_counts_every_charging_gateway_method():
     charging = [name for name, fn in vars(SetOracle).items()
                 if not name.startswith("_") and callable(fn)
                 and "self.accounting.charge(" in inspect.getsource(fn)]
-    assert {"eval_batch", "eval_marginals", "eval_extension"} <= set(charging)
+    assert {"eval_batch", "eval_gains", "eval_marginals", "eval_extension"} <= set(charging)
     missing = [name for name in charging if name not in vars(SpySetOracle)]
     assert not missing, f"SpySetOracle does not count: {missing}"
     # an override must take every argument the gateway method takes

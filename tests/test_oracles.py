@@ -15,8 +15,7 @@ import subpar.oracles as oracles
 from subpar import (CutInstance, InvalidElement, MultilinearOracle, NonFiniteValue,
                     OracleAccounting, SetOracle, generate_random_instance, ids_of,
                     run_continuous)
-from subpar.oracles import (OutOfBox, all_subsets_matrix, default_threads, members_matrix,
-                            pair_gains, pair_rows)
+from subpar.oracles import OutOfBox, all_subsets_matrix, default_threads, members_matrix
 
 from conftest import power_set_extension
 
@@ -148,83 +147,56 @@ def test_threads_default_to_core_count():
     assert default_threads() == (os.cpu_count() or 1)
 
 
-def test_pair_rows_shared_base_order():
-    # one base per row of `bases`, shared by every element: [base, +/-, element]
-    bases = np.array([[True, False, False, True],
-                      [False, True, False, False]])
-    rows = pair_rows(bases, [2, 0])
-    assert rows.shape == (2, 2, 2, 4) and rows.dtype == bool
-    want = [[[[1, 0, 1, 1], [1, 0, 0, 1]],       # S0+2, S0+0
-             [[1, 0, 0, 1], [0, 0, 0, 1]]],      # S0-2, S0-0
-            [[[0, 1, 1, 0], [1, 1, 0, 0]],       # S1+2, S1+0
-             [[0, 1, 0, 0], [0, 1, 0, 0]]]]      # S1-2, S1-0
-    assert np.array_equal(rows, np.array(want, dtype=bool))
-    assert not bases[1, 0]                       # the input is not modified
-
-
-def test_pair_rows_per_element_bases():
-    # bases (B, k, n): element j is forced into / out of its own base
-    rng = np.random.default_rng(3)
-    bases = rng.random((3, 5, 5)) < 0.5
-    rows = pair_rows(bases, np.arange(5))
-    assert rows.shape == (3, 2, 5, 5)
-    for b in range(3):
-        for j in range(5):
-            plus, minus = bases[b, j].copy(), bases[b, j].copy()
-            plus[j], minus[j] = True, False
-            assert np.array_equal(rows[b, 0, j], plus)
-            assert np.array_equal(rows[b, 1, j], minus)
-
-
-@pytest.mark.parametrize("per_element", [False, True])
-def test_pair_gains_are_one_round_of_pair_row_differences(per_element):
-    inst = generate_random_instance("coverage", 6, 1)
-    rng = np.random.default_rng(5)
-    elements = [4, 0, 2]
-    bases = rng.random((3, 3, 6) if per_element else (3, 6)) < 0.5
-    so = SetOracle(inst)
-    g = pair_gains(so, bases, elements)
-    assert g.shape == (3, 3)
-    assert so.accounting.snapshot() == (1, 2 * 3 * 3)
-    # the same rows in the same order, so the same bits
-    vals = SetOracle(inst).eval_batch(pair_rows(bases, elements).reshape(-1, 6))
-    vals = vals.reshape(3, 2, 3)
-    assert np.array_equal(g, vals[:, 0] - vals[:, 1])
-    for b in range(3):
-        for j, u in enumerate(elements):
-            plus = (bases[b, j] if per_element else bases[b]).copy()
-            minus = plus.copy()
-            plus[u], minus[u] = True, False
-            want = inst.evaluate_batch(plus[None])[0] - inst.evaluate_batch(minus[None])[0]
-            assert g[b, j] == pytest.approx(want, abs=1e-12)
-
-
-def test_pair_gains_need_only_eval_batch(triangle):
-    class EvalOnly:
-        def __init__(self, oracle):
-            self.eval_batch = oracle.eval_batch
-
-    bases = np.array([[True, False, False], [True, True, False]])
-    g = pair_gains(EvalOnly(SetOracle(triangle)), bases, [0, 2])
-    # unit triangle: f(S+u) - f(S-u) = 2 - 2 * |S - u|
-    assert np.array_equal(g, [[2.0, 0.0], [0.0, -2.0]])
-
-
 # -- pair-gain rounds --------------------------------------------------------------
 
-@pytest.mark.parametrize("kind,n", [("cut", 9), ("coverage", 8), ("quadratic", 7)])
-def test_eval_gains_are_pair_gains(kind, n):
+@pytest.mark.parametrize("kind,n,per_element", [
+    pytest.param("cut", 9, False, id="cut-9"),
+    pytest.param("coverage", 8, False, id="coverage-8"),
+    pytest.param("quadratic", 7, False, id="quadratic-7"),
+    pytest.param("cut", 9, True, id="cut-9-per_element"),
+    pytest.param("coverage", 8, True, id="coverage-8-per_element"),
+    pytest.param("quadratic", 7, True, id="quadratic-7-per_element"),
+])
+def test_eval_gains_are_pair_gains(kind, n, per_element):
     inst = generate_random_instance(kind, n, 3)
-    bases = np.random.default_rng(6).random((40, n)) < 0.5
     elements = [n - 1, 0, 3]
-    inside = bases[:, elements]
+    bases = np.random.default_rng(6).random((40, 3, n) if per_element else (40, n)) < 0.5
+    inside = bases[..., elements]
     assert inside.any() and not inside.all()        # u both in and out of S
     so = SetOracle(inst)
     g = so.eval_gains(bases, elements)
     assert g.shape == (40, 3)
     assert so.accounting.snapshot() == (1, 40 * 2 * 3)
-    want = pair_gains(SetOracle(inst), bases, elements)
+    per_pair = bases if per_element else np.repeat(bases[:, None], 3, axis=1)
+    plus, minus = per_pair.copy(), per_pair.copy()
+    plus[:, range(3), elements], minus[:, range(3), elements] = True, False
+    want = (inst.evaluate_batch(plus.reshape(-1, n))
+            - inst.evaluate_batch(minus.reshape(-1, n))).reshape(40, 3)
     assert np.allclose(g, want, rtol=0.0, atol=1e-12)
+
+
+def test_eval_gains_per_element_rows(monkeypatch):
+    # a base per element reaches the instance as [S+u, S-u] per element,
+    # element-major: 2Bk rows, the 2k per base the round is charged
+    inst = generate_random_instance("cut", 18, 0)
+    evaluate, seen = inst.evaluate_batch, []
+    monkeypatch.setattr(inst, "evaluate_batch",
+                        lambda m: seen.append(m.copy()) or evaluate(m))
+    bases = np.random.default_rng(8).random((4, 3, 18)) < 0.5
+    elements = [5, 17, 0]
+    before = bases.copy()
+    so = SetOracle(inst)
+    so.eval_gains(bases, elements)
+    rows = np.concatenate(seen)
+    assert rows.shape == (4 * 3 * 2, 18) and rows.dtype == bool
+    for b in range(4):
+        for j, u in enumerate(elements):
+            plus, minus = bases[b, j].copy(), bases[b, j].copy()
+            plus[u], minus[u] = True, False
+            at = 2 * (3 * b + j)
+            assert np.array_equal(rows[at], plus) and np.array_equal(rows[at + 1], minus)
+    assert so.accounting.snapshot() == (1, 4 * 3 * 2)
+    assert np.array_equal(bases, before)             # the input is not modified
 
 
 def test_eval_gains_evaluate_each_base_once(monkeypatch):
@@ -247,6 +219,8 @@ def test_eval_gains_evaluate_each_base_once(monkeypatch):
     (np.zeros((2, 4), dtype=bool), [-1]),
     (np.zeros((2, 4), dtype=bool), [1.0]),
     (np.zeros((2, 4), dtype=bool), []),
+    (np.zeros((2, 1, 4)), [0]),                     # float per-element bases
+    (np.zeros((2, 2, 4), dtype=bool), [0]),         # k + 1 bases per row
 ])
 def test_eval_gains_reject_bad_input(bases, elements):
     so = SetOracle(CutInstance(4, [(0, 1, 1.0)]))
