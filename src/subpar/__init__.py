@@ -20,7 +20,7 @@ from .baselines import TooLarge, brute_force, double_greedy, random_half
 from .continuous import (ContinuousState, ParamOutOfRange, StateInvariantViolation,
                          run_continuous, run_core)
 from .discrete import DiscreteParams, run_discrete
-from .drbox import box_optimum, rescale_to_cube, run_dr
+from .drbox import box_optimum, run_dr
 from .instances import (BoxDomain, CoverageInstance, CutInstance, InvalidInstance,
                         MultilinearQuadraticInstance, NonNegativityViolation, OutOfBox,
                         UnreadableInstance, dump_instance, generate_random_instance,
@@ -40,6 +40,6 @@ __all__ = [
     "StateInvariantViolation", "TooLarge", "UnreadableInstance",
     "box_optimum", "brute_force", "double_greedy", "dump_instance",
     "generate_random_instance", "ids_of", "load_instance", "lovasz_value",
-    "random_half", "rescale_to_cube", "run_continuous", "run_core",
-    "run_discrete", "run_dr", "run_verify", "sample_set",
+    "random_half", "run_continuous", "run_core", "run_discrete", "run_dr",
+    "run_verify", "sample_set",
 ]

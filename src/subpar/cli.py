@@ -21,7 +21,7 @@ from . import __version__
 from .baselines import BRUTE_LIMIT, TooLarge, brute_force, double_greedy, random_half
 from .continuous import ParamOutOfRange, check_epsilon, run_continuous
 from .discrete import DiscreteParams, run_discrete
-from .drbox import box_optimum, rescale_to_cube, run_dr
+from .drbox import box_optimum, run_dr
 from .instances import (InvalidInstance, MultilinearQuadraticInstance,
                         NonNegativityViolation, UnreadableInstance,
                         generate_random_instance, load_instance)
@@ -145,32 +145,31 @@ def _check_exact_size(algorithm, oracle_mode, n, parser):
 
 
 def _load(path, algorithm, parser):
-    """(instance, box) from --instance.  Only a quadratic takes a box,
-    and only dr runs on it: execute checks a boxed quadratic there, once,
-    before its clock starts.  Any other algorithm reads the instance as
-    a set function, so the box is dropped and the quadratic is built
-    again with the construction check."""
+    """The instance in --instance, checked on its domain as it is built,
+    before any clock starts.  Only a quadratic takes a box, and only dr
+    runs on it: any other algorithm reads the instance as a set function,
+    so the box is dropped and the quadratic is built again with the
+    unit-cube check."""
     if not os.path.exists(path):
         parser.error(f"--instance: file not found: {path}")
     try:
-        instance, box = load_instance(path)
-        if algorithm != "dr" and box is not None:
+        instance = load_instance(path)
+        if algorithm != "dr" and getattr(instance, "box", None) is not None:
             instance = MultilinearQuadraticInstance(instance.n, instance.c,
                                                     instance.h, instance.H)
-            box = None
     except (InvalidInstance, NonNegativityViolation) as e:
         parser.error(f"--instance: invalid instance: {e}")
-    return instance, box
+    return instance
 
 
-def _opt_for(instance, alg, box, reduced):
+def _opt_for(instance, alg):
     """Ground-truth optimum on a fresh oracle (not charged to the run),
     up to BRUTE_LIMIT: the best vertex of dr's box, the best subset
     otherwise."""
     if instance.n > BRUTE_LIMIT:
         return None
     if alg == "dr":
-        return box_optimum(instance, box, reduced)
+        return box_optimum(instance)
     _, opt = brute_force(SetOracle(instance))
     return opt
 
@@ -179,33 +178,24 @@ def _opt_for(instance, alg, box, reduced):
 
 def cmd_run(args, parser):
     _check_epsilon(args.algorithm, args.epsilon, parser)
-    instance, box = _load(args.instance, args.algorithm, parser)
+    instance = _load(args.instance, args.algorithm, parser)
     instance_id = os.path.splitext(os.path.basename(args.instance))[0]
-    report = execute(instance, box, instance_id, args, parser)
+    report = execute(instance, instance_id, args, parser)
     emit_report(report, args)
     return 0
 
 
-def execute(instance, box, instance_id, args, parser):
-    """Run one algorithm and report it; box is dr's (None: the unit
-    cube).  wall_time_ms times the solver only: dr's box check runs
-    before the clock starts, and the ground-truth OPT after it stops."""
+def execute(instance, instance_id, args, parser):
+    """Run one algorithm and report it.  wall_time_ms times the solver
+    only: the instance was checked when it was built, and the
+    ground-truth OPT runs after the clock stops."""
     alg = args.algorithm
     n = instance.n
     oracle_mode, oracle_k = _parse_oracle(args.oracle, parser)
     _check_exact_size(alg, oracle_mode, n, parser)
-    reduced = None
-    if alg == "dr":
-        if instance.kind != "quadratic":
-            parser.error("--algorithm: dr requires a quadratic instance "
-                         f"(got kind {instance.kind!r})")
-        if box is None:     # checked at construction on the unit cube,
-            reduced = instance, np.arange(n)    # where the rescale is the identity
-        else:
-            try:    # the box's one non-negativity check; the run and its OPT reuse it
-                reduced = rescale_to_cube(instance, box)
-            except (InvalidInstance, NonNegativityViolation) as e:
-                parser.error(f"--instance: invalid instance: {e}")
+    if alg == "dr" and instance.kind != "quadratic":
+        parser.error("--algorithm: dr requires a quadratic instance "
+                     f"(got kind {instance.kind!r})")
     delegated = None
     if alg in ("continuous", "discrete") and n < SMALL_N:
         delegated = alg
@@ -215,7 +205,7 @@ def execute(instance, box, instance_id, args, parser):
     t0 = time.perf_counter()
 
     if alg == "dr":
-        res = run_dr(instance, args.epsilon, box, reduced)
+        res = run_dr(instance, args.epsilon)
         meter = res.oracle.rounds_meter   # its rounds; it makes no set queries
         fields = dict(solution={"fractional": [float(v) for v in res.x]},
                       value=res.value, F_queries=res.oracle.F_queries,
@@ -264,7 +254,7 @@ def execute(instance, box, instance_id, args, parser):
                       delegated=delegated)
 
     wall_time_ms = (time.perf_counter() - t0) * 1000.0
-    opt = fields["value"] if alg == "brute-force" else _opt_for(instance, alg, box, reduced)
+    opt = fields["value"] if alg == "brute-force" else _opt_for(instance, alg)
     return RunReport(instance_id=instance_id, algorithm=alg, seed=args.seed, n=n,
                      adaptive_rounds=meter.rounds,
                      f_queries=set_oracle.accounting.queries, opt_value=opt,
@@ -330,8 +320,7 @@ def cmd_sweep(args, parser):
                     oracle=_resolve_auto(args.oracle, oracle_mode, oracle_k, n),
                     sample_override=args.sample_override)
                 instance = generate_random_instance(args.kind, n, seed)
-                rep = execute(instance, None, f"{args.kind}-n{n}-s{seed}",
-                              run_args, parser)
+                rep = execute(instance, f"{args.kind}-n{n}-s{seed}", run_args, parser)
                 cell.append(rep)
                 rows.append(_csv_strs(csv_row(rep)))
             rows.extend(_aggregate_rows(cell, n, eps, args.algorithm))

@@ -77,7 +77,7 @@ def _stream(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed),) + tuple(int(k) for k in key)))
 
 
-def estimate_tau(set_oracle, epsilon, seed, m):
+def estimate_tau(set_oracle, seed, m):
     """Mean set value over m fresh draws of the all-halves sampling, one round."""
     n = set_oracle.n
     rng = _stream(seed, 1)
@@ -254,7 +254,7 @@ def run_discrete(set_oracle, params):
     """Full discrete driver: tau estimate, pre-processing, exactly ell
     update iterations, then the positive-marginal completion."""
     p = params
-    tau = estimate_tau(set_oracle, p.epsilon, p.seed, m=p.tau_samples)
+    tau = estimate_tau(set_oracle, p.seed, m=p.tau_samples)
     X, Y = discrete_preprocess(set_oracle, tau, p.epsilon, p.seed,
                                m=p.preprocess_samples)
     traces = []

@@ -117,8 +117,6 @@ class CutInstance:
         self._d = self._W.sum(axis=1)
 
     def evaluate_batch(self, m):
-        if len(self.edges) == 0:
-            return np.zeros(m.shape[0])
         mf = m.astype(np.float64)
         return mf @ self._d - ((mf @ self._W) * mf).sum(axis=1)
 
@@ -223,16 +221,28 @@ class CoverageInstance:
 
 
 class MultilinearQuadraticInstance:
-    """F(x) = c + h.x + x.H.x/2 with zero-diagonal, non-positive H.
+    """F(x) = c + h.x + x.H.x/2 with zero-diagonal, non-positive H, over a
+    box (default the unit cube).
 
     H <= 0 makes the gradient h + Hx entrywise non-increasing in x
     (diminishing returns); the zero diagonal makes F multilinear, so its
     minimum over any box sits on a vertex.  Construction checks
-    non-negativity over the 2^n unit-cube vertices for n <= 20; for larger
-    n, H <= 0 gives f(S) >= c + sum_{u in S} (h_u + sum_v H_uv / 2), so
-    it requires c + sum_u min(0, h_u + sum_v H_uv / 2) >= 0.
-    Pass validate=False when the intended domain is some other box (the
-    rescaled instance over that box re-runs the check on its corners).
+    non-negativity on the box, once.  On the unit cube that is a check of
+    the 2^n vertices for n <= 20; for larger n, H <= 0 gives
+    f(S) >= c + sum_{u in S} (h_u + sum_v H_uv / 2), so it requires
+    c + sum_u min(0, h_u + sum_v H_uv / 2) >= 0.
+
+    A box is rescaled to the unit cube, exactly and within the family:
+    with D = diag(b - a),
+
+        G(z) = F(a + Dz) = F(a) + (D(h + Ha)) . z + 1/2 z' (DHD) z.
+
+    Coordinates with a_u = b_u carry no freedom and are left out.  The
+    result is `cube`, the quadratic G over the free coordinates `active`
+    (None when the box pins every coordinate), built with the unit-cube
+    check; a pinned point's value must clear the same tolerance.  A cube
+    point z maps back as box.embed(z') with z' equal to z on active and 0
+    elsewhere.  With no box, `cube` is the instance itself.
 
     The polynomial itself is defined everywhere; domain enforcement is
     the caller's job.
@@ -240,30 +250,55 @@ class MultilinearQuadraticInstance:
 
     kind = "quadratic"
 
-    def __init__(self, n, c, h, H, validate=True):
+    def __init__(self, n, c, h, H, box=None):
         n = self.n = _size(n, "n")
         self.c = float(_finite(c, "c"))
         self.h = _finite(h, "h")
-        self.H = _finite(H, "H")
+        H = _finite(H, "H")
         _require(self.h.shape == (n,), f"h must have length {n}")
-        _require(self.H.shape == (n, n), f"H must be {n} x {n}")
-        _require(np.allclose(self.H, self.H.T), "H must be symmetric")
-        _require((np.diag(self.H) == 0).all(), "H must have zero diagonal")
-        _require((self.H <= 0).all(), "H must be entrywise non-positive")
-        # symmetric within allclose only, so the marginals read the
-        # symmetric part, the form the polynomial actually sees
-        self._H_sym = 0.5 * (self.H + self.H.T)
-        if validate and n > _VALIDATE_LIMIT:
+        _require(H.shape == (n, n), f"H must be {n} x {n}")
+        _require(np.allclose(H, H.T), "H must be symmetric")
+        _require((np.diag(H) == 0).all(), "H must have zero diagonal")
+        _require((H <= 0).all(), "H must be entrywise non-positive")
+        # symmetric within allclose only: keep the symmetric part, the form
+        # the polynomial sees, and H's own bits wherever it is symmetric
+        self.H = np.where(H == H.T, H, 0.5 * H + 0.5 * H.T)
+        self.box = box
+        if box is None:
+            self.cube, self.active = self, np.arange(n)
+            self._check_cube()
+        else:
+            _require(box.n == n, f"box has {box.n} coordinates, the instance n={n}")
+            self.cube, self.active = self._rescale(box)
+
+    def _check_cube(self):
+        if self.n > _VALIDATE_LIMIT:
             bound = self.c + np.minimum(self.h + 0.5 * self.H.sum(axis=1), 0.0).sum()
             if bound < -NEGATIVE_TOL:
                 raise NonNegativityViolation(
-                    f"quadratic with n={n} > {_VALIDATE_LIMIT} requires "
+                    f"quadratic with n={self.n} > {_VALIDATE_LIMIT} requires "
                     f"c + sum_u min(0, h_u + sum_v H_uv / 2) >= 0 (got {bound:g})")
-        elif validate:
-            vals = self.evaluate_batch(all_subsets_matrix(n))
+        else:
+            vals = self.evaluate_batch(all_subsets_matrix(self.n))
             if vals.min() < -NEGATIVE_TOL:
                 raise NonNegativityViolation(
                     f"quadratic is negative on a vertex (min {vals.min():g})")
+
+    def _rescale(self, box):
+        """(cube, active) for box; the cube, or the one point of a box
+        that pins every coordinate, is checked non-negative."""
+        a, d = box.lower, box.width
+        active = np.flatnonzero(d > 0)
+        fa = float(self.value_batch(a)[0])
+        if active.size == 0:
+            if fa < -NEGATIVE_TOL:
+                raise NonNegativityViolation(f"quadratic is negative at the pinned "
+                                             f"point (value {fa:g})")
+            return None, active
+        h = d * (self.h + self.H @ a)
+        cube = MultilinearQuadraticInstance(int(active.size), fa, h[active],
+                                            (self.H * np.outer(d, d))[np.ix_(active, active)])
+        return cube, active
 
     # fractional interface ------------------------------------------------
 
@@ -272,6 +307,8 @@ class MultilinearQuadraticInstance:
         return self.c + X @ self.h + 0.5 * np.einsum("bi,ij,bj->b", X, self.H, X)
 
     def gradient_batch(self, X):
+        # H is symmetric, but H.T picks the BLAS kernel: X @ H gives other
+        # last bits from n = 20 on, and dr's runs move with them
         return self.h[None, :] + self._rows(X) @ self.H.T
 
     def _rows(self, X):
@@ -288,7 +325,7 @@ class MultilinearQuadraticInstance:
 
     def marginals(self, m):
         # the zero diagonal leaves u's own membership out of its marginal
-        return self.h + m.astype(np.float64) @ self._H_sym
+        return self.h + m.astype(np.float64) @ self.H
 
     def extension(self, X, grads=True):
         # F is its own extension
@@ -296,8 +333,11 @@ class MultilinearQuadraticInstance:
         return (self.gradient_batch(X), vals) if grads else vals
 
     def to_json_dict(self):
-        return {"kind": "quadratic", "n": self.n, "c": self.c,
-                "h": self.h.tolist(), "H": self.H.tolist()}
+        d = {"kind": "quadratic", "n": self.n, "c": self.c,
+             "h": self.h.tolist(), "H": self.H.tolist()}
+        if self.box is not None:
+            d["lower"], d["upper"] = self.box.lower.tolist(), self.box.upper.tolist()
+        return d
 
 
 @dataclass
@@ -415,55 +455,53 @@ def instance_from_json_dict(d):
     if not isinstance(d, dict):
         raise TypeError(f"an instance is a JSON object, got {type(d).__name__}")
     kind = d.get("kind")
+    boxed = "lower" in d or "upper" in d
+    if kind == "quadratic":
+        return MultilinearQuadraticInstance(d["n"], d.get("c", 0.0), d["h"], d["H"],
+                                            box=_box_from_json_dict(d) if boxed else None)
     if kind == "cut":
-        return CutInstance(d["n"], d["edges"])
-    if kind == "coverage":
+        inst = CutInstance(d["n"], d["edges"])
+    elif kind == "coverage":
         covers = d["covers"]
         if not isinstance(covers, dict):
             raise TypeError(f"covers must map element ids to item lists, "
                             f"got {type(covers).__name__}")
-        return CoverageInstance(d["n"], d["universe"],
+        inst = CoverageInstance(d["n"], d["universe"],
                                 {int(k): v for k, v in covers.items()},
                                 d["weights"], d["costs"])
-    if kind == "quadratic":
-        boxed = "lower" in d or "upper" in d
-        return MultilinearQuadraticInstance(d["n"], d.get("c", 0.0), d["h"], d["H"],
-                                            validate=not boxed)
-    raise ValueError(f"unknown instance kind: {kind!r}")
+    else:
+        raise ValueError(f"unknown instance kind: {kind!r}")
+    _require(not boxed, f"a {kind} instance takes no box (lower/upper)")
+    return inst
+
+
+def _box_from_json_dict(d):
+    """A quadratic document's box; a missing side is the unit cube's."""
+    n = _size(d["n"], "n")
+    sides = {name: d[name] for name in ("lower", "upper") if name in d}
+    for name, side in sides.items():     # before n sizes a default side
+        _require(np.shape(side) == (n,), f"{name} must have length {n}")
+    return BoxDomain(sides.get("lower", np.zeros(n)), sides.get("upper", np.ones(n)))
 
 
 def load_instance(path):
-    """(instance, BoxDomain or None) from a JSON file; only a quadratic
-    takes a box.  Schema errors raise InvalidInstance, a file that is no
-    instance at all UnreadableInstance."""
+    """The instance in a JSON file, checked non-negative on its domain as
+    it is built; only a quadratic takes a box.  Schema errors raise
+    InvalidInstance, a file that is no instance at all UnreadableInstance."""
     try:
         with open(path) as fh:
-            d = json.load(fh)
-        inst = instance_from_json_dict(d)
-        box = None
-        if "lower" in d or "upper" in d:
-            _require(inst.kind == "quadratic",
-                     f"a {inst.kind} instance takes no box (lower/upper)")
-            sides = d.get("lower", [0.0] * inst.n), d.get("upper", [1.0] * inst.n)
-            for name, side in zip(("lower", "upper"), sides):
-                _require(np.shape(side) == (inst.n,), f"{name} must have length {inst.n}")
-            box = BoxDomain(*sides)
+            return instance_from_json_dict(json.load(fh))
     except (InvalidInstance, NonNegativityViolation):
         raise
     except OutOfBox as e:       # the file's box is instance data
         raise InvalidInstance(str(e)) from e
     except (KeyError, ValueError, TypeError) as e:
         raise UnreadableInstance(f"cannot parse {path}: {e}") from e
-    return inst, box
 
 
-def dump_instance(inst, path, box=None):
-    d = inst.to_json_dict()
-    if box is not None:         # a BoxDomain, as load_instance returns it
-        d["lower"] = list(map(float, box.lower))
-        d["upper"] = list(map(float, box.upper))
+def dump_instance(inst, path):
     with open(path, "w") as fh:
-        json.dump(d, fh, indent=1, sort_keys=True)
+        json.dump(inst.to_json_dict(), fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 

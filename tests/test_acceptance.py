@@ -152,7 +152,7 @@ def test_criterion_6_discrete_driver():
         ell = DiscreteParams(epsilon=eps).ell
         for seed in range(50):
             so = SetOracle(inst8)
-            tau = estimate_tau(so, eps, seed, m=200)
+            tau = estimate_tau(so, seed, m=200)
             X, Y = discrete_preprocess(so, tau, eps, seed, m=50)
             assert not (X & ~Y).any()
             for i in range(ell):

@@ -473,6 +473,19 @@ def test_set_algorithms_check_a_boxed_quadratic(write_instance, tmp_path, capsys
     assert all(0.0 <= v <= 0.5 for v in x)
 
 
+def test_a_file_negative_on_its_box_is_invalid_for_every_algorithm(write_instance, capsys):
+    # x0 + x1 - x0*x1 is fine on the unit cube but -3 at (3, 3): the box is
+    # checked as the file is read, whatever runs on it
+    path = write_instance({"kind": "quadratic", "n": 2, "c": 0, "h": [1, 1],
+                           "H": [[0, -1], [-1, 0]], "lower": [0, 0], "upper": [3, 3]})
+    for algorithm in cli.ALGORITHMS:
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["run", "--instance", path, "--algorithm", algorithm])
+        assert exit_.value.code == 2, algorithm
+        err = capsys.readouterr().err
+        assert "--instance: invalid instance: quadratic is negative on a vertex" in err
+
+
 def test_set_algorithms_take_opt_from_brute_force(tmp_path):
     # brute force covers n <= 24, over the subsets or over dr's box vertices
     p = tmp_path / "quad8.json"

@@ -109,14 +109,14 @@ def test_discrete_update_grid_rejects_epsilon_outside_0_1(eps):
 
 def test_estimate_tau_concentrates(k2):
     # E f(R(1/2)) = 1/2 on the single unit edge; per-sample sd = 1/2
-    tau = estimate_tau(SetOracle(k2), 0.1, seed=0, m=4000)
+    tau = estimate_tau(SetOracle(k2), seed=0, m=4000)
     assert abs(tau - 0.5) <= 4 * 0.5 / math.sqrt(4000)
-    assert estimate_tau(SetOracle(k2), 0.1, seed=0, m=4000) == tau
+    assert estimate_tau(SetOracle(k2), seed=0, m=4000) == tau
 
 
 def test_estimate_tau_one_round(k2):
     so = SetOracle(k2)
-    estimate_tau(so, 0.1, seed=0, m=100)
+    estimate_tau(so, seed=0, m=100)
     assert so.accounting.rounds == 1
     assert so.accounting.queries == 100
 

@@ -8,8 +8,7 @@ so the cube optimum sits at (1,1) with value 1.
 import numpy as np
 import pytest
 
-from subpar import (BoxDomain, ParamOutOfRange, box_optimum, run_core, run_dr,
-                    rescale_to_cube)
+from subpar import BoxDomain, ParamOutOfRange, box_optimum, run_core, run_dr
 from subpar.instances import (InvalidInstance, MultilinearQuadraticInstance,
                               NonNegativityViolation, OutOfBox,
                               generate_random_instance)
@@ -17,6 +16,11 @@ from subpar.multilinear import MultilinearOracle
 from subpar.oracles import SetOracle, all_subsets_matrix
 
 from conftest import core_bits
+
+
+def on_box(inst, box):
+    """The quadratic inst over box, checked there."""
+    return MultilinearQuadraticInstance(inst.n, inst.c, inst.h, inst.H, box=box)
 
 
 # -- box ------------------------------------------------------------------------
@@ -38,7 +42,7 @@ def test_box_validation_and_embed():
 def test_box_rejects_non_finite_bounds(frozen_quad, lower, upper, name):
     # named at the box, before any rescaling reads it
     with pytest.raises(InvalidInstance, match=f"box {name} must be finite"):
-        run_dr(frozen_quad, 0.1, BoxDomain(lower, upper))
+        on_box(frozen_quad, BoxDomain(lower, upper))
 
 
 # -- direct oracle ----------------------------------------------------------------
@@ -125,7 +129,8 @@ def test_rescale_frozen():
         n=2, c=0.0, h=np.array([1.0, 1.0]),
         H=np.array([[0.0, -0.5], [-0.5, 0.0]]))
     box = BoxDomain(np.zeros(2), np.full(2, 2.0))
-    cube, active = rescale_to_cube(inst, box)
+    q = on_box(inst, box)
+    cube, active = q.cube, q.active
     assert cube.c == 0.0
     assert np.allclose(cube.h, [2.0, 2.0])
     assert np.allclose(cube.H, [[0.0, -2.0], [-2.0, 0.0]])
@@ -136,35 +141,40 @@ def test_rescale_frozen():
     assert np.allclose(cube.value_batch(z), inst.value_batch(2.0 * z))
 
 
+def test_an_unboxed_quadratic_is_its_own_cube(frozen_quad):
+    assert frozen_quad.box is None and frozen_quad.cube is frozen_quad
+    assert frozen_quad.active.tolist() == [0, 1]
+
+
 def test_rescale_revalidates_on_the_box():
     # x0 - x0*x1 is fine on the unit cube but dips to -6 at (3, 3)
     inst = MultilinearQuadraticInstance(
         n=2, c=0.0, h=np.array([1.0, 0.0]),
         H=np.array([[0.0, -1.0], [-1.0, 0.0]]))
-    with pytest.raises(NonNegativityViolation):
-        rescale_to_cube(inst, BoxDomain(np.zeros(2), np.full(2, 3.0)))
+    with pytest.raises(NonNegativityViolation, match="negative on a vertex"):
+        on_box(inst, BoxDomain(np.zeros(2), np.full(2, 3.0)))
 
 
 def test_rescale_all_pinned(frozen_quad):
     box = BoxDomain(np.full(2, 0.5), np.full(2, 0.5))
-    cube, active = rescale_to_cube(frozen_quad, box)
-    assert cube is None and active.size == 0
+    pinned = on_box(frozen_quad, box)
+    assert pinned.cube is None and pinned.active.size == 0
     assert np.allclose(box.embed(np.zeros(2)), [0.5, 0.5])
 
 
 def test_rescale_checks_a_pinned_point():
     # F(1, 1) = 2 - 3 = -1: a box pinned there has one point, and it is negative
-    inst = MultilinearQuadraticInstance(2, 0.0, [1.0, 1.0], [[0.0, -3.0], [-3.0, 0.0]],
-                                        validate=False)
+    h, H = [1.0, 1.0], [[0.0, -3.0], [-3.0, 0.0]]
     with pytest.raises(NonNegativityViolation, match="pinned point"):
-        rescale_to_cube(inst, BoxDomain(np.ones(2), np.ones(2)))
-    cube, active = rescale_to_cube(inst, BoxDomain(np.zeros(2), np.zeros(2)))
-    assert cube is None and active.size == 0
+        MultilinearQuadraticInstance(2, 0.0, h, H, box=BoxDomain(np.ones(2), np.ones(2)))
+    inst = MultilinearQuadraticInstance(2, 0.0, h, H, box=BoxDomain(np.zeros(2), np.zeros(2)))
+    assert inst.cube is None and inst.active.size == 0
 
 
 def test_rescale_one_pinned(frozen_quad):
     box = BoxDomain(np.array([0.25, 0.0]), np.array([0.25, 1.0]))
-    cube, active = rescale_to_cube(frozen_quad, box)
+    q = on_box(frozen_quad, box)
+    cube, active = q.cube, q.active
     assert active.tolist() == [1]
     assert cube.n == 1
     assert cube.c == pytest.approx(0.25)
@@ -178,9 +188,9 @@ def test_box_optimum_exact_at_corner(frozen_quad):
     # the optimum value 1.0 is attained on two whole edges, vertices included
     assert box_optimum(frozen_quad) == 1.0
     box = BoxDomain(np.array([0.25, 0.0]), np.array([0.25, 1.0]))
-    assert box_optimum(frozen_quad, box) == pytest.approx(1.0)   # F(0.25, 1)
+    assert box_optimum(on_box(frozen_quad, box)) == pytest.approx(1.0)   # F(0.25, 1)
     pinned = BoxDomain(np.full(2, 0.5), np.full(2, 0.5))
-    assert box_optimum(frozen_quad, pinned) == 0.75
+    assert box_optimum(on_box(frozen_quad, pinned)) == 0.75
 
 
 def _random_box(rng, n, shape):
@@ -203,7 +213,7 @@ def test_box_optimum_bounds_the_box_and_sits_on_a_vertex(n, shape):
     for seed in range(4):
         inst = generate_random_instance("quadratic", n, seed)
         box = _random_box(rng, n, shape)
-        opt = box_optimum(inst, box)
+        opt = box_optimum(on_box(inst, box))
         pts = box.lower + box.width * rng.random((4096, n))
         assert opt >= inst.value_batch(pts).max() - 1e-12
         vertices = np.where(all_subsets_matrix(n), box.upper, box.lower)
@@ -224,10 +234,10 @@ def test_run_dr_scaled_box():
     inst = MultilinearQuadraticInstance(
         n=2, c=0.0, h=np.array([1.0, 1.0]),
         H=np.array([[0.0, -0.5], [-0.5, 0.0]]))
-    box = BoxDomain(np.zeros(2), np.full(2, 2.0))
-    res = run_dr(inst, 0.05, box=box)
+    inst = on_box(inst, BoxDomain(np.zeros(2), np.full(2, 2.0)))
+    res = run_dr(inst, 0.05)
     assert (res.x >= -1e-12).all() and (res.x <= 2.0 + 1e-12).all()
-    opt = box_optimum(inst, box)
+    opt = box_optimum(inst)
     assert opt == pytest.approx(2.0)
     assert res.value >= 0.45 * opt
     assert res.value == inst.value_batch(res.x)[0]
@@ -237,12 +247,11 @@ def test_run_dr_large_n_on_a_shrunk_box():
     # f(N) = 0 at n = 21: every row bound h_u + sum_v H_uv / 2 is 0; over
     # [0.5, 1]^n the rescaled rows are -0.25 each and c = 5.25 absorbs them
     n = 21
-    inst = MultilinearQuadraticInstance(n, 0.0, np.ones(n), -0.1 * (np.ones((n, n)) - np.eye(n)))
-    box = BoxDomain(np.full(n, 0.5), np.ones(n))
-    cube, _ = rescale_to_cube(inst, box)
-    assert cube.c == pytest.approx(5.25)
-    assert np.allclose(cube.h + 0.5 * cube.H.sum(axis=1), -0.25)
-    res = run_dr(inst, 0.1, box)
+    inst = MultilinearQuadraticInstance(n, 0.0, np.ones(n), -0.1 * (np.ones((n, n)) - np.eye(n)),
+                                        box=BoxDomain(np.full(n, 0.5), np.ones(n)))
+    assert inst.cube.c == pytest.approx(5.25)
+    assert np.allclose(inst.cube.h + 0.5 * inst.cube.H.sum(axis=1), -0.25)
+    res = run_dr(inst, 0.1)
     assert (res.x >= 0.5).all() and (res.x <= 1.0).all()
     assert res.value == inst.value_batch(res.x)[0]
     assert res.value >= 0.0
@@ -258,35 +267,33 @@ def test_run_dr_quarter_bound_and_tau_sandwich():
 
 
 def test_run_dr_all_pinned(frozen_quad):
-    box = BoxDomain(np.full(2, 0.5), np.full(2, 0.5))
-    res = run_dr(frozen_quad, 0.1, box=box)
+    res = run_dr(on_box(frozen_quad, BoxDomain(np.full(2, 0.5), np.full(2, 0.5))), 0.1)
     assert res.iterations == 0
     assert np.allclose(res.x, [0.5, 0.5])
     assert res.value == pytest.approx(0.75)
 
 
 def test_run_dr_all_pinned_returns_an_unqueried_oracle(frozen_quad):
-    box = BoxDomain(np.full(2, 0.5), np.full(2, 0.5))
-    res = run_dr(frozen_quad, 0.1, box=box)
+    pinned = on_box(frozen_quad, BoxDomain(np.full(2, 0.5), np.full(2, 0.5)))
+    res = run_dr(pinned, 0.1)
     assert res.core is None
     assert res.oracle.rounds_meter.snapshot() == (0, 0)
     assert (res.oracle.F_queries, res.oracle.grad_queries) == (0, 0)
     with pytest.raises(ParamOutOfRange):   # epsilon is checked before the shortcut
-        run_dr(frozen_quad, 5.0, box=box)
+        run_dr(pinned, 5.0)
 
 
 def test_run_dr_one_pinned(frozen_quad):
     box = BoxDomain(np.array([0.25, 0.0]), np.array([0.25, 1.0]))
-    res = run_dr(frozen_quad, 0.1, box=box)
+    res = run_dr(on_box(frozen_quad, box), 0.1)
     assert res.x[0] == pytest.approx(0.25)
     assert -1e-12 <= res.x[1] <= 1.0 + 1e-12
     assert res.value >= 0.45 * 1.0       # optimum F(0.25, 1) = 1
 
 
 def test_run_dr_unit_box_matches_the_core():
-    # on the unit box the rescale and the embed are exact identities, so
-    # run_dr is run_core on the instance's own oracle, value included,
-    # bit for bit
+    # with no box the instance is its own cube, so run_dr is run_core on
+    # the instance's own oracle, value included, bit for bit
     for n, seed in ((2, 0), (5, 7), (8, 3)):
         inst = generate_random_instance("quadratic", n, seed)
         dr = run_dr(inst, 0.1)

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
-every local a function assigns is read by that function, the package
-holds no assert statement, every gateway method that charges rounds is
+every local a function assigns is read by that function, every
+parameter of a package function is read by it, the package holds no
+assert statement, every gateway method that charges rounds is
 counted by the tests' spy, and every package name the benchmark hooks
 into still exists.
 
@@ -16,7 +17,8 @@ import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "subpar").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "subpar").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -101,10 +103,43 @@ def test_no_dead_locals():
     assert not found, "locals assigned and never read:\n" + "\n".join(found)
 
 
+def dead_params(source):
+    """`function: name` for each parameter that its function, nested
+    functions included, never reads; self, cls and _-prefixed names are
+    exempt."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        found.extend(f"{fn.name}: {p.arg}" for p in params
+                     if p.arg not in read and p.arg not in ("self", "cls")
+                     and not p.arg.startswith("_"))
+    return sorted(found)
+
+
+def test_dead_params_detected():
+    src = ("class C:\n"
+           "    def m(self, cls, _spare, used, unused, *rest, flag=1, **kw):\n"
+           "        def g():\n"
+           "            return used, kw\n"
+           "        return g\n")
+    assert dead_params(src) == ["m: flag", "m: rest", "m: unused"]
+
+
+def test_no_dead_params_in_package():
+    found = [f"{p.relative_to(ROOT)}: {site}"
+             for p in PACKAGE for site in dead_params(p.read_text())]
+    assert not found, "parameters never read:\n" + "\n".join(found)
+
+
 def test_no_asserts_in_package():
     # python -O strips assert statements; a check must raise a typed error
     found = [f"{p.relative_to(ROOT)}:{node.lineno}"
-             for p in sorted((ROOT / "src" / "subpar").glob("*.py"))
+             for p in PACKAGE
              for node in ast.walk(ast.parse(p.read_text())) if isinstance(node, ast.Assert)]
     assert not found, "assert statements:\n" + "\n".join(found)
 

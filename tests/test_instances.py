@@ -48,8 +48,14 @@ def test_cut_symmetry():
 
 
 def test_cut_empty_edges_is_zero():
+    # the general formula, with d = 0 and W = 0, gives exactly +0.0
     inst = CutInstance(4, [])
-    assert inst.evaluate_batch(all_subsets_matrix(4)).max() == 0.0
+    m = all_subsets_matrix(4)
+    vals = inst.evaluate_batch(m)
+    assert vals.shape == (16,) and not vals.any() and not np.signbit(vals).any()
+    assert not inst.marginals(m).any()
+    grads, ext = inst.extension(np.random.default_rng(0).random((5, 4)))
+    assert not grads.any() and not ext.any()
 
 
 def test_cut_rejects_bad_edges():
@@ -133,13 +139,32 @@ def test_quadratic_validation():
         MultilinearQuadraticInstance(2, 0.0, [1, 1], [[0, 1], [1, 0]])       # positive entry
 
 
-def test_quadratic_negative_vertex_rejected_unless_unvalidated():
-    # F(1,1) = 0.2 + 0.2 - 1 < 0
-    with pytest.raises(NonNegativityViolation):
+def test_quadratic_negative_vertex_rejected_on_its_box():
+    # F(1,1) = 0.2 + 0.2 - 1 < 0, but F >= 0 on [0, 0.25]^2
+    with pytest.raises(NonNegativityViolation, match="negative on a vertex"):
         MultilinearQuadraticInstance(2, 0.0, [0.2, 0.2], [[0, -1], [-1, 0]])
     q = MultilinearQuadraticInstance(2, 0.0, [0.2, 0.2], [[0, -1], [-1, 0]],
-                                     validate=False)
+                                     box=BoxDomain(np.zeros(2), np.full(2, 0.25)))
     assert q.value_batch([1.0, 1.0])[0] == pytest.approx(-0.6)
+    with pytest.raises(InvalidInstance, match="box has 3 coordinates, the instance n=2"):
+        MultilinearQuadraticInstance(2, 0.0, [0.2, 0.2], [[0, -1], [-1, 0]],
+                                     box=BoxDomain(np.zeros(3), np.ones(3)))
+
+
+def test_quadratic_keeps_one_symmetric_h():
+    # symmetric within allclose only: every read sees the symmetric part
+    H = [[0.0, -1.0], [-1.00001, 0.0]]
+    q = MultilinearQuadraticInstance(2, 0.0, [1.0, 1.0], H)
+    assert np.array_equal(q.H, q.H.T) and q.H[0, 1] == pytest.approx(-1.000005, abs=1e-15)
+    x, h = np.array([0.3, 0.6]), 1e-3
+    fd = [(q.value_batch(x + e)[0] - q.value_batch(x - e)[0]) / (2 * h)
+          for e in np.eye(2) * h]
+    assert np.abs(q.gradient_batch(x)[0] - fd).max() < 1e-9
+    m = all_subsets_matrix(2)
+    assert np.abs(q.marginals(m) - q.extension(m.astype(np.float64))[0]).max() < 1e-12
+    # an exactly symmetric H keeps its bits
+    H = np.array([[0.0, -0.1], [-0.1, 0.0]])
+    assert MultilinearQuadraticInstance(2, 0.0, [1.0, 1.0], H).H.tobytes() == H.tobytes()
 
 
 def test_quadratic_large_n_requires_the_structural_bound():
@@ -152,7 +177,12 @@ def test_quadratic_large_n_requires_the_structural_bound():
     h[3] = 9.0                                   # f(N) = -1
     with pytest.raises(NonNegativityViolation, match=r"n=21 .*\(got -1\)"):
         MultilinearQuadraticInstance(n, 0.0, h, H)
-    MultilinearQuadraticInstance(n, 0.0, h, H, validate=False)
+    # over a box the bound is the rescaled cube's: [0.5, 1]^n holds f(N),
+    # [0, 0.5]^n does not
+    with pytest.raises(NonNegativityViolation, match=r"n=21 .*\(got -1\)"):
+        MultilinearQuadraticInstance(n, 0.0, h, H, box=BoxDomain(np.full(n, 0.5), np.ones(n)))
+    q = MultilinearQuadraticInstance(n, 0.0, h, H, box=BoxDomain(np.zeros(n), np.full(n, 0.5)))
+    assert q.value_batch(np.full(n, 0.5))[0] == pytest.approx(209 / 2 - 210 / 4)
     # c may absorb negative rows: f = 100 - |S| >= 79
     q = MultilinearQuadraticInstance(n, 100.0, -np.ones(n), np.zeros((n, n)))
     assert q.value_batch(np.ones(n))[0] == 79.0
@@ -246,28 +276,36 @@ def test_json_roundtrip(tmp_path, kind):
     inst = generate_random_instance(kind, 5, 7)
     p = tmp_path / "i.json"
     dump_instance(inst, p)
-    back, box = load_instance(p)
-    assert box is None
+    back = load_instance(p)
     assert back.to_json_dict() == inst.to_json_dict()
+    assert "lower" not in json.loads(p.read_text())
     table = all_subsets_matrix(5)
     assert np.abs(back.evaluate_batch(table) - inst.evaluate_batch(table)).max() < 1e-12
 
 
 def test_json_roundtrip_with_box(tmp_path):
-    inst = generate_random_instance("quadratic", 3, 1)
+    q = generate_random_instance("quadratic", 3, 1)
+    inst = MultilinearQuadraticInstance(3, q.c, q.h, q.H, box=BoxDomain(np.zeros(3), np.full(3, 0.5)))
     p = tmp_path / "b.json"
-    dump_instance(inst, p, box=BoxDomain(np.zeros(3), np.full(3, 2.0)))
-    back, box = load_instance(p)
-    assert list(box.lower) == [0.0] * 3 and list(box.upper) == [2.0] * 3
+    dump_instance(inst, p)
+    back = load_instance(p)
+    assert list(back.box.lower) == [0.0] * 3 and list(back.box.upper) == [0.5] * 3
+    assert back.to_json_dict() == inst.to_json_dict()
 
 
-def test_boxed_quadratic_json_skips_unit_cube_validation(write_instance):
-    # negative on a unit-cube vertex, but declared over a box: loads fine
+def test_boxed_quadratic_json_is_checked_on_its_box(write_instance):
+    # negative on a unit-cube vertex, but declared over a box: checked there
     d = {"kind": "quadratic", "n": 2, "c": 0.0, "h": [0.2, 0.2],
-         "H": [[0.0, -1.0], [-1.0, 0.0]], "lower": [0.0, 0.0], "upper": [0.5, 0.5]}
-    inst, box = load_instance(write_instance(d))
-    assert box is not None
+         "H": [[0.0, -1.0], [-1.0, 0.0]], "lower": [0.0, 0.0], "upper": [0.25, 0.25]}
+    inst = load_instance(write_instance(d))
+    assert inst.box is not None
     assert inst.value_batch([0.25, 0.25])[0] > 0
+    # F(0.5, 0.5) = 0.2 - 0.25
+    with pytest.raises(NonNegativityViolation, match="negative on a vertex"):
+        load_instance(write_instance({**d, "upper": [0.5, 0.5]}))
+    # a missing side is the unit cube's
+    del d["lower"]
+    assert load_instance(write_instance({**d, "upper": [0.25, 0.5]})).box.lower.tolist() == [0, 0]
 
 
 def test_json_unknown_kind():
@@ -330,7 +368,7 @@ def test_load_instance_fuzz(data):
         with open(path, "w") as fh:
             json.dump(doc, fh)
         try:
-            inst, _ = load_instance(path)
+            inst = load_instance(path)
         except (InvalidInstance, UnreadableInstance, NonNegativityViolation):
             return
     m = all_subsets_matrix(inst.n)

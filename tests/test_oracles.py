@@ -443,9 +443,9 @@ def raised(stderr):
     ("box_optimum(q25)", "n <= 24"),
     ("q.value_batch([[0.5, 0.5, 0.5]])", "(P, 2)"),
     ("q.gradient_batch([0.5])", "(P, 2)"),
-    ("rescale_to_cube(CutInstance(2, []), BoxDomain([0, 0], [1, 1]))",
-     "expected a quadratic"),
-    ("rescale_to_cube(q, BoxDomain([0, 0, 0], [1, 1, 1]))", "box has 3 coordinates"),
+    ("run_dr(CutInstance(2, []), 0.1)", "expected a quadratic"),
+    ("MultilinearQuadraticInstance(2, 0, [1, 1], [[0, -1], [-1, 0]], "
+     "box=BoxDomain([0, 0, 0], [1, 1, 1]))", "box has 3 coordinates"),
     ("BoxDomain([0, 0], [1, 1, 1])", "two vectors of one length"),
     ("check_nonnegative_exhaustive(generate_random_instance('cut', 13, 0))",
      "too large for exhaustive check"),

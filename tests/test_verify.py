@@ -1,10 +1,11 @@
 """Library-level checks of the invariant-suite runner."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from subpar import generate_random_instance
+from subpar import generate_random_instance, verify
 from subpar.instances import UnreadableInstance, dump_instance
 from subpar.verify import INSTANCE_SUITES, SUITES, Finding, run_verify
 
@@ -26,6 +27,25 @@ def test_suite_filter():
     names, findings = run_verify(suites=["feige", "tau"])
     assert names == ["feige", "tau"]
     assert findings == []
+
+
+def test_chain_and_potential_check_dr_runs(monkeypatch):
+    # a dr run whose pair walks backwards and whose potential climbs
+    real = verify.run_dr
+
+    def broken(inst, epsilon):
+        res = real(inst, epsilon)
+        start = res.core.traces[0].potential
+        traces = [replace(t, potential=start + j) for j, t in enumerate(res.core.traces)]
+        return replace(res, core=replace(res.core, states=res.core.states[::-1],
+                                         traces=traces))
+
+    monkeypatch.setattr(verify, "run_dr", broken)
+    names, findings = run_verify(suites=["chain", "potential", "dr"])
+    named = {(f.suite, f.instance) for f in findings}
+    for suite in ("chain", "potential"):
+        assert (suite, "quadratic-n4-s0") in named
+    assert not [f for f in findings if f.suite == "dr" or not f.instance.startswith("quad")]
 
 
 def test_unknown_suite_raises():
