@@ -382,3 +382,25 @@ def test_run_continuous_exact_golden_meters(kind, n):
     got = (so.accounting.rounds, so.accounting.queries, mo.F_queries,
            res.core.iterations, res.core.value.hex())
     assert got == EXACT_GOLDEN[(kind, n)]
+
+
+# sampled:200 runs, each rng seeded with n: the gradients read the
+# instance at every drawn set, the path the exact goldens do not cover
+SAMPLED_GOLDEN = {
+    ("cut", 12): (20, 3037201, 15186, 8, "0x1.453823709f3e0p+3"),
+    ("cut", 24): (20, 6013201, 30066, 8, "0x1.9336a2eacfa0ap+5"),
+    ("coverage", 12): (16, 2441201, 12206, 6, "0x1.09888d5271a9dp+4"),
+    ("coverage", 24): (18, 5955201, 29776, 7, "0x1.697d50e35ad54p+5"),
+    ("quadratic", 12): (14, 1951201, 9756, 5, "0x1.584a1ad2c4452p+3"),
+    ("quadratic", 24): (16, 4745201, 23726, 6, "0x1.02ce61e00ed88p+5"),
+}
+
+
+@pytest.mark.parametrize("kind,n", sorted(SAMPLED_GOLDEN))
+def test_run_continuous_sampled_golden_meters(kind, n):
+    so = SetOracle(generate_random_instance(kind, n, n))
+    mo = MultilinearOracle(so, mode="sampled", samples=200, rng=np.random.default_rng(n))
+    res = run_continuous(mo, 0.1, seed=n)
+    got = (so.accounting.rounds, so.accounting.queries, mo.F_queries,
+           res.core.iterations, res.core.value.hex())
+    assert got == SAMPLED_GOLDEN[(kind, n)]
