@@ -19,7 +19,7 @@ import numpy as np
 
 from .continuous import (ParamOutOfRange, StateInvariantViolation, check_epsilon,
                          compute_rates, first_step, geometric_grid, preprocess_grid)
-from .oracles import ids_of
+from .oracles import ids_of, is_integer
 from .reports import DiscreteIterationTrace
 
 
@@ -38,8 +38,11 @@ class DiscreteParams:
 
     def __post_init__(self):
         check_epsilon(self.epsilon)
-        if self.sample_override is not None and self.sample_override < 1:
-            raise ParamOutOfRange("sample_override must be >= 1")
+        override = self.sample_override
+        if override is not None and not (is_integer(override) and override >= 1):
+            raise ParamOutOfRange(f"sample_override must be an integer >= 1, got {override!r}")
+        if not (is_integer(self.seed) and self.seed >= 0):
+            raise ParamOutOfRange(f"seed must be an integer >= 0, got {self.seed!r}")
 
     @property
     def ell(self):

@@ -3,25 +3,24 @@
 All instances are immutable after construction and expose
 
     n                  -- ground-set size
-    evaluate_batch(m)  -- vectorized set evaluation over a boolean (B, n)
-                          membership matrix, returning a float vector
-    marginals(m)       -- the (B, n) matrix of f(S+u) - f(S-u) in closed
-                          form, which answers SetOracle.eval_marginals
-    extension(X, grads=True)
-                       -- the multilinear extension F in closed form at
-                          each row of a float (P, n) batch X, as
-                          (gradients, values) or, with grads=False, the
-                          values; it answers SetOracle.eval_extension
+    evaluate_batch(m)  -- f on each row of a boolean (B, n) membership
+                          matrix, as a float vector
+    value_batch(X)     -- the multilinear extension F in closed form at
+                          each row of a float (P, n) batch X
+    gradient_batch(X)  -- its (P, n) gradient there
+
+A marginal is a gradient taken at a vertex: at a 0/1 point S the u-th
+partial is f(S+u) - f(S-u), so gradient_batch answers both
+SetOracle.eval_marginals and the gradients of SetOracle.eval_extension.
 
 Every number an instance is built from must be finite; construction
 rejects NaN, infinities and integers beyond the float64 range with
 InvalidInstance, naming the field.  BoxDomain holds the box of a boxed
 quadratic, under the same rule.
 
-Quadratic instances additionally support fractional evaluation and an
-exact gradient; because their Hessian has zero diagonal they are
-multilinear, so the set evaluation is just the vertex restriction of the
-same polynomial.
+Quadratic instances are their own extension: their Hessian has zero
+diagonal, so they are multilinear, and the set evaluation is just the
+vertex restriction of the same polynomial.
 """
 
 import json
@@ -117,18 +116,15 @@ class CutInstance:
         self._d = self._W.sum(axis=1)
 
     def evaluate_batch(self, m):
-        mf = m.astype(np.float64)
-        return mf @ self._d - ((mf @ self._W) * mf).sum(axis=1)
+        return self.value_batch(m.astype(np.float64))
 
-    def marginals(self, m):
-        # W has a zero diagonal, so u's own membership drops out
-        return self._d - 2.0 * (m.astype(np.float64) @ self._W)
-
-    def extension(self, X, grads=True):
+    def value_batch(self, X):
         # the zero diagonal of W makes E[m_u m_v] = x_u x_v on every edge
-        XW = X @ self._W
-        vals = X @ self._d - (XW * X).sum(axis=1)
-        return (self._d - 2.0 * XW, vals) if grads else vals
+        return X @ self._d - ((X @ self._W) * X).sum(axis=1)
+
+    def gradient_batch(self, X):
+        # W has a zero diagonal, so u's own coordinate drops out
+        return self._d - 2.0 * (X @ self._W)
 
     def to_json_dict(self):
         return {"kind": "cut", "n": self.n,
@@ -184,29 +180,24 @@ class CoverageInstance:
         gain = covered.astype(np.float64) @ self.weights
         return gain - mf @ self.costs
 
-    def marginals(self, m):
-        # u alone gains the weight of its items that no other member of S
-        # covers: items covered once by S when u is in S, not at all when
-        # u is out
-        counts = m.astype(np.float64) @ self._cover_f
-        gain_in = (counts == 1).astype(np.float64) @ self._gain_w
-        gain_out = (counts == 0).astype(np.float64) @ self._gain_w
-        return np.where(m, gain_in, gain_out) - self.costs
-
-    def extension(self, X, grads=True):
+    def value_batch(self, X):
         # item j stays uncovered with the product of 1 - x_v over the
         # elements v that cover it; the others contribute a factor of 1
         miss = np.where(self.covers, 1.0 - X[:, :, None], 1.0)    # (P, n, universe)
-        vals = (1.0 - miss.prod(axis=1)) @ self.weights - X @ self.costs
-        if not grads:
-            return vals
-        # u's partial weighs its items by the product over the *other*
-        # elements: exclusive prefix and suffix products, never a division
-        # by 1 - x_u, which is 0 at x_u = 1
-        one = np.ones_like(miss[:, :1])
-        before = np.cumprod(np.concatenate([one, miss[:, :-1]], axis=1), axis=1)
-        after = np.cumprod(np.concatenate([one, miss[:, :0:-1]], axis=1), axis=1)[:, ::-1]
-        return (before * after * self._gain_w.T).sum(axis=2) - self.costs, vals
+        return (1.0 - miss.prod(axis=1)) @ self.weights - X @ self.costs
+
+    def gradient_batch(self, X):
+        # u gains item j's weight when no other element covers it.  With
+        # z_j the covering elements at 1 and p_j the product of 1 - x_v
+        # over the others, that chance is [z_j = 0] p_j / (1 - x_u) for
+        # x_u < 1, and [z_j = 1] p_j for x_u = 1, whose factor p_j lacks
+        # already.  At a 0/1 point p_j is exactly 1: the vertex marginal.
+        full = X >= 1.0
+        z = full.astype(np.float64) @ self._cover_f                   # (P, universe)
+        p = np.exp(np.log1p(-np.where(full, 0.0, X)) @ self._cover_f)
+        alone = ((z == 0) * p) @ self._gain_w / np.where(full, 1.0, 1.0 - X)
+        only = ((z == 1) * p) @ self._gain_w
+        return np.where(full, only, alone) - self.costs
 
     def to_json_dict(self):
         return {
@@ -322,15 +313,6 @@ class MultilinearQuadraticInstance:
 
     def evaluate_batch(self, m):
         return self.value_batch(m.astype(np.float64))
-
-    def marginals(self, m):
-        # the zero diagonal leaves u's own membership out of its marginal
-        return self.h + m.astype(np.float64) @ self.H
-
-    def extension(self, X, grads=True):
-        # F is its own extension
-        vals = self.value_batch(X)
-        return (self.gradient_batch(X), vals) if grads else vals
 
     def to_json_dict(self):
         d = {"kind": "quadratic", "n": self.n, "c": self.c,

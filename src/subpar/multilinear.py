@@ -6,8 +6,8 @@ with probability x_u.  Every oracle mode answers a *batch* of extension
 arguments in a single adaptive round of the underlying set oracle:
 
   exact    -- one round charged as the full power set, answered by the
-              instance's closed-form extension through
-              SetOracle.eval_extension (n <= EXACT_LIMIT).
+              instance's closed-form value_batch and gradient_batch
+              through SetOracle.eval_extension (n <= EXACT_LIMIT).
   direct   -- the same round charged as its P points: the extension is
               the oracle itself, as for the box-constrained objective
               of drbox.py, so a partial costs no F-queries.
@@ -19,11 +19,11 @@ arguments in a single adaptive round of the underlying set oracle:
 Gradients use the defining identity of multilinear functions: the u-th
 partial at x equals F at (x with u forced to 1) minus F at (x with u
 forced to 0), priced as 2n extension arguments per point.  Exact and
-direct modes take them from the same closed form as the values.  In sampled
+direct modes read the instance's gradient at the point.  In sampled
 mode, thresholding the shared panel at those forced arguments gives the
 panel's base set S with u added or removed, so the estimate is the mean
 over draws of the marginal f(S+u) - f(S-u): one marginal-gain round of
-the set oracle.
+the set oracle, answered by the gradient at the 0/1 draws.
 
 ContinuousOracle holds the batched protocol that the continuous driver
 reads; MultilinearOracle, in any mode, speaks it.
@@ -31,7 +31,7 @@ reads; MultilinearOracle, in any mode, speaks it.
 
 import numpy as np
 
-from .oracles import OutOfBox
+from .oracles import OutOfBox, is_integer
 
 
 EXACT_LIMIT = 20      # largest n allowed in exact mode
@@ -110,7 +110,7 @@ class MultilinearOracle(ContinuousOracle):
     """Extension-value and gradient oracle over a batched set oracle.
 
     mode    -- "exact" (n <= EXACT_LIMIT), "direct" or "sampled"
-    samples -- draws per extension argument (sampled mode)
+    samples -- draws per extension argument (sampled mode), an integer >= 1
     rng     -- generator for sampled mode (fresh draws per argument)
 
     F_queries counts extension arguments answered; adaptive rounds and
@@ -125,8 +125,9 @@ class MultilinearOracle(ContinuousOracle):
         if mode == "exact" and set_oracle.n > EXACT_LIMIT:
             raise ExactTooLarge(
                 f"exact mode needs n <= {EXACT_LIMIT}, got n={set_oracle.n}")
-        if mode == "sampled" and int(samples) < 1:
-            raise ValueError(f"sampled mode needs samples >= 1, got {samples}")
+        if not (is_integer(samples) and samples >= 1):
+            raise ValueError(f"MultilinearOracle needs an integer number of "
+                             f"samples >= 1, got {samples!r}")
         if mode == "direct":    # a partial is an answer, not two F values
             self.F_PER_PARTIAL = 0
         self.set_oracle = set_oracle

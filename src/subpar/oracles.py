@@ -12,9 +12,9 @@ within the call, slice by slice.
 
 A marginal-gain round (eval_marginals) asks, for every base set S of a
 batch and every element u, for f(S+u) - f(S-u); it is priced as the 2n
-explicit rows it stands for and answered by the instance's closed-form
-marginals, so the closed form changes the cost of evaluation but never
-the meters.
+explicit rows it stands for and answered by the instance's gradient at
+the 0/1 draws, which is that difference, so the closed form changes the
+cost of evaluation but never the meters.
 
 A pair-gain round (eval_gains) asks for the same differences
 f(S+u) - f(S-u) at a batch of bases and a list of elements, and is
@@ -26,7 +26,8 @@ rows S+u, S-u of each pair.
 
 An extension round (eval_extension) asks for the multilinear extension
 F, and optionally its gradient, at a batch of fractional points, and is
-answered by the instance's closed-form extension.  It has two prices.
+answered by the instance's value_batch and gradient_batch.  It has two
+prices.
 By default F at a point weighs f over the whole power set, so the round
 is charged as its 2^n rows: again the closed form changes the cost of
 evaluation, never the meters.  With direct=True the extension itself is
@@ -84,15 +85,23 @@ class OracleAccounting:
 def members_matrix(subsets, n):
     """The boolean (B, n) membership matrix of a batch of subsets.
 
-    Accepts a boolean array of shape (B, n), or one (n,) row read as a
-    batch of one.  Anything else raises InvalidElement.
+    Accepts a boolean array of shape (B, n) with B >= 1, or one (n,) row
+    read as a batch of one.  An empty batch raises ValueError, anything
+    else InvalidElement.
     """
     if not (isinstance(subsets, np.ndarray) and subsets.dtype == bool):
         dtype = getattr(subsets, "dtype", type(subsets).__name__)
         raise InvalidElement(f"subsets must be a boolean membership array, got {dtype}")
     if subsets.ndim not in (1, 2) or subsets.shape[-1] != n:
         raise InvalidElement(f"membership shape {subsets.shape} is not (B, {n}) or ({n},)")
+    if subsets.shape[0] == 0:
+        raise ValueError("empty batch")
     return np.atleast_2d(subsets)
+
+
+def is_integer(value):
+    """Whether value is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def ids_of(members):
@@ -129,12 +138,13 @@ class SetOracle:
 
     The instance must expose `n` and three pure, vectorized functions:
     `evaluate_batch(members)`, the B values of a boolean (B, n) matrix,
-    `marginals(members)`, its (B, n) matrix of f(S+u) - f(S-u), and
-    `extension(points, grads)`, the multilinear extension at a float
-    (P, n) batch.  Every batch of sets handed to the gateway must pass
-    members_matrix.  A batch is evaluated within the call, in equal
-    slices of at most _EVAL_CHUNK rows, one after another.  All
-    mutability lives in the accounting record, updated once per batch.
+    `value_batch(points)`, the multilinear extension F at each row of a
+    float (P, n) batch, and `gradient_batch(points)`, its (P, n)
+    gradient; at a 0/1 row that is the matrix of f(S+u) - f(S-u).
+    Every batch of sets handed to the gateway must pass members_matrix.
+    A batch is evaluated within the call, in equal slices of at most
+    _EVAL_CHUNK rows, one after another.  All mutability lives in the
+    accounting record, updated once per batch.
     """
 
     def __init__(self, instance):
@@ -148,8 +158,6 @@ class SetOracle:
     def eval_batch(self, subsets):
         """Evaluate every subset in the batch; one adaptive round total."""
         m = members_matrix(subsets, self.n)
-        if m.shape[0] == 0:
-            raise ValueError("empty batch")
         self.accounting.charge(m.shape[0])
         return self._finite(self._evaluate(m))
 
@@ -168,8 +176,6 @@ class SetOracle:
         per_element = isinstance(bases, np.ndarray) and bases.ndim == 3
         m = members_matrix(bases.reshape(-1, bases.shape[-1]) if per_element else bases, n)
         B = len(bases) if per_element else len(m)
-        if B == 0:
-            raise ValueError("empty batch")
         elements = np.asarray(elements)
         if not (elements.ndim == 1 and elements.size and elements.dtype.kind in "iu"
                 and (elements >= 0).all() and (elements < n).all()):
@@ -197,26 +203,25 @@ class SetOracle:
     def eval_marginals(self, bases, values=False):
         """Marginals f(S+u) - f(S-u) of every element u at every base S.
 
-        One adaptive round, charged as the explicit rows it replaces:
-        2n per base, plus one per base when values=True, which also
-        returns f(S).  Returns the (B, n) marginals, or (marginals,
-        values) when values=True.
+        One adaptive round, answered by the instance's gradient at each
+        base and charged as the explicit rows it replaces: 2n per base,
+        plus one per base when values=True, which also returns f(S).
+        Returns the (B, n) marginals, or (marginals, values) when
+        values=True.
         """
         m = members_matrix(bases, self.n)
         B, n = m.shape
-        if B == 0:
-            raise ValueError("empty batch")
         width = 2 * n + int(values)
         self.accounting.charge(B * width)
         marg = np.empty((B, n))
         vals = np.empty(B) if values else None
-        # slices of about one evaluation chunk bound the closed form's
-        # float temporaries; BLAS sums a row in an order that depends on
-        # its slice, so the step also fixes the output bits
+        # slices of about one evaluation chunk bound the gradient's float
+        # temporaries; BLAS sums a row in an order that depends on its
+        # slice, so the step also fixes the output bits
         step = max(1, _EVAL_CHUNK // width)
         for lo in range(0, B, step):
             blk = m[lo:lo + step]
-            marg[lo:lo + step] = self.instance.marginals(blk)
+            marg[lo:lo + step] = self.instance.gradient_batch(blk.astype(np.float64))
             if values:
                 vals[lo:lo + step] = self._evaluate(blk)
         if values:
@@ -228,9 +233,9 @@ class SetOracle:
         batch in [0, 1]^n: (gradients, values) when grads=True, else the
         values.
 
-        One adaptive round, answered by the instance's closed-form
-        extension and charged as the 2^n power-set rows that F weighs,
-        or, when direct=True, as the P points asked for.
+        One adaptive round, answered by the instance's value_batch and
+        gradient_batch and charged as the 2^n power-set rows that F
+        weighs, or, when direct=True, as the P points asked for.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.n or pts.shape[0] == 0:
@@ -238,8 +243,8 @@ class SetOracle:
         if not ((pts >= 0.0) & (pts <= 1.0)).all():     # NaN fails both
             raise OutOfBox("a coordinate is outside [0,1] or not finite")
         self.accounting.charge(pts.shape[0] if direct else 1 << self.n)
-        out = self.instance.extension(pts, grads)
-        return tuple(map(self._finite, out)) if grads else self._finite(out)
+        vals = self._finite(self.instance.value_batch(pts))
+        return (self._finite(self.instance.gradient_batch(pts)), vals) if grads else vals
 
     # -- internal ------------------------------------------------------
 

@@ -101,9 +101,10 @@ def write_instance(tmp_path):
 
 
 def power_set_extension(instance, X, grads=True):
-    """instance.extension(X, grads) the slow way: F at each row of X as the
-    power-set sum of f(S) prod_{u in S} x_u prod_{v not in S} (1 - x_v),
-    from evaluate_batch over all_subsets_matrix, and each partial as
+    """(gradient_batch(X), value_batch(X)), or with grads=False the
+    values, the slow way: F at each row of X as the power-set sum of
+    f(S) prod_{u in S} x_u prod_{v not in S} (1 - x_v), from
+    evaluate_batch over all_subsets_matrix, and each partial as
     F(x, u<-1) - F(x, u<-0) from the same sum."""
     sets = all_subsets_matrix(instance.n)
     table = instance.evaluate_batch(sets)

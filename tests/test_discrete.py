@@ -77,6 +77,21 @@ def test_epsilon_and_override_validation():
         DiscreteParams(epsilon=0.1, sample_override=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sample_override", 2.5),        # numpy refused it only after the tau round
+    ("sample_override", True),
+    ("seed", -1),                    # SeedSequence refused it only when drawing
+])
+def test_params_refuse_what_no_round_can_use(field, value):
+    with pytest.raises(ParamOutOfRange, match=field):
+        DiscreteParams(epsilon=0.2, **{field: value})
+
+
+def test_params_take_numpy_integers():
+    p = DiscreteParams(epsilon=0.2, sample_override=np.int64(7), seed=np.uint8(3))
+    assert p.update_samples == 7
+
+
 # -- grid ------------------------------------------------------------------------
 
 @pytest.mark.parametrize("eps,count", [(0.1, 58), (0.05, 146)])

@@ -2,8 +2,9 @@
 every local a function assigns is read by that function, every
 parameter of a package function is read by it, the package holds no
 assert statement, every gateway method that charges rounds is
-counted by the tests' spy, and every package name the benchmark hooks
-into still exists.
+counted by the tests' spy, every instance kind and test fake speaks
+the same three-method protocol, and every package name the benchmark
+hooks into still exists.
 
 The checks walk the AST of the package and of the tests.  An imported
 name counts as used when the module reads it anywhere (an attribute
@@ -160,6 +161,28 @@ def test_spy_counts_every_charging_gateway_method():
              if inspect.signature(getattr(SpySetOracle, name))
              != inspect.signature(getattr(SetOracle, name))]
     assert not drift, f"SpySetOracle signatures differ: {drift}"
+
+
+INSTANCE_PROTOCOL = {"evaluate_batch", "value_batch", "gradient_batch"}
+
+
+def test_instances_speak_one_protocol():
+    # f at 0/1 rows, F and its gradient at float points: a marginal is the
+    # gradient at a vertex, so a kind that grows another closed form of
+    # it, by any name, fails here
+    from subpar import CoverageInstance, CutInstance, MultilinearQuadraticInstance
+    from test_oracles import PoisonedInstance
+    for cls in (CutInstance, CoverageInstance, MultilinearQuadraticInstance, PoisonedInstance):
+        public = {name for name, fn in vars(cls).items()
+                  if callable(fn) and not name.startswith("_")} - {"to_json_dict"}
+        assert public == INSTANCE_PROTOCOL, f"{cls.__name__}: {sorted(public)}"
+    # the gateway reads the instance through those three methods and n
+    tree = ast.parse((ROOT / "src" / "subpar" / "oracles.py").read_text())
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "instance"
+            and isinstance(node.value.value, ast.Name) and node.value.value.id == "self"}
+    assert read == INSTANCE_PROTOCOL | {"n"}, sorted(read)
 
 
 def test_benchmark_hooks_resolve():

@@ -1,4 +1,4 @@
-"""Instance families: frozen values, validation, closed-form marginals,
+"""Instance families: frozen values, validation, closed-form gradients,
 generators, JSON roundtrip, a fuzzed loader."""
 
 import json
@@ -16,6 +16,8 @@ from subpar import (BoxDomain, CoverageInstance, CutInstance, InvalidInstance,
 from subpar.instances import (check_nonnegative_exhaustive, check_submodular_exhaustive,
                               instance_from_json_dict)
 from subpar.oracles import all_subsets_matrix
+
+from conftest import power_set_extension
 
 
 # -- cut ---------------------------------------------------------------------
@@ -53,9 +55,9 @@ def test_cut_empty_edges_is_zero():
     m = all_subsets_matrix(4)
     vals = inst.evaluate_batch(m)
     assert vals.shape == (16,) and not vals.any() and not np.signbit(vals).any()
-    assert not inst.marginals(m).any()
-    grads, ext = inst.extension(np.random.default_rng(0).random((5, 4)))
-    assert not grads.any() and not ext.any()
+    assert not inst.gradient_batch(m.astype(np.float64)).any()
+    X = np.random.default_rng(0).random((5, 4))
+    assert not inst.gradient_batch(X).any() and not inst.value_batch(X).any()
 
 
 def test_cut_rejects_bad_edges():
@@ -118,6 +120,33 @@ def test_coverage_submodular_nonneg_exhaustive(tiny_coverage):
     assert check_nonnegative_exhaustive(tiny_coverage) >= 0.0
 
 
+@pytest.mark.parametrize("n,seed", [(1, 0), (4, 1), (7, 2), (10, 3)])
+def test_coverage_gradient_is_the_power_set_partial(n, seed):
+    inst = generate_random_instance("coverage", n, seed)
+    rng = np.random.default_rng(seed)
+    X = rng.random((8, n))
+    X[0], X[1] = 1.0, 1.0 - 1e-12                  # every coordinate at or near 1
+    X[2, ::2], X[3, ::3] = 1.0, 1.0 - 1e-12
+    X[4, ::2], X[4, 1::2] = 1.0, 1.0 - 1e-12
+    X[5, rng.random(n) < 0.4] = 1.0
+    want = power_set_extension(inst, X)[0]
+    assert np.abs(inst.gradient_batch(X) - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n,seed", [(4, 0), (12, 1), (30, 2), (100, 3)])
+def test_coverage_gradient_at_a_vertex_is_the_count_rule(n, seed):
+    # u alone gains the items no other member of S covers: those counted
+    # once by S when u is in S (C = 1), not at all when u is out (C = 0)
+    inst = generate_random_instance("coverage", n, seed)
+    m = np.random.default_rng(seed).random((64, n)) < 0.3
+    m[0], m[1] = False, True
+    counts = m.astype(np.float64) @ inst.covers.astype(np.float64)
+    gain = (inst.covers * inst.weights).T
+    want = np.where(m, (counts == 1).astype(np.float64) @ gain,
+                    (counts == 0).astype(np.float64) @ gain) - inst.costs
+    assert np.array_equal(inst.gradient_batch(m.astype(np.float64)), want)
+
+
 # -- quadratic -----------------------------------------------------------------
 
 def test_quadratic_frozen(frozen_quad):
@@ -161,7 +190,7 @@ def test_quadratic_keeps_one_symmetric_h():
           for e in np.eye(2) * h]
     assert np.abs(q.gradient_batch(x)[0] - fd).max() < 1e-9
     m = all_subsets_matrix(2)
-    assert np.abs(q.marginals(m) - q.extension(m.astype(np.float64))[0]).max() < 1e-12
+    assert np.abs(q.gradient_batch(m) - (q.h + m @ q.H)).max() < 1e-12
     # an exactly symmetric H keeps its bits
     H = np.array([[0.0, -0.1], [-0.1, 0.0]])
     assert MultilinearQuadraticInstance(2, 0.0, [1.0, 1.0], H).H.tobytes() == H.tobytes()
@@ -373,7 +402,7 @@ def test_load_instance_fuzz(data):
             return
     m = all_subsets_matrix(inst.n)
     assert np.isfinite(inst.evaluate_batch(m)).all()
-    assert np.isfinite(inst.marginals(m)).all()
+    assert np.isfinite(inst.gradient_batch(m.astype(np.float64))).all()
 
 
 _HUGE = 10 ** 400       # an integer beyond the float64 range, legal JSON

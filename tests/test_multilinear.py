@@ -108,13 +108,12 @@ def test_extension_is_the_power_set_sum(kind, n):
     X[2, ::2], X[3, 1::2] = 1.0, 0.0               # coordinates at exactly 1 and 0
     X[4] = rng.integers(0, 2, n)                   # a vertex
     tol = 1e-12 * max(1.0, np.abs(inst.evaluate_batch(all_subsets_matrix(n))).max())
-    grads, vals = inst.extension(X)
+    grads, vals = inst.gradient_batch(X), inst.value_batch(X)
     want_grads, want_vals = power_set_extension(inst, X)
     assert np.abs(vals - want_vals).max() <= tol
     assert np.abs(grads - want_grads).max() <= tol
-    assert np.array_equal(inst.extension(X, grads=False), vals)
     # a one-point batch answers as the same row of a larger one
-    g1, v1 = inst.extension(X[2:3])
+    g1, v1 = inst.gradient_batch(X[2:3]), inst.value_batch(X[2:3])
     assert g1.shape == (1, n) and v1.shape == (1,)
     assert np.abs(g1 - grads[2]).max() <= tol and abs(v1[0] - vals[2]) <= tol
 
@@ -199,7 +198,7 @@ def test_bad_mode_names_the_mode():
         MultilinearOracle(SetOracle(generate_random_instance("cut", 4, 0)), mode="bogus")
 
 
-@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("samples", [0, -3, 1.9, "7", True])   # 1.9 took one draw, "7" seven
 def test_sampled_needs_a_draw(samples):
     with pytest.raises(ValueError, match="samples >= 1"):
         MultilinearOracle(SetOracle(generate_random_instance("cut", 4, 0)),

@@ -232,6 +232,8 @@ def test_eval_gains_reject_bad_input(bases, elements):
 def test_eval_gains_reject_empty(k2):
     with pytest.raises(ValueError):
         SetOracle(k2).eval_gains(np.zeros((0, 2), dtype=bool), [0])
+    with pytest.raises(ValueError, match="empty batch"):     # per-element bases
+        SetOracle(k2).eval_gains(np.zeros((0, 1, 2), dtype=bool), [0])
 
 
 def test_spy_matches_accounting(k2, spy_oracle):
@@ -293,7 +295,8 @@ def test_eval_marginals_round_is_its_slices_one_by_one(kind, monkeypatch):
     so = SetOracle(inst)
     marg, vals = so.eval_marginals(bases, values=True)
     slices = [bases[lo:lo + 4] for lo in range(0, 50, 4)]
-    assert np.array_equal(marg, np.concatenate([inst.marginals(b) for b in slices]))
+    assert np.array_equal(marg, np.concatenate([inst.gradient_batch(b.astype(np.float64))
+                                                for b in slices]))
     assert np.array_equal(vals, np.concatenate([inst.evaluate_batch(b) for b in slices]))
     assert so.accounting.snapshot() == (1, 50 * 15)
 
@@ -312,12 +315,13 @@ class PoisonedInstance:
     def evaluate_batch(self, m):
         return np.where(m[:, self.bad], self.value, m.sum(axis=1).astype(float))
 
-    def marginals(self, m):
-        return explicit_marginals(self, m)
-
-    def extension(self, X, grads=True):
+    def value_batch(self, X):
         with np.errstate(invalid="ignore"):     # 0 * inf is NaN, poisoned too
-            return power_set_extension(self, X, grads)
+            return power_set_extension(self, X, grads=False)
+
+    def gradient_batch(self, X):
+        with np.errstate(invalid="ignore"):
+            return power_set_extension(self, X)[0]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -349,11 +353,10 @@ def test_eval_extension_is_one_power_set_round(kind, n, grads, spy_oracle):
     out = spy.eval_extension(X, grads)
     assert spy.accounting.snapshot() == (1, 1 << n)
     assert (spy.batches, spy.rows) == (1, 1 << n)
-    want = inst.extension(X, grads)
     if grads:
-        assert np.array_equal(out[0], want[0]) and np.array_equal(out[1], want[1])
-    else:
-        assert np.array_equal(out, want)
+        assert np.array_equal(out[0], inst.gradient_batch(X))
+        out = out[1]
+    assert np.array_equal(out, inst.value_batch(X))
     spy.eval_extension(X[:1], grads)
     assert spy.accounting.snapshot() == (2, 2 << n)
 
@@ -366,11 +369,10 @@ def test_direct_extension_round_charges_its_points(grads, spy_oracle):
     out = spy.eval_extension(X, grads, direct=True)
     assert spy.accounting.snapshot() == (1, 5)
     assert (spy.batches, spy.rows) == (1, 5)
-    want = inst.extension(X, grads)
     if grads:
-        assert np.array_equal(out[0], want[0]) and np.array_equal(out[1], want[1])
-    else:
-        assert np.array_equal(out, want)
+        assert np.array_equal(out[0], inst.gradient_batch(X))
+        out = out[1]
+    assert np.array_equal(out, inst.value_batch(X))
 
 
 @pytest.mark.parametrize("points, error", [
