@@ -195,8 +195,8 @@ def g_estimates(set_oracle, X, Y, r, deltas, seed, iteration, m):
     undecided set and R_y ~ product(d * (1-r)), form the stepped pair
     (X u R_x, Y \\ R_y), and read the rate-weighted marginal sum across
     undecided elements.  The marginals come from one eval_gains round,
-    which evaluates each stepped set once plus its single-element
-    flips.  Sample s of candidate g comes from the
+    which evaluates each distinct stepped set once plus its
+    single-element flips.  Sample s of candidate g comes from the
     sub-stream keyed (seed, 4, iteration, g), so estimates are
     reproducible and independent across candidates.
     """
@@ -207,15 +207,16 @@ def g_estimates(set_oracle, X, Y, r, deltas, seed, iteration, m):
         raise StateInvariantViolation("g_estimates needs an undecided element (X != Y)")
     if deltas.size == 0:
         raise ParamOutOfRange("g_estimates needs at least one step size")
-    bases = np.empty((deltas.size, m, 2, n), dtype=bool)   # [candidate, sample, X/Y side]
-    bases[:, :, 0] = X
-    bases[:, :, 1] = Y
+    # idx lies outside X and inside Y, so on idx X u R is R and Y \ R is not R
+    on_idx = np.empty((deltas.size, m, 2, k), dtype=bool)   # [candidate, sample, X/Y side]
     for g, d in enumerate(deltas):
         rng = _stream(seed, 4, iteration, g)
-        draw_x = rng.random((m, k)) < d * r[None, :]
-        draw_y = rng.random((m, k)) < d * (1.0 - r)[None, :]
-        bases[g, :, 0][:, idx] |= draw_x        # X u R(d*r)
-        bases[g, :, 1][:, idx] &= ~draw_y       # Y \ R(d*(1-r))
+        on_idx[g, :, 0] = rng.random((m, k)) < d * r                  # R(d*r)
+        on_idx[g, :, 1] = rng.random((m, k)) >= d * (1.0 - r)         # not R(d*(1-r))
+    bases = np.empty((deltas.size, m, 2, n), dtype=bool)
+    bases[:, :, 0] = X
+    bases[:, :, 1] = Y
+    bases[..., idx] = on_idx
     gains = set_oracle.eval_gains(bases.reshape(-1, n), idx).reshape(deltas.size, m, 2, k)
     per_u = r[None, None, :] * gains[:, :, 0] - (1.0 - r)[None, None, :] * gains[:, :, 1]
     return per_u.sum(axis=2).mean(axis=1)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import TooLarge
-from .oracles import InvalidElement, OutOfBox, all_subsets_matrix
+from .oracles import InvalidElement, OutOfBox, all_subsets_matrix, is_integer
 
 
 class InvalidInstance(ValueError):
@@ -58,14 +58,14 @@ def _require(ok, message):
 
 def _size(value, name):
     """A count from instance data: an integer >= 1."""
-    _require(isinstance(value, (int, np.integer)) and value >= 1,
+    _require(is_integer(value) and value >= 1,
              f"{name} must be an integer >= 1, got {value!r}")
     return int(value)
 
 
 def _index(value, bound, what):
     """An element or item id from instance data: an integer in 0..bound-1."""
-    _require(isinstance(value, (int, np.integer)) and 0 <= value < bound,
+    _require(is_integer(value) and 0 <= value < bound,
              f"{what} {value!r} out of range 0..{bound - 1}")
     return int(value)
 

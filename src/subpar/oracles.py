@@ -19,10 +19,12 @@ cost of evaluation but never the meters.
 A pair-gain round (eval_gains) asks for the same differences
 f(S+u) - f(S-u) at a batch of bases and a list of elements, and is
 charged as the 2k pair rows per base it stands for, evaluated
-explicitly.  It is the only pair-gain read.  A base shared by all k
-elements is evaluated once plus its k single-element flips S^u: B(k+1)
-rows in place of 2Bk.  A base per element is evaluated as the adjacent
-rows S+u, S-u of each pair.
+explicitly.  It is the only pair-gain read.  Each distinct base shared
+by all k elements is evaluated once plus its k single-element flips
+S^u: U(k+1) rows for U distinct bases in place of 2Bk, pure caching
+that does not change the charge.  A base per element is evaluated as
+the adjacent rows S+u, S-u of each pair, repeats and all, so each S+u
+sits beside its own S-u.
 
 An extension round (eval_extension) asks for the multilinear extension
 F, and optionally its gradient, at a batch of fractional points, and is
@@ -117,6 +119,24 @@ def all_subsets_matrix(n):
     return (masks[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & 1 == 1
 
 
+def _distinct_rows(m):
+    """The distinct rows of a boolean (B, n) matrix in first-seen order,
+    and for each row of m the index of its distinct row."""
+    packed = np.packbits(m, axis=1)
+    width = packed.shape[1]
+    if width <= 8:                      # n <= 64: one uint64 key per row
+        keys = np.zeros((len(m), 8), dtype=np.uint8)
+        keys[:, :width] = packed
+        keys = keys.view(np.uint64)[:, 0]
+    else:
+        keys = packed.view(np.dtype((np.void, width)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return m[first[order]], rank[inverse.reshape(-1)]
+
+
 # Rows per evaluation slice.  An instance's float temporaries for a
 # slice are a few (rows, n) arrays, 2.6 MB each at n = 20: small enough
 # to be reused from the heap and to stay in cache, where the temporaries
@@ -166,11 +186,12 @@ class SetOracle:
         in `elements`.  bases is a boolean (B, n) batch, one base shared
         by all k elements, or (B, k, n), one base per element.
 
-        One adaptive round, charged as the 2k pair rows per base.  A
-        shared base is evaluated once and its k flips S^u once:
+        One adaptive round, charged as the 2k pair rows per base.  Each
+        distinct shared base is evaluated once with its k flips S^u, in
+        first-seen order, and its gains go to every base equal to it:
         f(S^u) - f(S) when u is outside S, f(S) - f(S^u) when inside.
         A per-element base is evaluated as its rows S+u, S-u side by
-        side, element-major.
+        side, element-major, with no dedupe.
         """
         n = self.n
         per_element = isinstance(bases, np.ndarray) and bases.ndim == 3
@@ -192,13 +213,15 @@ class SetOracle:
             rows[:, j, 1, elements] = False
             vals = self._finite(self._evaluate(rows.reshape(-1, n))).reshape(B, k, 2)
             return vals[..., 0] - vals[..., 1]
-        inside = m[:, elements]
-        rows = np.empty((B, k + 1, n), dtype=bool)   # [base, S then its flips]
-        rows[:] = m[:, None, :]
-        rows[:, 1 + j, elements] = ~inside
-        vals = self._finite(self._evaluate(rows.reshape(-1, n))).reshape(B, k + 1)
+        # each distinct base once, in first-seen order, with its k flips;
+        # pure caching -- the round was already charged per base given
+        distinct, which = _distinct_rows(m)
+        flip = np.zeros((k + 1, n), dtype=bool)       # row 0 keeps S, row 1 + j flips u_j
+        flip[1 + j, elements] = True
+        rows = distinct[:, None, :] ^ flip            # [base, S then its flips]
+        vals = self._finite(self._evaluate(rows.reshape(-1, n))).reshape(-1, k + 1)
         base, flips = vals[:, :1], vals[:, 1:]
-        return np.where(inside, base - flips, flips - base)
+        return np.where(distinct[:, elements], base - flips, flips - base)[which]
 
     def eval_marginals(self, bases, values=False):
         """Marginals f(S+u) - f(S-u) of every element u at every base S.

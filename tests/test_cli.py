@@ -424,8 +424,11 @@ def test_negative_weight_instance_names_flag(tmp_path, optimize):
     ({"kind": "coverage", "n": 20, "universe": 10 ** 5, "covers": {"0": [0]},
       "weights": [1.0] * 10 ** 5, "costs": [0.0] * 20},
      "validating all 2^20 subsets at universe=100000 needs"),
+    # a JSON true is not a count or an id
+    ({"kind": "cut", "n": True, "edges": []}, "n must be an integer >= 1, got True"),
+    ({"kind": "cut", "n": 3, "edges": [[0, True, 1.0]]}, "edge endpoint True out of range"),
 ], ids=["cut", "coverage", "quadratic", "negative-quadratic-n21", "huge-cut", "huge-coverage",
-        "huge-int-weight", "coverage-validation"])
+        "huge-int-weight", "coverage-validation", "bool-n", "bool-endpoint"])
 def test_non_finite_instance_names_flag(tmp_path, doc, message, optimize):
     p = tmp_path / "nonfinite.json"
     p.write_text(json.dumps(doc) + "\n")              # NaN and Infinity are JSON to Python

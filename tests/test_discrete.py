@@ -282,6 +282,42 @@ def test_g_estimates_reproducible():
     assert np.array_equal(a, b)
 
 
+def test_g_estimates_evaluate_each_distinct_stepped_base_once(monkeypatch):
+    # the benchmark's shape, cut n = 20 at epsilon 0.1 and override 100:
+    # at the small steps of the grid most stepped bases draw nothing and
+    # equal X or Y, and each distinct one reaches the instance once, with
+    # its k flips, while the round is still charged 2k per base
+    n, p = 20, DiscreteParams(epsilon=0.1, sample_override=100)
+    inst = generate_random_instance("cut", n, 0)
+    so = SetOracle(inst)
+    given, rows = [], []
+    eval_gains, evaluate = so.eval_gains, inst.evaluate_batch
+    monkeypatch.setattr(so, "eval_gains", lambda b, e: given.append(b.copy()) or eval_gains(b, e))
+    monkeypatch.setattr(inst, "evaluate_batch", lambda m: rows.append(len(m)) or evaluate(m))
+    X = np.zeros(n, dtype=bool)
+    X[[0, 7, 12]] = True
+    Y = np.ones(n, dtype=bool)
+    Y[[3, 19]] = False
+    k = int((Y & ~X).sum())
+    r = _stream(0, 94).random(k)
+    g_estimates(so, X, Y, r, discrete_update_grid(p.epsilon), 0, 0, p.update_samples)
+    (bases,) = given
+    distinct = len(np.unique(bases, axis=0))
+    assert sum(rows) == distinct * (k + 1)
+    assert 4 * distinct < len(bases)
+    assert so.accounting.snapshot() == (1, 2 * k * len(bases))
+
+
+@pytest.mark.parametrize("key", [(0, 1), (3, 4, 0, 17), (2 ** 40, 5, 23)])
+def test_stream_draws_what_default_rng_draws(key):
+    # the sub-stream keyed (seed, *key) is numpy's default generator on that
+    # entropy; every pinned draw of the driver rests on it
+    want = np.random.default_rng(np.random.SeedSequence(entropy=key))
+    got = _stream(*key)
+    assert np.array_equal(got.random(64), want.random(64))
+    assert np.array_equal(got.integers(0, 1000, 16), want.integers(0, 1000, 16))
+
+
 # -- finalize -----------------------------------------------------------------------
 
 def test_finalize_adds_positive_marginals(k2):
@@ -300,9 +336,9 @@ def test_finalize_skips_zero_marginals(triangle):
 
 
 def test_finalize_never_adds_an_isolated_vertex():
-    # n > 16 keeps the dedupe out, so X+u and X are evaluated as rows of
-    # one batch; an isolated vertex gains exactly 0 only when each X+u
-    # is evaluated beside its X
+    # n > 16 keeps _evaluate's power-set table out, so X+u and X are
+    # evaluated as rows of one batch; an isolated vertex gains exactly 0
+    # only when each X+u is evaluated beside its X
     for i in range(200):
         rng = np.random.default_rng(1000 + i)
         n = int(rng.integers(17, 40))
@@ -352,7 +388,7 @@ GOLDEN = {
     ("coverage", 12, 3): (31, 706660, 24, 9.929306486060808),
     ("cut", 18, 1): (52, 943544, 24, 27.107113189189747),
     ("coverage", 18, 2): (13, 607024, 24, 21.364527486592543),
-    # n = 20 bypasses the gateway's dedupe, as the benchmark's cut does
+    # n = 20 bypasses _evaluate's power-set table, as the benchmark's cut does
     ("cut", 20, 1): (52, 968352, 24, 36.9719766208427),
     ("coverage", 20, 2): (52, 1827054, 24, 21.82589986139836),
 }

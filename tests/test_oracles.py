@@ -200,8 +200,9 @@ def test_eval_gains_per_element_rows(monkeypatch):
 
 
 def test_eval_gains_evaluate_each_base_once(monkeypatch):
-    # n > 16 keeps the dedupe out: B bases and their B*k flips reach the
-    # instance, against the 2*B*k pair rows the round is charged
+    # n > 16 keeps _evaluate's power-set table out: B distinct bases and
+    # their B*k flips reach the instance, against the 2*B*k pair rows the
+    # round is charged
     inst = generate_random_instance("cut", 18, 0)
     evaluate, sizes = inst.evaluate_batch, []
     monkeypatch.setattr(inst, "evaluate_batch",
@@ -211,6 +212,30 @@ def test_eval_gains_evaluate_each_base_once(monkeypatch):
     so.eval_gains(bases, [2, 17, 5, 0, 9])
     assert sum(sizes) == 30 * 6
     assert so.accounting.snapshot() == (1, 30 * 2 * 5)
+
+
+@pytest.mark.parametrize("n", [18, 70])      # one uint64 key per base, a byte-string key past 64
+def test_eval_gains_evaluate_each_distinct_base_once(monkeypatch, n):
+    # repeated bases reach the instance once each, with their k flips;
+    # the round is still charged 2k per base given
+    inst = generate_random_instance("cut", n, 0)
+    evaluate, sizes = inst.evaluate_batch, []
+    monkeypatch.setattr(inst, "evaluate_batch",
+                        lambda m: sizes.append(m.shape[0]) or evaluate(m))
+    rng = np.random.default_rng(9)
+    pool = rng.random((7, n)) < 0.5
+    pool[1, :] = pool[0]
+    pool[1, n - 1] = not pool[0, n - 1]           # differs from base 0 in the last bit only
+    bases = pool[rng.integers(0, 7, 40)]
+    distinct = len(np.unique(bases, axis=0))
+    elements = [2, n - 1, 5, 0, 9]
+    so = SetOracle(inst)
+    g = so.eval_gains(bases, elements)
+    assert sum(sizes) == distinct * 6
+    assert so.accounting.snapshot() == (1, 40 * 2 * 5)
+    for b in range(40):
+        alone = SetOracle(inst).eval_gains(bases[b], elements)[0]
+        assert np.allclose(g[b], alone, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("bases, elements", [
