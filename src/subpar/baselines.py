@@ -33,7 +33,9 @@ def double_greedy(set_oracle, randomized=True, rng=None):
     X = np.zeros(n, dtype=bool)
     Y = np.ones(n, dtype=bool)
     for u in range(n):
-        g = set_oracle.eval_gains(np.stack([X, Y]), [u])[:, 0]
+        # a base per element: X and Y always differ, so the shared
+        # shape's search for repeated bases would find none
+        g = set_oracle.eval_gains(np.stack([X, Y])[:, None], [u])[:, 0]
         a, b = g[0], -g[1]
         if randomized:
             ap, bp = max(a, 0.0), max(b, 0.0)

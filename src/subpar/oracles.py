@@ -124,13 +124,18 @@ def _distinct_rows(m):
     and for each row of m the index of its distinct row."""
     packed = np.packbits(m, axis=1)
     width = packed.shape[1]
-    if width <= 8:                      # n <= 64: one uint64 key per row
+    # n <= 64: one uint64 key per row, which np.unique sorts about twice
+    # as fast as the byte-string key the wider rows need
+    if width <= 8:
         keys = np.zeros((len(m), 8), dtype=np.uint8)
         keys[:, :width] = packed
         keys = keys.view(np.uint64)[:, 0]
     else:
         keys = packed.view(np.dtype((np.void, width)))[:, 0]
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # first-seen rather than sorted order: a batch without repeats then
+    # reaches the instance row for row as it was given, so its values
+    # are bit for bit those of an evaluation without the dedupe
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)

@@ -308,16 +308,6 @@ def test_g_estimates_evaluate_each_distinct_stepped_base_once(monkeypatch):
     assert so.accounting.snapshot() == (1, 2 * k * len(bases))
 
 
-@pytest.mark.parametrize("key", [(0, 1), (3, 4, 0, 17), (2 ** 40, 5, 23)])
-def test_stream_draws_what_default_rng_draws(key):
-    # the sub-stream keyed (seed, *key) is numpy's default generator on that
-    # entropy; every pinned draw of the driver rests on it
-    want = np.random.default_rng(np.random.SeedSequence(entropy=key))
-    got = _stream(*key)
-    assert np.array_equal(got.random(64), want.random(64))
-    assert np.array_equal(got.integers(0, 1000, 16), want.integers(0, 1000, 16))
-
-
 # -- finalize -----------------------------------------------------------------------
 
 def test_finalize_adds_positive_marginals(k2):

@@ -214,6 +214,23 @@ def test_eval_gains_evaluate_each_base_once(monkeypatch):
     assert so.accounting.snapshot() == (1, 30 * 2 * 5)
 
 
+def test_eval_gains_without_repeats_keep_the_given_order(monkeypatch):
+    # distinct bases go in first-seen order, so a batch without repeats
+    # reaches the instance as each base followed by its k flips, base by
+    # base in the order given
+    inst = generate_random_instance("cut", 18, 0)
+    evaluate, seen = inst.evaluate_batch, []
+    monkeypatch.setattr(inst, "evaluate_batch",
+                        lambda m: seen.append(m.copy()) or evaluate(m))
+    bases = np.random.default_rng(6).random((12, 18)) < 0.5
+    elements = [4, 0, 17]
+    SetOracle(inst).eval_gains(bases, elements)
+    want = np.repeat(bases, 4, axis=0).reshape(12, 4, 18)
+    for j, u in enumerate(elements):
+        want[:, 1 + j, u] ^= True
+    assert np.array_equal(np.concatenate(seen), want.reshape(-1, 18))
+
+
 @pytest.mark.parametrize("n", [18, 70])      # one uint64 key per base, a byte-string key past 64
 def test_eval_gains_evaluate_each_distinct_base_once(monkeypatch, n):
     # repeated bases reach the instance once each, with their k flips;
