@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .baselines import BRUTE_LIMIT, TooLarge, brute_force, double_greedy, random_half
 from .continuous import ParamOutOfRange, check_epsilon, run_continuous
-from .discrete import DiscreteParams, run_discrete
+from .discrete import DiscreteParams, RoundTooLarge, run_discrete
 from .drbox import box_optimum, run_dr
 from .instances import (InvalidInstance, MultilinearQuadraticInstance,
                         NonNegativityViolation, UnreadableInstance,
@@ -41,6 +41,9 @@ def main(argv=None):
         return args.func(args, parser)
     except UnreadableInstance as e:     # only --instance files are read
         parser.error(f"--instance: {e}")
+    except RoundTooLarge as e:          # a discrete run's per-round arrays
+        eps_flag = "--epsilon-values" if args.command == "sweep" else "--epsilon"
+        parser.error(f"{eps_flag} or --sample-override: {e}")
     except (TooLarge, NonNegativityViolation, ParamOutOfRange,
             RuntimeError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

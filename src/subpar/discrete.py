@@ -4,8 +4,14 @@ Mirror of the continuous driver with sampling in place of the extension
 oracle: marginal gains replace gradients, a fixed iteration budget
 replaces the while-loop, and every step-size test is a Monte-Carlo
 estimate averaged over independent draws.  All randomness is drawn from
-sub-streams keyed by (iteration, grid index) so runs are reproducible
-and samples could be generated in parallel.
+sub-streams keyed by (seed, phase, iteration, grid index) so runs are
+reproducible and samples could be generated in parallel.  A grid's
+sub-streams are seeded together (_streams): numpy's seeding runs once
+over all of the grid's keys, and each stream draws exactly what its own
+default_rng(SeedSequence(key)) would.
+
+No round allocates an array larger than ROUND_BYTES; a run that would
+is refused with RoundTooLarge before the array is made.
 
 The sample counts are the analysis counts, which are astronomically
 conservative; an optional override caps the two per-grid-point counts
@@ -76,8 +82,99 @@ def discrete_update_grid(epsilon):
     return geometric_grid(epsilon * epsilon / math.log(1.0 / epsilon), epsilon, 1.0)
 
 
+class RoundTooLarge(ParamOutOfRange):
+    """A round would allocate more than ROUND_BYTES: epsilon too small
+    or sample_override too large for this ground set."""
+
+
+ROUND_BYTES = 1 << 31     # the largest array one round may allocate, 2 GiB
+
+
+def _check_round(phase, *nbytes):
+    """Refuse a round before it allocates an array over ROUND_BYTES."""
+    need = max(nbytes)
+    if need > ROUND_BYTES:
+        raise RoundTooLarge(
+            f"the {phase} round needs a {need / 2**30:.1f} GiB array, over the "
+            f"{ROUND_BYTES / 2**30:.0f} GiB a round may allocate: "
+            f"raise epsilon or lower sample_override")
+
+
 def _stream(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed),) + tuple(int(k) for k in key)))
+
+
+# numpy's SeedSequence hash and mix constants, and PCG64's LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _words(value):
+    """The little-endian uint32 words SeedSequence reads from one int."""
+    value = int(value)
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _streams(seed, *key, count):
+    """For g < count, a generator that draws exactly what
+    _stream(seed, *key, g) draws.
+
+    numpy's SeedSequence entropy assembly, pool mixing and
+    generate_state(4, uint64) run once over all count keys, as uint32
+    vectors.  Each state becomes PCG64's seeded state by its two 128-bit
+    LCG steps and is set on one reused Generator, so each generator
+    yielded is valid only until the next one is.
+    """
+    prefix = _words(seed) + [w for k in key for w in _words(k)]
+    # the entropy words, one column per key, zero-padded to the pool's four
+    entropy = np.zeros((max(4, len(prefix) + 1), count), dtype=np.uint32)
+    entropy[:len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
+    entropy[len(prefix)] = np.arange(count, dtype=np.uint32)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x, y):
+        z = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return z ^ z >> np.uint32(16)
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight uint32 words, paired low word first
+    state = np.empty((8, count), dtype=np.uint64)
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[i] = value ^ value >> np.uint32(16)
+    words = state[0::2] | state[1::2] << np.uint64(32)
+    bit_gen = np.random.PCG64(0)          # its state is set before each draw
+    rng = np.random.Generator(bit_gen)
+    for s_hi, s_lo, i_hi, i_lo in zip(*(w.tolist() for w in words)):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        lcg = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": lcg, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def estimate_tau(set_oracle, seed, m):
@@ -107,11 +204,14 @@ def discrete_preprocess(set_oracle, tau, epsilon, seed, m):
     """
     n = set_oracle.n
     grid = preprocess_grid(epsilon)
+    # the bases, and the gateway's pair rows (twice the bases) and their
+    # float values: none over 4*m*n*max(n, 8) bytes per grid point; one
+    # point's draws
+    _check_round("pre-processing", 4 * grid.size * m * n * max(n, 8), 8 * m * n * n)
     # one pair draw per coordinate u: [grid point, sample, X/Y side, u, element]
     bases = np.empty((grid.size, m, 2, n, n), dtype=bool)
-    for g, d in enumerate(grid):
-        u_mat = _stream(seed, 2, g).random((m, n, n))
-        bases[g, :, 0], bases[g, :, 1] = _pair_draw(u_mat, d)
+    for g, (d, rng) in enumerate(zip(grid, _streams(seed, 2, count=grid.size))):
+        bases[g, :, 0], bases[g, :, 1] = _pair_draw(rng.random((m, n, n)), d)
     gains = set_oracle.eval_gains(bases.reshape(-1, n, n), np.arange(n))  # one round
     gains = gains.reshape(grid.size, m, 2, n)
     G = (gains[:, :, 0] - gains[:, :, 1]).sum(axis=2).mean(axis=1)
@@ -196,9 +296,11 @@ def g_estimates(set_oracle, X, Y, r, deltas, seed, iteration, m):
     (X u R_x, Y \\ R_y), and read the rate-weighted marginal sum across
     undecided elements.  The marginals come from one eval_gains round,
     which evaluates each distinct stepped set once plus its
-    single-element flips.  Sample s of candidate g comes from the
-    sub-stream keyed (seed, 4, iteration, g), so estimates are
-    reproducible and independent across candidates.
+    single-element flips.  Candidate g draws its X-side then its Y-side
+    (m, k) uniforms from the sub-stream keyed (seed, 4, iteration, g),
+    so estimates are reproducible and independent across candidates.
+    The grid's sub-streams are seeded together by _streams and fill one
+    buffer, which is thresholded at once and released before the round.
     """
     n = set_oracle.n
     idx = np.flatnonzero(Y & ~X)
@@ -207,16 +309,22 @@ def g_estimates(set_oracle, X, Y, r, deltas, seed, iteration, m):
         raise StateInvariantViolation("g_estimates needs an undecided element (X != Y)")
     if deltas.size == 0:
         raise ParamOutOfRange("g_estimates needs at least one step size")
-    # idx lies outside X and inside Y, so on idx X u R is R and Y \ R is not R
-    on_idx = np.empty((deltas.size, m, 2, k), dtype=bool)   # [candidate, sample, X/Y side]
-    for g, d in enumerate(deltas):
-        rng = _stream(seed, 4, iteration, g)
-        on_idx[g, :, 0] = rng.random((m, k)) < d * r                  # R(d*r)
-        on_idx[g, :, 1] = rng.random((m, k)) >= d * (1.0 - r)         # not R(d*(1-r))
+    # the uniforms and the gains, (candidate, 2, m, k) floats each, and the
+    # gateway's float keys and flip rows of the (candidate, m, 2, n) stepped
+    # bases: none over 2*m*n*max(8, k+1) bytes per candidate
+    _check_round("G-estimate", 2 * deltas.size * m * n * max(8, k + 1))
+    u = np.empty((deltas.size, 2, m, k))                  # [candidate, X/Y side, sample]
+    for g, rng in enumerate(_streams(seed, 4, iteration, count=deltas.size)):
+        rng.random(out=u[g, 0])
+        rng.random(out=u[g, 1])
+    d = deltas[:, None, None]
     bases = np.empty((deltas.size, m, 2, n), dtype=bool)
     bases[:, :, 0] = X
     bases[:, :, 1] = Y
-    bases[..., idx] = on_idx
+    # idx lies outside X and inside Y, so on idx X u R is R and Y \ R is not R
+    bases[:, :, 0, idx] = u[:, 0] < d * r                 # R(d*r)
+    bases[:, :, 1, idx] = u[:, 1] >= d * (1.0 - r)        # not R(d*(1-r))
+    del u
     gains = set_oracle.eval_gains(bases.reshape(-1, n), idx).reshape(deltas.size, m, 2, k)
     per_u = r[None, None, :] * gains[:, :, 0] - (1.0 - r)[None, None, :] * gains[:, :, 1]
     return per_u.sum(axis=2).mean(axis=1)

@@ -292,6 +292,23 @@ def test_discrete_shares_the_epsilon_window(k2_path):
     assert "--epsilon: discrete: epsilon must be in (0, 1/3)" in r.stderr
 
 
+def test_discrete_round_over_the_budget_names_flags(tmp_path, capsys):
+    # epsilon 0.01 on a cut n = 10 would need 33.9 GiB of pre-processing bases
+    p = tmp_path / "cut10.json"
+    dump_instance(generate_random_instance("cut", 10, 0), p)
+    r = run_cli("run", "--instance", str(p), "--algorithm", "discrete", "--epsilon", "0.01")
+    assert r.returncode == 2
+    assert "--epsilon or --sample-override: the pre-processing round needs" in r.stderr
+    assert "Traceback" not in r.stderr
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["sweep", "--kind", "cut", "--n-values", "10", "--algorithm", "discrete",
+                  "--epsilon-values", "0.01", "--seeds-per-cell", "1",
+                  "--out", str(tmp_path / "s.csv")])
+    assert exit_.value.code == 2
+    assert "--epsilon-values or --sample-override:" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_exact_oracle_beyond_limit_names_flag(tmp_path):
     p = tmp_path / "cut24.json"
     dump_instance(generate_random_instance("cut", 24, 0), p)

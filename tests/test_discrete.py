@@ -11,9 +11,9 @@ import pytest
 
 from subpar import (CutInstance, DiscreteParams, ParamOutOfRange, SetOracle,
                     StateInvariantViolation, generate_random_instance, run_discrete)
-from subpar.discrete import (_pair_draw, _stream, discrete_preprocess, discrete_update,
-                             discrete_update_grid, estimate_tau, finalize, g_estimates,
-                             round_step)
+from subpar.discrete import (RoundTooLarge, _pair_draw, _stream, _streams,
+                             discrete_preprocess, discrete_update, discrete_update_grid,
+                             estimate_tau, finalize, g_estimates, round_step)
 from subpar.oracles import OracleAccounting
 
 from gain_oracle import expected_update_gain
@@ -179,6 +179,91 @@ def test_round_step_full_delta_resolves_everything():
     Y = np.ones(n, dtype=bool)
     X2, Y2 = round_step(X, Y, r, 1.0, _stream(2, 95))
     assert np.array_equal(X2, Y2)
+
+
+# -- sub-streams ---------------------------------------------------------------------
+
+# SeedSequence pools four uint32 entropy words; a seed takes one word per
+# 32 bits, each key entry and the grid index one each
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32 + 5, 2**64 + 7])
+@pytest.mark.parametrize("key", [(4,), (4, 9), (2, 0, 3, 1)])    # fewer, exactly, more than 4 at seed 0
+@pytest.mark.parametrize("count", [1, 150])
+def test_streams_draw_what_each_stream_draws(seed, key, count):
+    for g, rng in enumerate(_streams(seed, *key, count=count)):
+        alone = _stream(seed, *key, g)
+        assert np.array_equal(rng.random(7), alone.random(7))
+        assert np.array_equal(rng.random((3, 2)), alone.random((3, 2)))
+        out = np.empty((2, 5))
+        rng.random(out=out)
+        assert np.array_equal(out, alone.random((2, 5)))
+    assert g == count - 1
+
+
+def _g_estimates_per_point(set_oracle, X, Y, r, deltas, seed, iteration, m):
+    # the estimator written one grid point at a time, each with its own stream
+    n = set_oracle.n
+    idx = np.flatnonzero(Y & ~X)
+    on_idx = np.empty((deltas.size, m, 2, idx.size), dtype=bool)
+    for g, d in enumerate(deltas):
+        rng = _stream(seed, 4, iteration, g)
+        on_idx[g, :, 0] = rng.random((m, idx.size)) < d * r
+        on_idx[g, :, 1] = rng.random((m, idx.size)) >= d * (1.0 - r)
+    bases = np.empty((deltas.size, m, 2, n), dtype=bool)
+    bases[:, :, 0] = X
+    bases[:, :, 1] = Y
+    bases[..., idx] = on_idx
+    gains = set_oracle.eval_gains(bases.reshape(-1, n), idx).reshape(deltas.size, m, 2, -1)
+    per_u = r * gains[:, :, 0] - (1.0 - r) * gains[:, :, 1]
+    return per_u.sum(axis=2).mean(axis=1)
+
+
+@pytest.mark.parametrize("kind, n, undecided, deltas, seed, m", [
+    ("cut", 9, [4], discrete_update_grid(0.1), 3, 20),                  # k = 1
+    ("coverage", 8, range(8), discrete_update_grid(0.2), 0, 15),        # k = n
+    ("quadratic", 7, [0, 2, 3, 6], discrete_update_grid(0.1), 1, 1),    # m = 1
+    ("cut", 10, [1, 5, 8], np.array([0.3]), 5, 40),                     # one step
+    ("cut", 12, [0, 3, 4, 7, 11], discrete_update_grid(0.05), 2**32 + 9, 25),
+])
+def test_g_estimates_equal_the_per_point_estimator(kind, n, undecided, deltas, seed, m):
+    inst = generate_random_instance(kind, n, 4)
+    idx = np.array(list(undecided))
+    X = np.zeros(n, dtype=bool)
+    X[::3] = True
+    X[idx] = False
+    Y = X.copy()
+    Y[idx] = True
+    r = _stream(seed, 7).random(idx.size)
+    want = _g_estimates_per_point(SetOracle(inst), X, Y, r, deltas, seed, 6, m)
+    so = SetOracle(inst)
+    got = g_estimates(so, X, Y, r, deltas, seed, 6, m)
+    assert got.tobytes() == want.tobytes()
+    assert so.accounting.snapshot() == (1, 2 * idx.size * deltas.size * m * 2)
+
+
+# -- the per-round array budget -------------------------------------------------------
+
+def test_a_round_over_the_budget_is_refused_before_it_allocates():
+    # epsilon 0.01 on n = 10: 49 offsets x 3,711,223 samples of (2, n, n) bases
+    so = SetOracle(generate_random_instance("cut", 10, 0))
+    with pytest.raises(RoundTooLarge, match="epsilon.*sample_override"):
+        run_discrete(so, DiscreteParams(epsilon=0.01))
+    assert so.accounting.rounds == 1        # the tau round only
+    assert issubclass(RoundTooLarge, ParamOutOfRange)
+    run_discrete(SetOracle(generate_random_instance("cut", 10, 0)),
+                 DiscreteParams(epsilon=0.2, sample_override=30))
+
+
+def test_the_g_round_checks_its_buffer(monkeypatch):
+    import subpar.discrete as discrete
+    so = SetOracle(generate_random_instance("cut", 6, 0))
+    X, Y = np.zeros(6, dtype=bool), np.ones(6, dtype=bool)
+    grid = discrete_update_grid(0.2)
+    monkeypatch.setattr(discrete, "ROUND_BYTES", 16 * grid.size * 10 * 6 - 1)
+    with pytest.raises(RoundTooLarge, match="G-estimate"):
+        g_estimates(so, X, Y, np.full(6, 0.5), grid, 0, 0, 10)
+    assert so.accounting.rounds == 0
+    monkeypatch.setattr(discrete, "ROUND_BYTES", 16 * grid.size * 10 * 6)
+    g_estimates(so, X, Y, np.full(6, 0.5), grid, 0, 0, 10)
 
 
 # -- preprocess ---------------------------------------------------------------------

@@ -231,7 +231,8 @@ def test_eval_gains_without_repeats_keep_the_given_order(monkeypatch):
     assert np.array_equal(np.concatenate(seen), want.reshape(-1, 18))
 
 
-@pytest.mark.parametrize("n", [18, 70])      # one uint64 key per base, a byte-string key past 64
+# a float key per base up to n = 53, whose last bit weighs 2^52; a byte-string key past it
+@pytest.mark.parametrize("n", [18, 53, 54, 70])
 def test_eval_gains_evaluate_each_distinct_base_once(monkeypatch, n):
     # repeated bases reach the instance once each, with their k flips;
     # the round is still charged 2k per base given
