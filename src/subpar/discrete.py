@@ -11,7 +11,9 @@ over all of the grid's keys, and each stream draws exactly what its own
 default_rng(SeedSequence(key)) would.
 
 No round allocates an array larger than ROUND_BYTES; a run that would
-is refused with RoundTooLarge before the array is made.
+is refused with RoundTooLarge before the array is made, and before its
+first round when pre-processing or a G-estimate draw with every
+element undecided would.
 
 The sample counts are the analysis counts, which are astronomically
 conservative; an optional override caps the two per-grid-point counts
@@ -25,7 +27,7 @@ import numpy as np
 
 from .continuous import (ParamOutOfRange, StateInvariantViolation, check_epsilon,
                          compute_rates, first_step, geometric_grid, preprocess_grid)
-from .oracles import ids_of, is_integer
+from .oracles import _distinct_rows, ids_of, is_integer
 from .reports import DiscreteIterationTrace
 
 
@@ -98,6 +100,19 @@ def _check_round(phase, *nbytes):
             f"the {phase} round needs a {need / 2**30:.1f} GiB array, over the "
             f"{ROUND_BYTES / 2**30:.0f} GiB a round may allocate: "
             f"raise epsilon or lower sample_override")
+
+
+def _check_preprocess(n, count, m):
+    """The pre-processing round's budget: its bases, the gateway's pair
+    rows (twice the bases) and their float values, none over
+    4*m*n*max(n, 8) bytes per grid point, and one point's draws."""
+    _check_round("pre-processing", 4 * count * m * n * max(n, 8), 8 * m * n * n)
+
+
+def _check_g_draw(count, m, k):
+    """The G-estimate round's budget before its draw: the uniforms and
+    the gains, (candidate, 2, m, k) floats each."""
+    _check_round("G-estimate", 16 * count * m * k)
 
 
 def _stream(seed, *key):
@@ -204,10 +219,7 @@ def discrete_preprocess(set_oracle, tau, epsilon, seed, m):
     """
     n = set_oracle.n
     grid = preprocess_grid(epsilon)
-    # the bases, and the gateway's pair rows (twice the bases) and their
-    # float values: none over 4*m*n*max(n, 8) bytes per grid point; one
-    # point's draws
-    _check_round("pre-processing", 4 * grid.size * m * n * max(n, 8), 8 * m * n * n)
+    _check_preprocess(n, grid.size, m)
     # one pair draw per coordinate u: [grid point, sample, X/Y side, u, element]
     bases = np.empty((grid.size, m, 2, n, n), dtype=bool)
     for g, (d, rng) in enumerate(zip(grid, _streams(seed, 2, count=grid.size))):
@@ -294,13 +306,17 @@ def g_estimates(set_oracle, X, Y, r, deltas, seed, iteration, m):
     For each candidate d and sample: draw R_x ~ product(d * r) over the
     undecided set and R_y ~ product(d * (1-r)), form the stepped pair
     (X u R_x, Y \\ R_y), and read the rate-weighted marginal sum across
-    undecided elements.  The marginals come from one eval_gains round,
-    which evaluates each distinct stepped set once plus its
-    single-element flips.  Candidate g draws its X-side then its Y-side
+    undecided elements.  Candidate g draws its X-side then its Y-side
     (m, k) uniforms from the sub-stream keyed (seed, 4, iteration, g),
     so estimates are reproducible and independent across candidates.
     The grid's sub-streams are seeded together by _streams and fill one
-    buffer, which is thresholded at once and released before the round.
+    buffer, thresholded at once into the (candidate, sample, side, k)
+    pattern of the undecided elements each stepped base keeps.  Every
+    stepped base lies in [X, Y], so it is X plus its pattern, one to one:
+    the distinct patterns in first-seen order are the distinct bases in
+    first-seen order.  Only those are laid out, and one eval_gains round
+    evaluates each once plus its single-element flips, charged for every
+    stepped base.
     """
     n = set_oracle.n
     idx = np.flatnonzero(Y & ~X)
@@ -309,23 +325,23 @@ def g_estimates(set_oracle, X, Y, r, deltas, seed, iteration, m):
         raise StateInvariantViolation("g_estimates needs an undecided element (X != Y)")
     if deltas.size == 0:
         raise ParamOutOfRange("g_estimates needs at least one step size")
-    # the uniforms and the gains, (candidate, 2, m, k) floats each, and the
-    # gateway's float keys and flip rows of the (candidate, m, 2, n) stepped
-    # bases: none over 2*m*n*max(8, k+1) bytes per candidate
-    _check_round("G-estimate", 2 * deltas.size * m * n * max(8, k + 1))
+    _check_g_draw(deltas.size, m, k)
     u = np.empty((deltas.size, 2, m, k))                  # [candidate, X/Y side, sample]
     for g, rng in enumerate(_streams(seed, 4, iteration, count=deltas.size)):
         rng.random(out=u[g, 0])
         rng.random(out=u[g, 1])
     d = deltas[:, None, None]
-    bases = np.empty((deltas.size, m, 2, n), dtype=bool)
-    bases[:, :, 0] = X
-    bases[:, :, 1] = Y
     # idx lies outside X and inside Y, so on idx X u R is R and Y \ R is not R
-    bases[:, :, 0, idx] = u[:, 0] < d * r                 # R(d*r)
-    bases[:, :, 1, idx] = u[:, 1] >= d * (1.0 - r)        # not R(d*(1-r))
+    keep = np.empty((deltas.size, m, 2, k), dtype=bool)  # [candidate, sample, X/Y side]
+    np.less(u[:, 0], d * r, out=keep[:, :, 0])            # R(d*r)
+    np.greater_equal(u[:, 1], d * (1.0 - r), out=keep[:, :, 1])   # not R(d*(1-r))
     del u
-    gains = set_oracle.eval_gains(bases.reshape(-1, n), idx).reshape(deltas.size, m, 2, k)
+    keep, which = _distinct_rows(keep.reshape(-1, k))
+    # the flip rows of the distinct bases and their float values
+    _check_round("G-estimate", len(keep) * (k + 1) * max(n, 8))
+    bases = np.repeat(X[None], len(keep), axis=0)
+    bases[:, idx] = keep
+    gains = set_oracle.eval_gains(bases, idx, index=which).reshape(deltas.size, m, 2, k)
     per_u = r[None, None, :] * gains[:, :, 0] - (1.0 - r)[None, None, :] * gains[:, :, 1]
     return per_u.sum(axis=2).mean(axis=1)
 
@@ -366,6 +382,11 @@ def run_discrete(set_oracle, params):
     """Full discrete driver: tau estimate, pre-processing, exactly ell
     update iterations, then the positive-marginal completion."""
     p = params
+    n = set_oracle.n
+    # refuse a run over the budget before its first round: pre-processing,
+    # and the G-estimate draw at its widest, every element undecided
+    _check_preprocess(n, preprocess_grid(p.epsilon).size, p.preprocess_samples)
+    _check_g_draw(discrete_update_grid(p.epsilon).size, p.update_samples, n)
     tau = estimate_tau(set_oracle, p.seed, m=p.tau_samples)
     X, Y = discrete_preprocess(set_oracle, tau, p.epsilon, p.seed,
                                m=p.preprocess_samples)

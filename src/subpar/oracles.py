@@ -22,9 +22,12 @@ charged as the 2k pair rows per base it stands for, evaluated
 explicitly.  It is the only pair-gain read.  Each distinct base shared
 by all k elements is evaluated once plus its k single-element flips
 S^u: U(k+1) rows for U distinct bases in place of 2Bk, pure caching
-that does not change the charge.  A base per element is evaluated as
-the adjacent rows S+u, S-u of each pair, repeats and all, so each S+u
-sits beside its own S-u.
+that does not change the charge.  The caller may deduplicate the bases
+itself and pass, as `index`, the base each row of its batch asks for,
+as the discrete G-estimate round does on its interval patterns;
+otherwise the gateway finds the distinct bases (_distinct_rows).  A
+base per element is evaluated as the adjacent rows S+u, S-u of each
+pair, repeats and all, so each S+u sits beside its own S-u.
 
 An extension round (eval_extension) asks for the multilinear extension
 F, and optionally its gradient, at a batch of fractional points, and is
@@ -122,7 +125,19 @@ def all_subsets_matrix(n):
 def _distinct_rows(m):
     """The distinct rows of a boolean (B, n) matrix in first-seen order,
     and for each row of m the index of its distinct row."""
-    n = m.shape[1]
+    B, n = m.shape
+    # n <= 16: the key is an integer below 2^n, each key's first row
+    # comes from a 2^n table and the present keys are ordered by it, so
+    # the B keys are never sorted
+    if n <= 16:
+        keys = m @ (1 << np.arange(n, dtype=np.intp))
+        first = np.full(1 << n, B, dtype=np.intp)
+        np.minimum.at(first, keys, np.arange(B))
+        present = np.flatnonzero(first < B)
+        order = present[np.argsort(first[present])]
+        rank = np.empty(1 << n, dtype=np.intp)
+        rank[order] = np.arange(order.size)
+        return m[first[order]], rank[keys]
     # n <= 53: one float key per row, the sum of 2^u over its members.
     # Every partial sum is an integer below 2^53, so the key is exact in
     # any BLAS summation order; one matrix-vector product builds it, and
@@ -187,22 +202,26 @@ class SetOracle:
         self.accounting.charge(m.shape[0])
         return self._finite(self._evaluate(m))
 
-    def eval_gains(self, bases, elements):
+    def eval_gains(self, bases, elements, index=None):
         """The (B, k) gains f(S+u) - f(S-u) of every base S and every u
         in `elements`.  bases is a boolean (B, n) batch, one base shared
         by all k elements, or (B, k, n), one base per element.
 
-        One adaptive round, charged as the 2k pair rows per base.  Each
-        distinct shared base is evaluated once with its k flips S^u, in
-        first-seen order, and its gains go to every base equal to it:
-        f(S^u) - f(S) when u is outside S, f(S) - f(S^u) when inside.
-        A per-element base is evaluated as its rows S+u, S-u side by
-        side, element-major, with no dedupe.
+        One adaptive round, charged as the 2k pair rows per base.  A
+        shared base is evaluated once with its k flips S^u, and its
+        gains go to every base equal to it: f(S^u) - f(S) when u is
+        outside S, f(S) - f(S^u) when inside.  `index`, a non-empty 1-D
+        integer array into the shared bases, asks for the bases
+        bases[index]: B is len(index), and the given bases are evaluated
+        as given, in their order, so a caller that passes distinct bases
+        has deduplicated the round itself.  Without it the gateway finds
+        the distinct bases in first-seen order.  A per-element base is
+        evaluated as its rows S+u, S-u side by side, element-major, with
+        no dedupe and no index.
         """
         n = self.n
         per_element = isinstance(bases, np.ndarray) and bases.ndim == 3
         m = members_matrix(bases.reshape(-1, bases.shape[-1]) if per_element else bases, n)
-        B = len(bases) if per_element else len(m)
         elements = np.asarray(elements)
         if not (elements.ndim == 1 and elements.size and elements.dtype.kind in "iu"
                 and (elements >= 0).all() and (elements < n).all()):
@@ -211,6 +230,13 @@ class SetOracle:
         k = elements.size
         if per_element and bases.shape[1] != k:
             raise InvalidElement(f"{bases.shape[1]} bases per row for {k} elements")
+        if index is not None:
+            index = np.asarray(index)
+            if per_element or not (index.ndim == 1 and index.size and index.dtype.kind in "iu"
+                                   and (index >= 0).all() and (index < len(m)).all()):
+                raise InvalidElement(f"index must be a non-empty 1-D array of shared-base "
+                                     f"rows in 0..{len(m) - 1}, got {index!r}")
+        B = len(bases) if per_element else len(m) if index is None else len(index)
         self.accounting.charge(2 * k * B)
         j = np.arange(k)
         if per_element:
@@ -219,15 +245,16 @@ class SetOracle:
             rows[:, j, 1, elements] = False
             vals = self._finite(self._evaluate(rows.reshape(-1, n))).reshape(B, k, 2)
             return vals[..., 0] - vals[..., 1]
-        # each distinct base once, in first-seen order, with its k flips;
-        # pure caching -- the round was already charged per base given
-        distinct, which = _distinct_rows(m)
+        # each distinct base once with its k flips; pure caching -- the
+        # round was already charged per base asked for
+        if index is None:
+            m, index = _distinct_rows(m)
         flip = np.zeros((k + 1, n), dtype=bool)       # row 0 keeps S, row 1 + j flips u_j
         flip[1 + j, elements] = True
-        rows = distinct[:, None, :] ^ flip            # [base, S then its flips]
+        rows = m[:, None, :] ^ flip                   # [base, S then its flips]
         vals = self._finite(self._evaluate(rows.reshape(-1, n))).reshape(-1, k + 1)
         base, flips = vals[:, :1], vals[:, 1:]
-        return np.where(distinct[:, elements], base - flips, flips - base)[which]
+        return np.where(m[:, elements], base - flips, flips - base)[index]
 
     def eval_marginals(self, bases, values=False):
         """Marginals f(S+u) - f(S-u) of every element u at every base S.

@@ -25,9 +25,9 @@ class ScriptedSetOracle:
     It has `eval_gains` and the accounting record the driver snapshots,
     nothing more: every pre-processing and update round is an eval_gains
     read, charged 2k per base.  A pattern gives the values
-    [X+u, X-u, Y+u, Y-u], the same for every element; bases alternate
-    X side, Y side, so an X base gains p0 - p1 and a Y base p2 - p3.
-    Call 1 (the marginal round) replays `first`; later calls replay
+    [X+u, X-u, Y+u, Y-u], the same for every element; the bases asked
+    for (bases[index] when an index is given) alternate X side, Y side,
+    so an X base gains p0 - p1 and a Y base p2 - p3.  Call 1 (the marginal round) replays `first`; later calls replay
     `rest`.  Used to steer the update into chosen branches.
     """
 
@@ -38,8 +38,8 @@ class ScriptedSetOracle:
         self.accounting = OracleAccounting()
         self.calls = 0
 
-    def eval_gains(self, bases, elements):
-        B, k = bases.shape[0], len(elements)
+    def eval_gains(self, bases, elements, index=None):
+        B, k = bases.shape[0] if index is None else len(index), len(elements)
         self.accounting.charge(2 * k * B)
         p = np.asarray(self.first if self.calls == 0 else self.rest, dtype=float)
         self.calls += 1
@@ -247,10 +247,19 @@ def test_a_round_over_the_budget_is_refused_before_it_allocates():
     so = SetOracle(generate_random_instance("cut", 10, 0))
     with pytest.raises(RoundTooLarge, match="epsilon.*sample_override"):
         run_discrete(so, DiscreteParams(epsilon=0.01))
-    assert so.accounting.rounds == 1        # the tau round only
+    assert so.accounting.rounds == 0        # not even the tau round
     assert issubclass(RoundTooLarge, ParamOutOfRange)
     run_discrete(SetOracle(generate_random_instance("cut", 10, 0)),
                  DiscreteParams(epsilon=0.2, sample_override=30))
+
+
+def test_a_g_round_over_the_budget_is_refused_before_the_first_round():
+    # pre-processing fits (153 MB of bases); the G draw at k = n would
+    # take 2.0 GiB of uniforms and gains
+    so = SetOracle(generate_random_instance("cut", 4, 0))
+    with pytest.raises(RoundTooLarge, match="G-estimate"):
+        run_discrete(so, DiscreteParams(epsilon=0.002, sample_override=4800))
+    assert so.accounting.rounds == 0
 
 
 def test_the_g_round_checks_its_buffer(monkeypatch):
@@ -377,7 +386,8 @@ def test_g_estimates_evaluate_each_distinct_stepped_base_once(monkeypatch):
     so = SetOracle(inst)
     given, rows = [], []
     eval_gains, evaluate = so.eval_gains, inst.evaluate_batch
-    monkeypatch.setattr(so, "eval_gains", lambda b, e: given.append(b.copy()) or eval_gains(b, e))
+    monkeypatch.setattr(so, "eval_gains", lambda b, e, index: given.append(b[index])
+                        or eval_gains(b, e, index=index))
     monkeypatch.setattr(inst, "evaluate_batch", lambda m: rows.append(len(m)) or evaluate(m))
     X = np.zeros(n, dtype=bool)
     X[[0, 7, 12]] = True

@@ -256,6 +256,82 @@ def test_eval_gains_evaluate_each_distinct_base_once(monkeypatch, n):
         assert np.allclose(g[b], alone, rtol=0.0, atol=1e-12)
 
 
+def _first_seen(m):
+    # the np.unique path, written out: distinct rows sorted, then put in
+    # the order of their first row
+    _, first, inverse = np.unique(m, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return m[first[order]], rank[inverse.reshape(-1)]
+
+
+# widths up to 16 take the 2^w table, 17 the float key
+@pytest.mark.parametrize("w", range(1, 18))
+@pytest.mark.parametrize("repeats", [True, False])
+def test_distinct_rows_keep_first_seen_order(w, repeats):
+    rng = np.random.default_rng(w)
+    if repeats:
+        # a small pool drawn over and over, most rows equal to the first
+        pool = rng.random((5, w)) < 0.5
+        m = pool[rng.integers(0, 5, 3000) * (rng.random(3000) < 0.3)]
+    else:
+        codes = rng.permutation(1 << w)[:500] if w < 17 else rng.choice(1 << w, 500, replace=False)
+        m = (codes[:, None] >> np.arange(w)) & 1 == 1
+    rows, inverse = oracles._distinct_rows(m)
+    want_rows, want_inverse = _first_seen(m)
+    assert rows.dtype == bool and np.array_equal(rows, want_rows)
+    assert np.array_equal(inverse, want_inverse)
+    assert np.array_equal(rows[inverse], m)
+    if not repeats:
+        assert np.array_equal(rows, m)
+
+
+@pytest.mark.parametrize("n", [6, 18])
+def test_eval_gains_index_asks_for_bases_at_index(monkeypatch, n):
+    # distinct bases in the first-seen order of their index, the shape
+    # the G-estimate round passes: the same rows reach the instance as
+    # for the laid-out bases, so the gains match bit for bit
+    inst = generate_random_instance("cut", n, 2)
+    rng = np.random.default_rng(4)
+    bases = np.unique(rng.random((9, n)) < 0.5, axis=0)
+    index = np.concatenate([np.arange(len(bases)), rng.integers(0, len(bases), 50)])
+    elements = [n - 1, 0, 3, 4]
+    so = SetOracle(inst)
+    g = so.eval_gains(bases, elements, index=index)
+    assert so.accounting.snapshot() == (1, 2 * 4 * len(index))
+    assert g.tobytes() == SetOracle(inst).eval_gains(bases[index], elements).tobytes()
+    # any index, repeats and unused bases included: each given base is
+    # evaluated once with its k flips, as given
+    evaluate, sizes = inst.evaluate_batch, []
+    monkeypatch.setattr(inst, "evaluate_batch",
+                        lambda m: sizes.append(m.shape[0]) or evaluate(m))
+    bases = np.concatenate([bases, bases[:2]])
+    index = np.array([3, 3, 0, len(bases) - 1, 1])
+    g = SetOracle(inst).eval_gains(bases, elements, index=index)
+    assert sum(sizes) == len(bases) * 5
+    want = SetOracle(generate_random_instance("cut", n, 2)).eval_gains(bases[index], elements)
+    assert np.allclose(g, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("index", [
+    np.array([], dtype=np.intp),                    # empty
+    np.array([[0, 1]]),                             # not 1-D
+    np.array(0),
+    np.array([0.0, 1.0]),                           # not integers
+    np.array([True, False]),
+    np.array([0, 2]),                               # past the bases
+    np.array([-1, 0]),
+])
+def test_eval_gains_reject_bad_index(index):
+    so = SetOracle(CutInstance(4, [(0, 1, 1.0)]))
+    with pytest.raises(InvalidElement, match="index"):
+        so.eval_gains(np.zeros((2, 4), dtype=bool), [0], index=index)
+    with pytest.raises(InvalidElement, match="index"):   # per-element bases take none
+        so.eval_gains(np.zeros((2, 1, 4), dtype=bool), [0], index=np.array([0]))
+    assert so.accounting.snapshot() == (0, 0)
+
+
 @pytest.mark.parametrize("bases, elements", [
     (np.zeros((2, 4)), [0]),                        # float bases
     (np.zeros((2, 4), dtype=bool), [4]),
