@@ -27,8 +27,9 @@ class ScriptedSetOracle:
     read, charged 2k per base.  A pattern gives the values
     [X+u, X-u, Y+u, Y-u], the same for every element; the bases asked
     for (bases[index] when an index is given) alternate X side, Y side,
-    so an X base gains p0 - p1 and a Y base p2 - p3.  Call 1 (the marginal round) replays `first`; later calls replay
-    `rest`.  Used to steer the update into chosen branches.
+    so an X base gains p0 - p1 and a Y base p2 - p3.  Call 1 (the
+    marginal round) replays `first`; later calls replay `rest`.  Used
+    to steer the update into chosen branches.
     """
 
     def __init__(self, n, first, rest):
