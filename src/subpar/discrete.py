@@ -5,10 +5,9 @@ oracle: marginal gains replace gradients, a fixed iteration budget
 replaces the while-loop, and every step-size test is a Monte-Carlo
 estimate averaged over independent draws.  All randomness is drawn from
 sub-streams keyed by (seed, phase, iteration, grid index) so runs are
-reproducible and samples could be generated in parallel.  A grid's
-sub-streams are seeded together (_streams): numpy's seeding runs once
-over all of the grid's keys, and each stream draws exactly what its own
-default_rng(SeedSequence(key)) would.
+reproducible.  A grid's sub-streams are seeded together (_streams):
+numpy's seeding runs once over all of the grid's keys, and each stream
+draws exactly what its own default_rng(SeedSequence(key)) would.
 
 No round allocates an array larger than ROUND_BYTES; a run that would
 is refused with RoundTooLarge before the array is made, and before its
@@ -27,7 +26,7 @@ import numpy as np
 
 from .continuous import (ParamOutOfRange, StateInvariantViolation, check_epsilon,
                          compute_rates, first_step, geometric_grid, preprocess_grid)
-from .oracles import _distinct_rows, ids_of, is_integer
+from .oracles import _EVAL_CHUNK, ids_of, is_integer
 from .reports import DiscreteIterationTrace
 
 
@@ -110,8 +109,8 @@ def _check_preprocess(n, count, m):
 
 
 def _check_g_draw(count, m, k):
-    """The G-estimate round's budget before its draw: the uniforms and
-    the gains, (candidate, 2, m, k) floats each."""
+    """The G-estimate round's budget before its draw: the uniforms,
+    (candidate, 2, m, k) floats, the largest of its per-sample arrays."""
     _check_round("G-estimate", 16 * count * m * k)
 
 
@@ -299,6 +298,41 @@ def discrete_update(set_oracle, X, Y, epsilon, seed, iteration, m):
     return X2, Y2, trace
 
 
+def _distinct_rows(m):
+    """The distinct rows of a boolean (B, w) matrix in first-seen order,
+    and for each row of m the index of its distinct row."""
+    B, w = m.shape
+    # w <= 16: the key is an integer below 2^w, each key's first row
+    # comes from a 2^w table and the present keys are ordered by it, so
+    # the B keys are never sorted
+    if w <= 16:
+        keys = m @ (1 << np.arange(w, dtype=np.intp))
+        first = np.full(1 << w, B, dtype=np.intp)
+        np.minimum.at(first, keys, np.arange(B))
+        present = np.flatnonzero(first < B)
+        order = present[np.argsort(first[present])]
+        rank = np.empty(1 << w, dtype=np.intp)
+        rank[order] = np.arange(order.size)
+        return m[first[order]], rank[keys]
+    # w <= 53: one float key per row, the sum of 2^u over its members.
+    # Every partial sum is an integer below 2^53, so the key is exact in
+    # any BLAS summation order; one matrix-vector product builds it, and
+    # np.unique sorts it about twice as fast as the byte-string key of
+    # the packed bits that the wider rows need
+    if w <= 53:
+        keys = m.astype(np.float64) @ 2.0 ** np.arange(w)
+    else:
+        packed = np.packbits(m, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # first-seen rather than sorted order: rows without repeats then
+    # come back row for row as they were given
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return m[first[order]], rank[inverse.reshape(-1)]
+
+
 def g_estimates(set_oracle, X, Y, r, deltas, seed, iteration, m):
     """Monte-Carlo estimate of the expected post-step gain, one value per
     candidate step size, all candidates in a single round.
@@ -316,7 +350,8 @@ def g_estimates(set_oracle, X, Y, r, deltas, seed, iteration, m):
     the distinct patterns in first-seen order are the distinct bases in
     first-seen order.  Only those are laid out, and one eval_gains round
     evaluates each once plus its single-element flips, charged for every
-    stepped base.
+    stepped base by its count.  The rate weights are applied at the
+    distinct bases, and each sample gathers its X-side and Y-side rows.
     """
     n = set_oracle.n
     idx = np.flatnonzero(Y & ~X)
@@ -328,8 +363,7 @@ def g_estimates(set_oracle, X, Y, r, deltas, seed, iteration, m):
     _check_g_draw(deltas.size, m, k)
     u = np.empty((deltas.size, 2, m, k))                  # [candidate, X/Y side, sample]
     for g, rng in enumerate(_streams(seed, 4, iteration, count=deltas.size)):
-        rng.random(out=u[g, 0])
-        rng.random(out=u[g, 1])
+        rng.random(out=u[g])
     d = deltas[:, None, None]
     # idx lies outside X and inside Y, so on idx X u R is R and Y \ R is not R
     keep = np.empty((deltas.size, m, 2, k), dtype=bool)  # [candidate, sample, X/Y side]
@@ -337,13 +371,16 @@ def g_estimates(set_oracle, X, Y, r, deltas, seed, iteration, m):
     np.greater_equal(u[:, 1], d * (1.0 - r), out=keep[:, :, 1])   # not R(d*(1-r))
     del u
     keep, which = _distinct_rows(keep.reshape(-1, k))
-    # the flip rows of the distinct bases and their float values
-    _check_round("G-estimate", len(keep) * (k + 1) * max(n, 8))
+    # the distinct bases' float values, and one evaluation slice of their flip rows
+    _check_round("G-estimate", 8 * len(keep) * (k + 1), (_EVAL_CHUNK + 2 * k + 2) * n)
     bases = np.repeat(X[None], len(keep), axis=0)
     bases[:, idx] = keep
-    gains = set_oracle.eval_gains(bases, idx, index=which).reshape(deltas.size, m, 2, k)
-    per_u = r[None, None, :] * gains[:, :, 0] - (1.0 - r)[None, None, :] * gains[:, :, 1]
-    return per_u.sum(axis=2).mean(axis=1)
+    gains = set_oracle.eval_gains(bases, idx, counts=np.bincount(which))
+    # which runs [candidate, sample, X/Y side]: each sample's X-side row
+    # less its Y-side row, the rates applied once per distinct base
+    per_u = np.take(r * gains, which[0::2], axis=0)
+    per_u -= np.take((1.0 - r) * gains, which[1::2], axis=0)
+    return per_u.sum(axis=1).reshape(deltas.size, m).mean(axis=1)
 
 
 def _expand(r_diff, idx, n):

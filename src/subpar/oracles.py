@@ -19,14 +19,13 @@ cost of evaluation but never the meters.
 A pair-gain round (eval_gains) asks for the same differences
 f(S+u) - f(S-u) at a batch of bases and a list of elements, and is
 charged as the 2k pair rows per base it stands for, evaluated
-explicitly.  It is the only pair-gain read.  Each distinct base shared
-by all k elements is evaluated once plus its k single-element flips
-S^u: U(k+1) rows for U distinct bases in place of 2Bk, pure caching
-that does not change the charge.  The caller may deduplicate the bases
-itself and pass, as `index`, the base each row of its batch asks for,
-as the discrete G-estimate round does on its interval patterns;
-otherwise the gateway finds the distinct bases (_distinct_rows).  A
-base per element is evaluated as the adjacent rows S+u, S-u of each
+explicitly.  It is the only pair-gain read.  A base shared by all k
+elements is evaluated once plus its k single-element flips S^u: k+1
+rows in place of 2k.  The caller may ask for a shared base many times
+by its `counts`, as the discrete G-estimate round does for the distinct
+bases of its interval patterns; the round is charged for every base
+asked for and answers the gains of each given base once, pure caching.
+A base per element is evaluated as the adjacent rows S+u, S-u of each
 pair, repeats and all, so each S+u sits beside its own S-u.
 
 An extension round (eval_extension) asks for the multilinear extension
@@ -122,46 +121,14 @@ def all_subsets_matrix(n):
     return (masks[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & 1 == 1
 
 
-def _distinct_rows(m):
-    """The distinct rows of a boolean (B, n) matrix in first-seen order,
-    and for each row of m the index of its distinct row."""
-    B, n = m.shape
-    # n <= 16: the key is an integer below 2^n, each key's first row
-    # comes from a 2^n table and the present keys are ordered by it, so
-    # the B keys are never sorted
-    if n <= 16:
-        keys = m @ (1 << np.arange(n, dtype=np.intp))
-        first = np.full(1 << n, B, dtype=np.intp)
-        np.minimum.at(first, keys, np.arange(B))
-        present = np.flatnonzero(first < B)
-        order = present[np.argsort(first[present])]
-        rank = np.empty(1 << n, dtype=np.intp)
-        rank[order] = np.arange(order.size)
-        return m[first[order]], rank[keys]
-    # n <= 53: one float key per row, the sum of 2^u over its members.
-    # Every partial sum is an integer below 2^53, so the key is exact in
-    # any BLAS summation order; one matrix-vector product builds it, and
-    # np.unique sorts it about twice as fast as the byte-string key of
-    # the packed bits that the wider rows need
-    if n <= 53:
-        keys = m.astype(np.float64) @ 2.0 ** np.arange(n)
-    else:
-        packed = np.packbits(m, axis=1)
-        keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    # first-seen rather than sorted order: a batch without repeats then
-    # reaches the instance row for row as it was given, so its values
-    # are bit for bit those of an evaluation without the dedupe
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return m[first[order]], rank[inverse.reshape(-1)]
-
-
 # Rows per evaluation slice.  An instance's float temporaries for a
 # slice are a few (rows, n) arrays, 2.6 MB each at n = 20: small enough
-# to be reused from the heap and to stay in cache, where the temporaries
-# of a whole discrete round (74 MB each) take fresh pages every round.
+# to stay in cache, where the temporaries of a whole discrete round
+# (74 MB each) would not.  They are not reused from the heap, though:
+# together they exceed glibc's dynamic trim threshold, so the top of the
+# heap goes back to the OS after every slice and the next slice faults
+# its pages in afresh, until the process frees a larger mmapped block,
+# which raises the thresholds.
 # A longer batch is cut into equal slices, between half a chunk and a
 # chunk each: BLAS picks its kernel by batch shape, and a short tail
 # slice would run another kernel than the rest of its batch.
@@ -202,22 +169,19 @@ class SetOracle:
         self.accounting.charge(m.shape[0])
         return self._finite(self._evaluate(m))
 
-    def eval_gains(self, bases, elements, index=None):
+    def eval_gains(self, bases, elements, counts=None):
         """The (B, k) gains f(S+u) - f(S-u) of every base S and every u
         in `elements`.  bases is a boolean (B, n) batch, one base shared
         by all k elements, or (B, k, n), one base per element.
 
-        One adaptive round, charged as the 2k pair rows per base.  A
-        shared base is evaluated once with its k flips S^u, and its
-        gains go to every base equal to it: f(S^u) - f(S) when u is
-        outside S, f(S) - f(S^u) when inside.  `index`, a non-empty 1-D
-        integer array into the shared bases, asks for the bases
-        bases[index]: B is len(index), and the given bases are evaluated
-        as given, in their order, so a caller that passes distinct bases
-        has deduplicated the round itself.  Without it the gateway finds
-        the distinct bases in first-seen order.  A per-element base is
-        evaluated as its rows S+u, S-u side by side, element-major, with
-        no dedupe and no index.
+        One adaptive round, charged as the 2k pair rows per base asked
+        for.  A shared base is evaluated once with its k flips S^u:
+        f(S^u) - f(S) when u is outside S, f(S) - f(S^u) when inside.
+        `counts`, one positive integer per shared base, asks for each
+        base that many times: the round is charged 2k*sum(counts), and
+        the gains are still those of the given bases, as given and in
+        their order.  A per-element base is evaluated as its rows S+u,
+        S-u side by side, element-major, and takes no counts.
         """
         n = self.n
         per_element = isinstance(bases, np.ndarray) and bases.ndim == 3
@@ -230,13 +194,13 @@ class SetOracle:
         k = elements.size
         if per_element and bases.shape[1] != k:
             raise InvalidElement(f"{bases.shape[1]} bases per row for {k} elements")
-        if index is not None:
-            index = np.asarray(index)
-            if per_element or not (index.ndim == 1 and index.size and index.dtype.kind in "iu"
-                                   and (index >= 0).all() and (index < len(m)).all()):
-                raise InvalidElement(f"index must be a non-empty 1-D array of shared-base "
-                                     f"rows in 0..{len(m) - 1}, got {index!r}")
-        B = len(bases) if per_element else len(m) if index is None else len(index)
+        if counts is not None:
+            counts = np.asarray(counts)
+            if per_element or not (counts.shape == (len(m),) and counts.dtype.kind in "iu"
+                                   and (counts >= 1).all()):
+                raise InvalidElement(f"counts must be a positive integer per shared "
+                                     f"base, {len(m)} of them, got {counts!r}")
+        B = len(bases) if per_element else len(m) if counts is None else int(counts.sum())
         self.accounting.charge(2 * k * B)
         j = np.arange(k)
         if per_element:
@@ -245,16 +209,9 @@ class SetOracle:
             rows[:, j, 1, elements] = False
             vals = self._finite(self._evaluate(rows.reshape(-1, n))).reshape(B, k, 2)
             return vals[..., 0] - vals[..., 1]
-        # each distinct base once with its k flips; pure caching -- the
-        # round was already charged per base asked for
-        if index is None:
-            m, index = _distinct_rows(m)
-        flip = np.zeros((k + 1, n), dtype=bool)       # row 0 keeps S, row 1 + j flips u_j
-        flip[1 + j, elements] = True
-        rows = m[:, None, :] ^ flip                   # [base, S then its flips]
-        vals = self._finite(self._evaluate(rows.reshape(-1, n))).reshape(-1, k + 1)
+        vals = self._finite(self._evaluate(m, elements)).reshape(-1, k + 1)
         base, flips = vals[:, :1], vals[:, 1:]
-        return np.where(m[:, elements], base - flips, flips - base)[index]
+        return np.where(m[:, elements], base - flips, flips - base)
 
     def eval_marginals(self, bases, values=False):
         """Marginals f(S+u) - f(S-u) of every element u at every base S.
@@ -311,14 +268,29 @@ class SetOracle:
                 f"non-finite value")
         return vals
 
-    def _evaluate(self, m):
-        rows = m.shape[0]
+    def _evaluate(self, m, flips=None):
+        """The values of the rows of a boolean (R, n) batch, or, given k
+        element ids `flips`, of the R(k+1) rows of each base followed by
+        its k single-element flips, each slice of which is laid out only
+        when it is evaluated."""
         n = m.shape[1]
+        w = 1 if flips is None else len(flips) + 1
+        rows = len(m) * w
+
+        def block(lo, hi):
+            if flips is None:
+                return m[lo:hi]
+            # the bases that rows lo..hi come from, each with all w rows
+            b = lo // w
+            out = np.repeat(m[b:-(-hi // w)], w, axis=0)
+            out.reshape(-1, w, n)[:, np.arange(1, w), flips] ^= True
+            return out[lo - b * w:hi - b * w]
+
         # small ground set, big batch: rows repeat heavily (pigeonhole),
         # so evaluate each distinct subset once and scatter the values
         # back.  Pure caching -- accounting was already charged per row.
         if n <= 16 and rows >= 4 * (1 << n):
-            keys = m @ (1 << np.arange(n, dtype=np.int64))
+            keys = block(0, rows) @ (1 << np.arange(n, dtype=np.int64))
             seen = np.zeros(1 << n, dtype=bool)
             seen[keys] = True
             uniq = np.flatnonzero(seen)
@@ -333,6 +305,5 @@ class SetOracle:
         parts = -(-rows // _EVAL_CHUNK)
         cuts = np.arange(parts + 1) * rows // parts
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            out[lo:hi] = self.instance.evaluate_batch(m[lo:hi])
+            out[lo:hi] = self.instance.evaluate_batch(block(lo, hi))
         return out
-

@@ -47,7 +47,7 @@ class SpySetOracle(SetOracle):
     round counts as one batch of the 2n (+1) rows per base it stands
     for; marginal_batches counts those rounds on their own.  A pair-gain
     round counts as one batch of the 2k pair rows per base it stands
-    for, or per entry of its index when it has one.  An extension round
+    for, each shared base as many times as its count when it has one.  An extension round
     counts as one batch of the 2^n power-set rows, or of its P points
     when it is direct.
     """
@@ -69,12 +69,12 @@ class SpySetOracle(SetOracle):
         self.rows += members_matrix(bases, self.n).shape[0] * (2 * self.n + int(values))
         return super().eval_marginals(bases, values=values)
 
-    def eval_gains(self, bases, elements, index=None):
+    def eval_gains(self, bases, elements, counts=None):
         self.batches += 1
         # per-element (B, k, n) bases count B too; members_matrix takes no 3-D batch
-        B = np.atleast_2d(bases).shape[0] if index is None else np.size(index)
+        B = np.atleast_2d(bases).shape[0] if counts is None else int(np.sum(counts))
         self.rows += B * 2 * np.size(elements)
-        return super().eval_gains(bases, elements, index=index)
+        return super().eval_gains(bases, elements, counts=counts)
 
     def eval_extension(self, points, grads=True, direct=False):
         self.batches += 1

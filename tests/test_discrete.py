@@ -11,9 +11,10 @@ import pytest
 
 from subpar import (CutInstance, DiscreteParams, ParamOutOfRange, SetOracle,
                     StateInvariantViolation, generate_random_instance, run_discrete)
-from subpar.discrete import (RoundTooLarge, _pair_draw, _stream, _streams,
+from subpar.discrete import (RoundTooLarge, _distinct_rows, _pair_draw, _stream, _streams,
                              discrete_preprocess, discrete_update, discrete_update_grid,
                              estimate_tau, finalize, g_estimates, round_step)
+import subpar.oracles as oracles
 from subpar.oracles import OracleAccounting
 
 from gain_oracle import expected_update_gain
@@ -24,10 +25,11 @@ class ScriptedSetOracle:
 
     It has `eval_gains` and the accounting record the driver snapshots,
     nothing more: every pre-processing and update round is an eval_gains
-    read, charged 2k per base.  A pattern gives the values
-    [X+u, X-u, Y+u, Y-u], the same for every element; the bases asked
-    for (bases[index] when an index is given) alternate X side, Y side,
-    so an X base gains p0 - p1 and a Y base p2 - p3.  Call 1 (the
+    read, charged 2k per base asked for.  A pattern gives the values
+    [X+u, X-u, Y+u, Y-u], the same for every element.  In a per-element
+    round the bases alternate X side, Y side, so an X base gains p0 - p1
+    and a Y base p2 - p3.  The distinct bases of a G-estimate round,
+    given with counts, have no side: each gains p0 - p1.  Call 1 (the
     marginal round) replays `first`; later calls replay `rest`.  Used
     to steer the update into chosen branches.
     """
@@ -39,11 +41,13 @@ class ScriptedSetOracle:
         self.accounting = OracleAccounting()
         self.calls = 0
 
-    def eval_gains(self, bases, elements, index=None):
-        B, k = bases.shape[0] if index is None else len(index), len(elements)
+    def eval_gains(self, bases, elements, counts=None):
+        B, k = bases.shape[0] if counts is None else int(np.sum(counts)), len(elements)
         self.accounting.charge(2 * k * B)
         p = np.asarray(self.first if self.calls == 0 else self.rest, dtype=float)
         self.calls += 1
+        if counts is not None:
+            return np.full((len(bases), k), p[0] - p[1])
         side = np.tile([p[0] - p[1], p[2] - p[3]], B // 2)
         return np.repeat(side[:, None], k, axis=1)
 
@@ -213,7 +217,10 @@ def _g_estimates_per_point(set_oracle, X, Y, r, deltas, seed, iteration, m):
     bases[:, :, 0] = X
     bases[:, :, 1] = Y
     bases[..., idx] = on_idx
-    gains = set_oracle.eval_gains(bases.reshape(-1, n), idx).reshape(deltas.size, m, 2, -1)
+    # each distinct stepped base once, in first-seen order, as the round lays them out
+    bases, which = _distinct_rows(bases.reshape(-1, n))
+    gains = set_oracle.eval_gains(bases, idx, counts=np.bincount(which))[which]
+    gains = gains.reshape(deltas.size, m, 2, -1)
     per_u = r * gains[:, :, 0] - (1.0 - r) * gains[:, :, 1]
     return per_u.sum(axis=2).mean(axis=1)
 
@@ -256,7 +263,7 @@ def test_a_round_over_the_budget_is_refused_before_it_allocates():
 
 def test_a_g_round_over_the_budget_is_refused_before_the_first_round():
     # pre-processing fits (153 MB of bases); the G draw at k = n would
-    # take 2.0 GiB of uniforms and gains
+    # take 2.0 GiB of uniforms
     so = SetOracle(generate_random_instance("cut", 4, 0))
     with pytest.raises(RoundTooLarge, match="G-estimate"):
         run_discrete(so, DiscreteParams(epsilon=0.002, sample_override=4800))
@@ -264,16 +271,46 @@ def test_a_g_round_over_the_budget_is_refused_before_the_first_round():
 
 
 def test_the_g_round_checks_its_buffer(monkeypatch):
+    # m = 60 makes the uniforms the round's largest array, over one
+    # evaluation slice of its flip rows
     import subpar.discrete as discrete
     so = SetOracle(generate_random_instance("cut", 6, 0))
     X, Y = np.zeros(6, dtype=bool), np.ones(6, dtype=bool)
     grid = discrete_update_grid(0.2)
-    monkeypatch.setattr(discrete, "ROUND_BYTES", 16 * grid.size * 10 * 6 - 1)
+    assert 16 * grid.size * 60 * 6 > (oracles._EVAL_CHUNK + 2 * 7) * 6
+    monkeypatch.setattr(discrete, "ROUND_BYTES", 16 * grid.size * 60 * 6 - 1)
     with pytest.raises(RoundTooLarge, match="G-estimate"):
-        g_estimates(so, X, Y, np.full(6, 0.5), grid, 0, 0, 10)
+        g_estimates(so, X, Y, np.full(6, 0.5), grid, 0, 0, 60)
     assert so.accounting.rounds == 0
-    monkeypatch.setattr(discrete, "ROUND_BYTES", 16 * grid.size * 10 * 6)
-    g_estimates(so, X, Y, np.full(6, 0.5), grid, 0, 0, 10)
+    monkeypatch.setattr(discrete, "ROUND_BYTES", 16 * grid.size * 60 * 6)
+    g_estimates(so, X, Y, np.full(6, 0.5), grid, 0, 0, 60)
+
+
+def test_the_g_round_checks_its_values_and_one_slice_of_rows(monkeypatch):
+    # after the draw the round holds the float values of its U distinct
+    # bases and their flips, and lays out one evaluation slice of flip
+    # rows at a time: a chunk plus the two part-bases at its ends
+    import subpar.discrete as discrete
+    n, m = 20, 10
+    X, Y = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+    grid = discrete_update_grid(0.2)
+    so = SetOracle(generate_random_instance("cut", n, 0))
+    checks, given = [], []
+    check, eval_gains = discrete._check_round, so.eval_gains
+    monkeypatch.setattr(discrete, "_check_round",
+                        lambda phase, *nbytes: checks.append(nbytes) or check(phase, *nbytes))
+    monkeypatch.setattr(so, "eval_gains", lambda b, e, counts: given.append(len(b))
+                        or eval_gains(b, e, counts=counts))
+    g_estimates(so, X, Y, np.full(n, 0.5), grid, 0, 0, m)
+    (U,) = given
+    row_slice = (oracles._EVAL_CHUNK + 2 * (n + 1)) * n
+    assert checks == [(16 * grid.size * m * n,), (8 * U * (n + 1), row_slice)]
+    assert max(checks[0][0], 8 * U * (n + 1)) < row_slice
+    monkeypatch.setattr(discrete, "ROUND_BYTES", row_slice - 1)
+    so = SetOracle(generate_random_instance("cut", n, 0))
+    with pytest.raises(RoundTooLarge, match="G-estimate"):
+        g_estimates(so, X, Y, np.full(n, 0.5), grid, 0, 0, m)
+    assert so.accounting.rounds == 0
 
 
 # -- preprocess ---------------------------------------------------------------------
@@ -380,15 +417,16 @@ def test_g_estimates_reproducible():
 def test_g_estimates_evaluate_each_distinct_stepped_base_once(monkeypatch):
     # the benchmark's shape, cut n = 20 at epsilon 0.1 and override 100:
     # at the small steps of the grid most stepped bases draw nothing and
-    # equal X or Y, and each distinct one reaches the instance once, with
-    # its k flips, while the round is still charged 2k per base
+    # equal X or Y; the round gives each distinct one once, with its
+    # count, and it reaches the instance once, with its k flips, while
+    # the round is still charged 2k per stepped base
     n, p = 20, DiscreteParams(epsilon=0.1, sample_override=100)
     inst = generate_random_instance("cut", n, 0)
     so = SetOracle(inst)
     given, rows = [], []
     eval_gains, evaluate = so.eval_gains, inst.evaluate_batch
-    monkeypatch.setattr(so, "eval_gains", lambda b, e, index: given.append(b[index])
-                        or eval_gains(b, e, index=index))
+    monkeypatch.setattr(so, "eval_gains", lambda b, e, counts: given.append((b, counts))
+                        or eval_gains(b, e, counts=counts))
     monkeypatch.setattr(inst, "evaluate_batch", lambda m: rows.append(len(m)) or evaluate(m))
     X = np.zeros(n, dtype=bool)
     X[[0, 7, 12]] = True
@@ -396,12 +434,14 @@ def test_g_estimates_evaluate_each_distinct_stepped_base_once(monkeypatch):
     Y[[3, 19]] = False
     k = int((Y & ~X).sum())
     r = _stream(0, 94).random(k)
-    g_estimates(so, X, Y, r, discrete_update_grid(p.epsilon), 0, 0, p.update_samples)
-    (bases,) = given
-    distinct = len(np.unique(bases, axis=0))
-    assert sum(rows) == distinct * (k + 1)
-    assert 4 * distinct < len(bases)
-    assert so.accounting.snapshot() == (1, 2 * k * len(bases))
+    grid = discrete_update_grid(p.epsilon)
+    g_estimates(so, X, Y, r, grid, 0, 0, p.update_samples)
+    ((bases, counts),) = given
+    stepped = grid.size * p.update_samples * 2
+    assert len(np.unique(bases, axis=0)) == len(bases)
+    assert counts.sum() == stepped and 4 * len(bases) < stepped
+    assert sum(rows) == len(bases) * (k + 1)
+    assert so.accounting.snapshot() == (1, 2 * k * stepped)
 
 
 # -- finalize -----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import importlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import subpar.oracles as oracles
 from subpar import (CutInstance, InvalidElement, MultilinearOracle, NonFiniteValue,
                     OracleAccounting, SetOracle, generate_random_instance, ids_of,
                     run_continuous)
+from subpar.discrete import _distinct_rows
 from subpar.oracles import OutOfBox, all_subsets_matrix, default_threads, members_matrix
 
 from conftest import power_set_extension
@@ -231,11 +233,13 @@ def test_eval_gains_without_repeats_keep_the_given_order(monkeypatch):
     assert np.array_equal(np.concatenate(seen), want.reshape(-1, 18))
 
 
-# a float key per base up to n = 53, whose last bit weighs 2^52; a byte-string key past it
+# _distinct_rows keys a base by a float up to n = 53, whose last bit
+# weighs 2^52, and by a byte string past it
 @pytest.mark.parametrize("n", [18, 53, 54, 70])
 def test_eval_gains_evaluate_each_distinct_base_once(monkeypatch, n):
-    # repeated bases reach the instance once each, with their k flips;
-    # the round is still charged 2k per base given
+    # repeated bases, deduplicated by the caller and asked for by their
+    # counts, reach the instance once each, with their k flips; the
+    # round is still charged 2k per base asked for
     inst = generate_random_instance("cut", n, 0)
     evaluate, sizes = inst.evaluate_batch, []
     monkeypatch.setattr(inst, "evaluate_batch",
@@ -245,11 +249,12 @@ def test_eval_gains_evaluate_each_distinct_base_once(monkeypatch, n):
     pool[1, :] = pool[0]
     pool[1, n - 1] = not pool[0, n - 1]           # differs from base 0 in the last bit only
     bases = pool[rng.integers(0, 7, 40)]
-    distinct = len(np.unique(bases, axis=0))
+    distinct, which = _distinct_rows(bases)
+    assert len(distinct) == len(np.unique(bases, axis=0))
     elements = [2, n - 1, 5, 0, 9]
     so = SetOracle(inst)
-    g = so.eval_gains(bases, elements)
-    assert sum(sizes) == distinct * 6
+    g = so.eval_gains(distinct, elements, counts=np.bincount(which))[which]
+    assert sum(sizes) == len(distinct) * 6
     assert so.accounting.snapshot() == (1, 40 * 2 * 5)
     for b in range(40):
         alone = SetOracle(inst).eval_gains(bases[b], elements)[0]
@@ -266,7 +271,8 @@ def _first_seen(m):
     return m[first[order]], rank[inverse.reshape(-1)]
 
 
-# widths up to 16 take the 2^w table, 17 the float key
+# the discrete G-estimate round's dedupe: widths up to 16 take the 2^w
+# table, 17 the float key
 @pytest.mark.parametrize("w", range(1, 18))
 @pytest.mark.parametrize("repeats", [True, False])
 def test_distinct_rows_keep_first_seen_order(w, repeats):
@@ -278,7 +284,7 @@ def test_distinct_rows_keep_first_seen_order(w, repeats):
     else:
         codes = rng.permutation(1 << w)[:500] if w < 17 else rng.choice(1 << w, 500, replace=False)
         m = (codes[:, None] >> np.arange(w)) & 1 == 1
-    rows, inverse = oracles._distinct_rows(m)
+    rows, inverse = _distinct_rows(m)
     want_rows, want_inverse = _first_seen(m)
     assert rows.dtype == bool and np.array_equal(rows, want_rows)
     assert np.array_equal(inverse, want_inverse)
@@ -288,48 +294,81 @@ def test_distinct_rows_keep_first_seen_order(w, repeats):
 
 
 @pytest.mark.parametrize("n", [6, 18])
-def test_eval_gains_index_asks_for_bases_at_index(monkeypatch, n):
-    # distinct bases in the first-seen order of their index, the shape
-    # the G-estimate round passes: the same rows reach the instance as
-    # for the laid-out bases, so the gains match bit for bit
+def test_eval_gains_counts_ask_for_each_base_that_many_times(monkeypatch, n):
+    # counts change the charge only: the given bases reach the instance
+    # as given, each once with its k flips, so the gains match a round
+    # without counts bit for bit
     inst = generate_random_instance("cut", n, 2)
     rng = np.random.default_rng(4)
     bases = np.unique(rng.random((9, n)) < 0.5, axis=0)
-    index = np.concatenate([np.arange(len(bases)), rng.integers(0, len(bases), 50)])
+    counts = rng.integers(1, 12, len(bases))
     elements = [n - 1, 0, 3, 4]
     so = SetOracle(inst)
-    g = so.eval_gains(bases, elements, index=index)
-    assert so.accounting.snapshot() == (1, 2 * 4 * len(index))
-    assert g.tobytes() == SetOracle(inst).eval_gains(bases[index], elements).tobytes()
-    # any index, repeats and unused bases included: each given base is
-    # evaluated once with its k flips, as given
-    evaluate, sizes = inst.evaluate_batch, []
+    g = so.eval_gains(bases, elements, counts=counts)
+    assert so.accounting.snapshot() == (1, 2 * 4 * counts.sum())
+    assert g.tobytes() == SetOracle(inst).eval_gains(bases, elements).tobytes()
+    # repeated given bases are not merged: each is evaluated once, as given
+    evaluate, seen = inst.evaluate_batch, []
     monkeypatch.setattr(inst, "evaluate_batch",
-                        lambda m: sizes.append(m.shape[0]) or evaluate(m))
+                        lambda m: seen.append(m.copy()) or evaluate(m))
     bases = np.concatenate([bases, bases[:2]])
-    index = np.array([3, 3, 0, len(bases) - 1, 1])
-    g = SetOracle(inst).eval_gains(bases, elements, index=index)
-    assert sum(sizes) == len(bases) * 5
-    want = SetOracle(generate_random_instance("cut", n, 2)).eval_gains(bases[index], elements)
-    assert np.allclose(g, want, rtol=0.0, atol=1e-12)
+    so = SetOracle(inst)
+    g = so.eval_gains(bases, elements, counts=[1] * len(bases))
+    assert so.accounting.snapshot() == (1, 2 * 4 * len(bases))
+    want = np.repeat(bases, 5, axis=0).reshape(-1, 5, n)
+    for j, u in enumerate(elements):
+        want[:, 1 + j, u] ^= True
+    assert np.array_equal(np.concatenate(seen), want.reshape(-1, n))
+    assert np.allclose(g[-2:], g[:2], rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("index", [
-    np.array([], dtype=np.intp),                    # empty
-    np.array([[0, 1]]),                             # not 1-D
-    np.array(0),
-    np.array([0.0, 1.0]),                           # not integers
-    np.array([True, False]),
-    np.array([0, 2]),                               # past the bases
-    np.array([-1, 0]),
+@pytest.mark.parametrize("counts", [
+    np.array([1, 0]),                               # zero
+    np.array([2, -1]),                              # negative
+    np.array([1.0, 2.0]),                           # not integers
+    np.array([True, True]),
+    np.array([1]),                                  # one per base, not fewer
+    np.array([1, 1, 1]),                            # nor more
+    np.array([[1, 1]]),                             # not 1-D
+    np.array(2),
 ])
-def test_eval_gains_reject_bad_index(index):
+def test_eval_gains_reject_bad_counts(counts):
     so = SetOracle(CutInstance(4, [(0, 1, 1.0)]))
-    with pytest.raises(InvalidElement, match="index"):
-        so.eval_gains(np.zeros((2, 4), dtype=bool), [0], index=index)
-    with pytest.raises(InvalidElement, match="index"):   # per-element bases take none
-        so.eval_gains(np.zeros((2, 1, 4), dtype=bool), [0], index=np.array([0]))
+    with pytest.raises(InvalidElement, match="counts"):
+        so.eval_gains(np.zeros((2, 4), dtype=bool), [0], counts=counts)
+    with pytest.raises(InvalidElement, match="counts"):   # per-element bases take none
+        so.eval_gains(np.zeros((2, 1, 4), dtype=bool), [0], counts=np.array([1, 1]))
     assert so.accounting.snapshot() == (0, 0)
+
+
+class _CountingInstance:
+    """|S| per row: a set function with no float temporaries of its own."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def evaluate_batch(self, m):
+        return np.count_nonzero(m, axis=1).astype(np.float64)
+
+
+def test_eval_gains_lay_out_one_slice_of_flip_rows_at_a_time():
+    # U(k+1) = 120,400 flip rows of n = 300 are 36 MB, over seven
+    # evaluation slices; no more than about one slice is ever laid out
+    n, U = 300, 400
+    bases = np.random.default_rng(3).random((U, n)) < 0.5
+    so = SetOracle(_CountingInstance(n))
+    tracemalloc.start()
+    try:
+        g = so.eval_gains(bases, np.arange(n), counts=np.full(U, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = U * (n + 1) * n
+    assert U * (n + 1) > 4 * oracles._EVAL_CHUNK
+    assert peak < rows / 4, peak
+    size = bases.sum(axis=1, keepdims=True)
+    assert np.array_equal(g, np.where(bases, size - (size - 1), (size + 1) - size))
+    assert so.accounting.snapshot() == (1, 2 * n * 3 * U)
 
 
 @pytest.mark.parametrize("bases, elements", [
