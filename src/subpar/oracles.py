@@ -202,8 +202,8 @@ class SetOracle:
                                      f"base, {len(m)} of them, got {counts!r}")
         B = len(bases) if per_element else len(m) if counts is None else int(counts.sum())
         self.accounting.charge(2 * k * B)
-        j = np.arange(k)
         if per_element:
+            j = np.arange(k)
             rows = np.repeat(m, 2, axis=0).reshape(B, k, 2, n)   # [base, element, +/-]
             rows[:, j, 0, elements] = True
             rows[:, j, 1, elements] = False
@@ -282,9 +282,9 @@ class SetOracle:
                 return m[lo:hi]
             # the bases that rows lo..hi come from, each with all w rows
             b = lo // w
-            out = np.repeat(m[b:-(-hi // w)], w, axis=0)
-            out.reshape(-1, w, n)[:, np.arange(1, w), flips] ^= True
-            return out[lo - b * w:hi - b * w]
+            laid = np.repeat(m[b:-(-hi // w)], w, axis=0)
+            laid.reshape(-1, w, n)[:, np.arange(1, w), flips] ^= True
+            return laid[lo - b * w:hi - b * w]
 
         # small ground set, big batch: rows repeat heavily (pigeonhole),
         # so evaluate each distinct subset once and scatter the values
