@@ -1,6 +1,7 @@
 """Instance families: frozen values, validation, closed-form gradients,
 generators, JSON roundtrip, a fuzzed loader."""
 
+import hashlib
 import json
 import os
 import tempfile
@@ -266,6 +267,93 @@ def test_generators_deterministic():
         a = generate_random_instance(kind, 6, 3)
         b = generate_random_instance(kind, 6, 3)
         assert a.to_json_dict() == b.to_json_dict()
+
+
+# sha256 of json.dumps(to_json_dict(), sort_keys=True) per generated
+# instance: every golden in the suite is computed from these generators
+GENERATED_SHA256 = {
+    ("cut", 1, 0): "6a98fa1d1b593c3797b141359054e23346a557049edd1257098220b3e1431f52",
+    ("cut", 1, 1): "6a98fa1d1b593c3797b141359054e23346a557049edd1257098220b3e1431f52",
+    ("cut", 1, 7): "6a98fa1d1b593c3797b141359054e23346a557049edd1257098220b3e1431f52",
+    ("cut", 2, 0): "e9ba75e0a42e53beba3f53f559330c7e63404090714cfe3f0ef23bbe36e42112",
+    ("cut", 2, 1): "8b41e5f5a82fc9255c48fefa692df686d417e44e7a9fd032155a9305c3460aa4",
+    ("cut", 2, 7): "e81ac6adb1974b5e6fce16093ca08f643f67371ea8f731c0ae4de078be0046db",
+    ("cut", 3, 0): "3bf5ee62dd84ec07cadd4ba5208a323c8f1db5801acf53395c2f03b50f5689c1",
+    ("cut", 3, 1): "50238e557970a36f88dbe92130c0ce69538a9db0c48779effcc94c3fad6f2834",
+    ("cut", 3, 7): "07779d75c7daad2cd82849e9888185199052cb0824439df4dc6a55731007f251",
+    ("cut", 8, 0): "10c684ea691eb6d25e1c98a2414818c3f23a53c999129fbd97803ccdcf9be307",
+    ("cut", 8, 1): "31506f6c3a271d5d96395554af83dbd9ab008f7a503751b942f812e26a90f3c2",
+    ("cut", 8, 7): "3b0c0a8f7f777fa16da3edf8afef749750f83ac6b24e9f9b0b5ae558da115626",
+    ("cut", 14, 0): "2d42d5874ea5a78d0e4996e9ff1cec09161cf3afa8d530e83a863ec16e56fdb5",
+    ("cut", 14, 1): "67130c97d9a62ab2f7ffa37172955eeac1176c6ba3bd1308c5e56ee1f5750e06",
+    ("cut", 14, 7): "10d1db097a6a1baeed166c5e7ca27da7f5ea382f44168912f444a70e4dae2e49",
+    ("cut", 20, 0): "9e021fe31203c90970fc47b4ad8090b538b983354f279bc932bc2a303e13b3fd",
+    ("cut", 20, 1): "334d95757834efbe3095020e7888c739434e01f3b31a9074f01fd2934f8bacc7",
+    ("cut", 20, 7): "417ffefc1e77d3a62146bd3056330d9085a014843b650914a7e7347ca7895d20",
+    ("cut", 21, 0): "998b2100bc7a2fab22b644ce00954fbba71c1449b0867347e656f8fd0a325247",
+    ("cut", 21, 1): "e4869fc149eb4525d1693b26f4d09a66c887dd0d4485b145222c6edd108b1eab",
+    ("cut", 21, 7): "9325bfbb93682761d1a04d38ef76db93582f18658f0f01ec613b93d7b7c01e17",
+    ("cut", 40, 0): "8425f756ef7af9f623ea3c17f8bd70055867942d40e8a4ebd5a8bb67bf325287",
+    ("cut", 40, 1): "637e8d9c9af16a00ec98cff4a5127f40233b4575ee70350861f92e292828981c",
+    ("cut", 40, 7): "2af5ef605e4f738aed1c4a3ec26a16c63f8b44d26816c697d6c361fe8bde14fe",
+    ("coverage", 1, 0): "1c5f865d5a1c4025f798dc7e6d162f04d7ea4437b76fce82a26a7ea658b9c392",
+    ("coverage", 1, 1): "7f095820254dab2d01659c88cdbe33e6fc376bebe528e7c50ab61d613431c077",
+    ("coverage", 1, 7): "4b34ef4243b90cf9d9c2102dd9abbdc45ddbb80e92d52f1ace0d01bb3637a8ce",
+    ("coverage", 2, 0): "a61902d856c7e62b93ba613ee055bb46d8443449861f03dd812957599e3d8986",
+    ("coverage", 2, 1): "96338d442569f6d2c38be8f7ae5e188c59f679c790424b523c3d3d551959cefe",
+    ("coverage", 2, 7): "24f853e3f4458054bd5f3e7c4a055f514c318b4382fca8fbbb3f18a3e9eb201e",
+    ("coverage", 3, 0): "20ad7afbd480eaca8db58150aa1af77b7af1fb5b76ec7571443fdeae2c8dbb36",
+    ("coverage", 3, 1): "663494c18b79b12c12e9b35fac220f6b52d4ca7d448e63153e10db44967d4c3b",
+    ("coverage", 3, 7): "3f76c783da826240988473a2495e39160745410471ca9f3193e1a625157090b2",
+    ("coverage", 8, 0): "2375985e8ee1f379ba60df7ae8d0745d821e3403835f35ae7217519ffe504502",
+    ("coverage", 8, 1): "fe9ababd0b16263f2d82e17e2dcfaf1891987c95b4eb3900e2e5accb5880b743",
+    ("coverage", 8, 7): "f6f0dd2f0cf3e5f2319e875c6a4c98e71c6e2ac58269c793526ff66b6ccc55a9",
+    ("coverage", 14, 0): "3294863149dc93c602a78bbc920d8b87d47b5fce84afb5b2a674147d34240f04",
+    ("coverage", 14, 1): "6ecdae7a2ee9540493af33b30fe8a9361562ec03e4ce081910df2de90c0d8a39",
+    ("coverage", 14, 7): "b0c65f36967c6df8e50ab5f23c24a243a0f38f1ff0e4664b88cf3440b3aba3bf",
+    ("coverage", 20, 0): "540402958157399cfcbcc19e15de3eac663af76da0ef7f8332c1562c6cbfd317",
+    ("coverage", 20, 1): "42ed268b6110281c55e2c62eea43236a182c580acc45e6bd58747ed0d6ec916b",
+    ("coverage", 20, 7): "2eea0a3d933866afa3c248a47fe139c9626b0767ae96f7d5c7423897d5fe9066",
+    ("coverage", 21, 0): "6b988fd33aeec1df9a2489d2046af738aaf981c49c9bb2340eb47dbacf2694d8",
+    ("coverage", 21, 1): "50027bf5bf79cd1b3f1172ee8ad0ad2ca32a59908b480e6e86fc571320ee8ac7",
+    ("coverage", 21, 7): "22f99340a96c3ca7b29755625c063011f144f0a0c760bda35ca85f204d8f5119",
+    ("coverage", 40, 0): "e5a22eda898c5aedfc7054b7e3e8f44d4625ec1f7b7da30829f0996514d31799",
+    ("coverage", 40, 1): "92fdeb22596092397b99d50bea8cd0353d2254aff474e725f03c12f729750613",
+    ("coverage", 40, 7): "fd640ed5d2e210b7059e2e15b9cd8ca040b0487470f54f5f80e18e8085cf8c01",
+    ("quadratic", 1, 0): "fc4cd8ce29ed1b9193218abd7f055d36aa26b8ea15ad5e0b7b61c5dab1b7ee75",
+    ("quadratic", 1, 1): "2431b41b64bdce006194ac1073d7a329b1a7e3b3dff2773bbaf6f2f6a5e700bd",
+    ("quadratic", 1, 7): "c531bcce039f7ef88b20cb7b19badc95ffb2997b1e14fea0d939d17fd2275ebf",
+    ("quadratic", 2, 0): "156472e2246818335a929d110793aafb8524355a0c8da06d29b4bf9bf7e58eb2",
+    ("quadratic", 2, 1): "af040de020f189199b54a50965f4eef03b0c02af99a201fa8385cf41e156ea09",
+    ("quadratic", 2, 7): "a08facd5211021fbda6b59a4f83aca070536741376130f5f377ae04d84fbca02",
+    ("quadratic", 3, 0): "ad54a51e8a258b474cedee3c883a0d82dc3bcba437b7aac6c7c8421d949832dd",
+    ("quadratic", 3, 1): "b39d1d20806ba2e12fcce8acb50d4cf85d9ed65c798835c5620b00ce3e975760",
+    ("quadratic", 3, 7): "cb6f3ff6e54cd56f043350b50f8651aab39c582ee76bba6e1bf408975f93c000",
+    ("quadratic", 8, 0): "3e48dd33a6c1b4a200b669c77542056831d4acb6b3bfec5c35307667b7f98137",
+    ("quadratic", 8, 1): "38ca0778f7758888562b62be5b516f026c8b2b1e8e11507cf7c8f5eee9375b3b",
+    ("quadratic", 8, 7): "7b9528ba5e1f23ac9aa7627cbc6b5ae88d26eded32ebd1be50425d6ac3418547",
+    ("quadratic", 14, 0): "3b856b7103405531564c9d307f04fefc5e7962d550489a52576bd0c38735fdad",
+    ("quadratic", 14, 1): "ada59a23425eff80da043d3c6c08e27eaa5261bca8b9fbb3ba25811cbaef2725",
+    ("quadratic", 14, 7): "7bd589d527be4ef631c63b835fba5e68833464de720ac40f57c455c2fe7ae439",
+    ("quadratic", 20, 0): "6b1d558b50ac97e22153da6ada6ad912e34715febb0f8e31542ad08e3e03db19",
+    ("quadratic", 20, 1): "6341ecae990eb7d1d9a7dda8ebe4e5c4ba646e03f50202973175ceaaa4939c63",
+    ("quadratic", 20, 7): "9c6e516955332774bbb8ac8a326acd3c640e30d2b7beb29d205775f560ba4d80",
+    ("quadratic", 21, 0): "2b1af81b8ea735229fb5c3c0a6df86b1f03d75f3a75b142bf981ac2bd4eb13a9",
+    ("quadratic", 21, 1): "0f52cf90ed9a90cb567aeaaf673e1e85ef3efce06d0a8d0da56b645a0820a26e",
+    ("quadratic", 21, 7): "fce8654ea326be631b77021611f23efdc98f05485ac0c1944cb263c1b11ba974",
+    ("quadratic", 40, 0): "d93553ea781eea0dbff370585898d55125ebf506aacd18627e0bfc7041533de2",
+    ("quadratic", 40, 1): "9486da9ec2b554cfa222065da44114bae0fdcc5b5ce18995dabf6a92379acf84",
+    ("quadratic", 40, 7): "1f31614bd79c00ab77c9f0f8625732c8a3803313c036d513d325e89ca622da37",
+}
+
+
+@pytest.mark.parametrize("kind", ["cut", "coverage", "quadratic"])
+def test_generated_instances_are_pinned(kind):
+    for (k, n, seed), want in GENERATED_SHA256.items():
+        if k == kind:
+            doc = json.dumps(generate_random_instance(kind, n, seed).to_json_dict(),
+                             sort_keys=True)
+            assert hashlib.sha256(doc.encode()).hexdigest() == want, (kind, n, seed)
 
 
 @pytest.mark.parametrize("n", [21, 40])
