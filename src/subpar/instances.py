@@ -25,6 +25,7 @@ vertex restriction of the same polynomial.
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -70,8 +71,22 @@ def _index(value, bound, what):
     return int(value)
 
 
+def _of_kind(values, kinds=(int, float, np.integer, np.floating)):
+    """Whether every value is an instance of kinds; a bool never is."""
+    return all(t is not bool and issubclass(t, kinds) for t in set(map(type, values)))
+
+
+def _ids(values, bound):
+    """values as an intp array if each is an integer in 0..bound-1, else None."""
+    ok = _of_kind(values, (int, np.integer)) and 0 <= min(values, default=0)
+    return np.array(values, dtype=np.intp) if ok and max(values, default=0) < bound else None
+
+
 def _finite(values, name):
-    """values as a float64 array, all finite."""
+    """values as a float64 array, all finite; a str or bool is no number."""
+    if not isinstance(values, np.ndarray):
+        values = np.array(values, dtype=object)
+    _require(values.dtype.kind in "iuf" or _of_kind(values.flat), f"{name} must be numeric")
     try:
         values = np.asarray(values, dtype=np.float64)
     except OverflowError:       # an integer beyond the float64 range
@@ -97,17 +112,22 @@ class CutInstance:
     def __init__(self, n, edges):
         n = self.n = _size(n, "n")
         _dense_budget(8 * n * n, f"n={n}")           # the float64 adjacency W
-        clean = []
-        for u, v, w in edges:
-            u, v = _index(u, n, "edge endpoint"), _index(v, n, "edge endpoint")
-            w = float(_finite(w, f"edge weight on {(u, v)}"))
+        edges = list(edges)
+        try:        # every edge checked as arrays; the loop below names a bad one
+            flat = list(chain.from_iterable(edges))
+            ends, w = _ids(flat[0::3] + flat[1::3], n), np.array(flat[2::3], dtype=np.float64)
+            ok = (set(map(len, edges)) <= {3} and ends is not None and _of_kind(flat[2::3])
+                  and ((ends[:w.size] != ends[w.size:]) & (0 <= w) & (w < np.inf)).all())
+        except (TypeError, ValueError, OverflowError):  # no length, no number, no float64
+            ok = False
+        for e in () if ok else edges:                   # the first bad edge raises
+            _require(hasattr(e, "__len__") and len(e) == 3, f"edge {e!r} is not (u, v, w)")
+            u, v = _index(e[0], n, "edge endpoint"), _index(e[1], n, "edge endpoint")
+            w = float(_finite(e[2], f"edge weight on {(u, v)}"))
             _require(u != v, f"bad edge endpoint in {(u, v)}")
             _require(w >= 0, f"negative edge weight {w} on {(u, v)}")
-            clean.append((u, v, w))
-        self.edges = tuple(clean)
-        self._u = np.array([e[0] for e in clean], dtype=np.intp)
-        self._v = np.array([e[1] for e in clean], dtype=np.intp)
-        self._w = np.array([e[2] for e in clean], dtype=np.float64)
+        _require(ok, "each edge weight must be one number")
+        (self._u, self._v), self._w = ends.reshape(2, -1), w
         # cut value as a quadratic form: f(S) = d.m - m.W.m with W the
         # symmetric weighted adjacency and d the weighted degrees
         self._W = np.zeros((self.n, self.n))
@@ -127,8 +147,8 @@ class CutInstance:
         return self._d - 2.0 * (X @ self._W)
 
     def to_json_dict(self):
-        return {"kind": "cut", "n": self.n,
-                "edges": [[u, v, w] for u, v, w in self.edges]}
+        return {"kind": "cut", "n": self.n, "edges": list(
+            map(list, zip(self._u.tolist(), self._v.tolist(), self._w.tolist())))}
 
 
 class CoverageInstance:
@@ -149,12 +169,13 @@ class CoverageInstance:
         if n <= _VALIDATE_LIMIT:    # validation's (2^n, universe) float64 product
             _dense_budget(8 * universe_size << n,
                           f"validating all 2^{n} subsets at universe={universe_size}")
-        cov = np.zeros((n, universe_size), dtype=bool)
-        for u, items in covers.items():
-            u = _index(u, n, "covering element")
-            for it in items:
-                cov[u, _index(it, universe_size, "universe item")] = True
-        self.covers = cov
+        rows = np.array([_index(u, n, "covering element") for u in covers], dtype=np.intp)
+        items = list(chain.from_iterable(covers.values()))
+        cols = _ids(items, universe_size)
+        for it in items if cols is None else ():        # the first bad item raises
+            _index(it, universe_size, "universe item")
+        cov = self.covers = np.zeros((n, universe_size), dtype=bool)
+        cov[np.repeat(rows, list(map(len, covers.values()))), cols] = True
         self.weights = _finite(weights, "weights")
         self.costs = _finite(costs, "costs")
         _require(self.weights.shape == (universe_size,),
@@ -379,15 +400,31 @@ def hash_kind(kind):
     return codes[kind]
 
 
+def _coin_pairs(rng, n, p, low, high):
+    """(u, v, weight) arrays of the pairs u < v, in row order, that pass a
+    coin of probability p, with the doubles of "per pair: rng.random() < p,
+    then its weight rng.uniform(low, high)", drawn in chunks of pairs left."""
+    u, v = np.triu_indices(n, 1)
+    at, ws, i = [np.arange(0)], [np.zeros(0)], 0
+    while i < u.size:
+        d = rng.random(u.size - i)              # at least one double per pair left
+        k = np.arange(d.size)
+        # a hit, a coin below p, is at an odd place in a run of doubles below p
+        h = np.flatnonzero((k - np.maximum.accumulate(np.where(d < p, -1, k))) % 2)
+        if h.size and h[-1] == d.size - 1:      # the last hit's weight is the next double
+            d = np.append(d, rng.random())
+        at.append(i + h - np.arange(h.size))    # a hit's pair: the coins before it
+        ws.append(d[h + 1])
+        i += d.size - h.size
+    at = np.concatenate(at)
+    return u[at], v[at], low + (high - low) * np.concatenate(ws)
+
+
 def _random_cut(n, rng):
     _dense_budget(8 * n * n, f"n={n}")              # before the O(n^2) coins
     if n < 2:
         return CutInstance(n, [])
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < 0.35:
-                edges.append((u, v, float(rng.uniform(0.5, 1.5))))
+    edges = list(zip(*(a.tolist() for a in _coin_pairs(rng, n, 0.35, 0.5, 1.5))))
     if not edges:  # guarantee a non-trivial function
         u, v = rng.choice(n, size=2, replace=False)
         edges.append((int(u), int(v), float(rng.uniform(0.5, 1.5))))
@@ -421,10 +458,8 @@ def _random_coverage(n, rng, retries=20):
 def _random_quadratic(n, rng):
     _dense_budget(16 * n * n, f"n={n}")             # H and its symmetric part
     H = np.zeros((n, n))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < 0.6:
-                H[u, v] = H[v, u] = -float(rng.uniform(0.2, 1.0))
+    u, v, w = _coin_pairs(rng, n, 0.6, 0.2, 1.0)
+    H[u, v] = H[v, u] = -w
     # h_u >= half the row mass keeps every vertex non-negative
     slack = rng.uniform(0.0, 1.0, size=n)
     h = 0.5 * np.abs(H).sum(axis=1) + slack

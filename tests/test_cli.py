@@ -444,8 +444,13 @@ def test_negative_weight_instance_names_flag(tmp_path, optimize):
     # a JSON true is not a count or an id
     ({"kind": "cut", "n": True, "edges": []}, "n must be an integer >= 1, got True"),
     ({"kind": "cut", "n": 3, "edges": [[0, True, 1.0]]}, "edge endpoint True out of range"),
+    # numpy reads "1.5" and true as 1.5 and 1.0; an instance number is a JSON number
+    ({"kind": "cut", "n": 3, "edges": [[0, 1, "1.5"]]}, "edge weight on (0, 1) must be numeric"),
+    ({"kind": "cut", "n": 3, "edges": [[0, 1, True]]}, "edge weight on (0, 1) must be numeric"),
+    ({"kind": "cut", "n": 3, "edges": [[0, 1, 1.0], [1, 2]]}, "edge [1, 2] is not (u, v, w)"),
 ], ids=["cut", "coverage", "quadratic", "negative-quadratic-n21", "huge-cut", "huge-coverage",
-        "huge-int-weight", "coverage-validation", "bool-n", "bool-endpoint"])
+        "huge-int-weight", "coverage-validation", "bool-n", "bool-endpoint", "string-weight",
+        "bool-weight", "short-edge"])
 def test_non_finite_instance_names_flag(tmp_path, doc, message, optimize):
     p = tmp_path / "nonfinite.json"
     p.write_text(json.dumps(doc) + "\n")              # NaN and Infinity are JSON to Python

@@ -469,7 +469,7 @@ def test_finalize_never_adds_an_isolated_vertex():
         rng = np.random.default_rng(1000 + i)
         n = int(rng.integers(17, 40))
         iso = rng.choice(n, 3, replace=False)
-        edges = [e for e in generate_random_instance("cut", n, i).edges
+        edges = [e for e in generate_random_instance("cut", n, i).to_json_dict()["edges"]
                  if e[0] not in iso and e[1] not in iso]
         X = rng.random(n) < 0.5
         X[iso] = False

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from subpar import (BoxDomain, CoverageInstance, CutInstance, InvalidInstance,
                     MultilinearQuadraticInstance, NonNegativityViolation, UnreadableInstance,
                     dump_instance, generate_random_instance, load_instance)
-from subpar.instances import (check_nonnegative_exhaustive, check_submodular_exhaustive,
-                              instance_from_json_dict)
+from subpar.instances import (_random_cut, _random_quadratic, check_nonnegative_exhaustive,
+                              check_submodular_exhaustive, hash_kind, instance_from_json_dict)
 from subpar.oracles import all_subsets_matrix
 
 from conftest import power_set_extension
@@ -39,7 +39,7 @@ def test_cut_quadratic_form_matches_edge_count():
     inst = generate_random_instance("cut", 9, 4)
     m = rng.random((200, 9)) < 0.5
     direct = np.zeros(200)
-    for u, v, w in inst.edges:
+    for u, v, w in inst.to_json_dict()["edges"]:
         direct += w * (m[:, u] != m[:, v])
     assert np.abs(inst.evaluate_batch(m) - direct).max() < 1e-10
 
@@ -74,6 +74,35 @@ def test_cut_rejects_bad_edges():
         CutInstance(3.5, [])                    # size not an integer
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1)], "edge (0, 1) is not (u, v, w)"),
+    ([(0, 1, 1.0), (1, 2, 1.0, 0)], "edge (1, 2, 1.0, 0) is not (u, v, w)"),
+    ([(0, 1, 1.0), 5], "edge 5 is not (u, v, w)"),
+    ([(0, 1, "1.5")], "edge weight on (0, 1) must be numeric"),
+    ([(0, 1, True)], "edge weight on (0, 1) must be numeric"),
+    ([(0, 1, 1.0), (2, 2, 1.0), (0, 3, 1.0)], "bad edge endpoint in (2, 2)"),
+    ([(0, 1, 1.0), (0, 2, -0.5), ("0", 1, 1.0)], "negative edge weight -0.5 on (0, 2)"),
+    ([(0, 3, 1.0), (False, 1, 1.0)], "edge endpoint 3 out of range 0..2"),
+    ([(1, 0, 1.0), (0, 1, np.nan), (0, 2 ** 70, 1.0)], "edge weight on (0, 1) must be finite"),
+    ([(0, 2 ** 70, 1.0), (0, 1, np.nan)], f"edge endpoint {2 ** 70} out of range"),
+], ids=["short", "long", "scalar", "str-weight", "bool-weight", "self-loop", "negative",
+        "range-before-type", "nan-before-huge", "huge-before-nan"])
+def test_cut_names_its_first_bad_edge(edges, message):
+    # the edges are checked as arrays; the message names the first bad
+    # edge, whatever is wrong with the later ones
+    with pytest.raises(InvalidInstance) as e:
+        CutInstance(3, edges)
+    assert str(e.value).startswith(message)
+
+
+def test_cut_edges_as_arrays():
+    inst = CutInstance(4, [(0, 1, 1), (np.int64(3), 2, np.float32(0.5)), (1, 0, 2.0)])
+    assert inst._u.dtype == np.intp and inst._w.dtype == np.float64
+    assert inst.to_json_dict()["edges"] == [[0, 1, 1.0], [3, 2, 0.5], [1, 0, 2.0]]
+    assert inst._W[0, 1] == inst._W[1, 0] == 3.0 and inst._W[2, 3] == 0.5
+    assert CutInstance(4, iter([(0, 1, 1.0)])).to_json_dict()["edges"] == [[0, 1, 1.0]]
+
+
 _H = [[0.0, -1.0], [-1.0, 0.0]]
 
 
@@ -94,6 +123,28 @@ def test_non_finite_numbers_are_rejected_at_construction(build, field):
     assert str(e.value) == f"{field} must be finite"
 
 
+_HH = [["0", "-1"], ["-1", "0"]]
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: CoverageInstance(2, 2, {0: [0]}, ["1", 1.0], [0.0, 0.0]), "weights"),
+    (lambda: CoverageInstance(2, 2, {0: [0]}, [1.0, 1.0], [0.0, True]), "costs"),
+    (lambda: CoverageInstance(2, 2, {0: [0]}, np.ones(2, dtype=bool), [0.0, 0.0]), "weights"),
+    (lambda: MultilinearQuadraticInstance(2, "0", [1.0, 1.0], _H), "c"),
+    (lambda: MultilinearQuadraticInstance(2, 0.0, ["1", "1"], _H), "h"),
+    (lambda: MultilinearQuadraticInstance(2, 0.0, [1.0, True], _H), "h"),
+    (lambda: MultilinearQuadraticInstance(2, 0.0, [1.0, 1.0], _HH), "H"),
+    (lambda: BoxDomain(["0", 0.0], [1.0, 1.0]), "box lower"),
+    (lambda: BoxDomain([0.0, 0.0], [1.0, False]), "box upper"),
+], ids=["coverage-str-weight", "coverage-bool-cost", "coverage-bool-array", "quadratic-str-c",
+        "quadratic-str-h", "quadratic-bool-h", "quadratic-str-H", "box-str", "box-bool"])
+def test_non_numbers_are_rejected_at_construction(build, field):
+    # numpy would read "1" as 1.0 and True as 1.0; only numbers are numbers
+    with pytest.raises(InvalidInstance) as e:
+        build()
+    assert str(e.value) == f"{field} must be numeric"
+
+
 # -- coverage ------------------------------------------------------------------
 
 def test_coverage_frozen(tiny_coverage):
@@ -105,6 +156,24 @@ def test_coverage_frozen(tiny_coverage):
 def test_coverage_rejects_negative_function():
     with pytest.raises(NonNegativityViolation):
         CoverageInstance(2, 1, {0: [0], 1: [0]}, weights=[1.0], costs=[5.0, 5.0])
+
+
+@pytest.mark.parametrize("covers, message", [
+    ({0: [0, 1], 1: [1, 3, "x"]}, "universe item 3 out of range 0..2"),
+    ({0: [0, True], 1: [3]}, "universe item True out of range"),
+    ({0: [0, 2 ** 70]}, f"universe item {2 ** 70} out of range"),
+    ({0: [0], 2: [1]}, "covering element 2 out of range 0..1"),
+], ids=["range", "bool", "huge", "element"])
+def test_coverage_names_its_first_bad_id(covers, message):
+    with pytest.raises(InvalidInstance, match=f"^{message}"):
+        CoverageInstance(2, 3, covers, weights=[1.0] * 3, costs=[0.0, 0.0])
+
+
+def test_coverage_covers_as_arrays():
+    inst = CoverageInstance(3, 4, {2: [3, 0, 3], 0: (np.int64(1),), 1: []},
+                            weights=[1.0] * 4, costs=[0.0] * 3)
+    assert inst.covers.tolist() == [[False, True, False, False], [False] * 4,
+                                    [True, False, False, True]]
 
 
 def test_coverage_large_n_requires_zero_costs():
@@ -354,6 +423,47 @@ def test_generated_instances_are_pinned(kind):
             doc = json.dumps(generate_random_instance(kind, n, seed).to_json_dict(),
                              sort_keys=True)
             assert hashlib.sha256(doc.encode()).hexdigest() == want, (kind, n, seed)
+
+
+class _CountingRng:
+    """A Generator that counts the calls made to it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        self.calls += 1
+        return getattr(self.rng, name)
+
+
+def _scalar_pairs(rng, n, p, low, high):
+    """The spec of a generator's coins: per pair u < v in row order, one
+    rng.random() coin, then the weight of a pair that passes it."""
+    return [(u, v, float(rng.uniform(low, high)))
+            for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+
+
+@pytest.mark.parametrize("kind", ["cut", "quadratic"])
+def test_generators_draw_their_coins_in_bulk(kind):
+    n, seed = 200, 3
+    streams = [np.random.default_rng(np.random.SeedSequence((hash_kind(kind), n, seed)))
+               for _ in range(2)]
+    counted = _CountingRng(streams[0])
+    if kind == "cut":
+        got = _random_cut(n, counted).to_json_dict()
+        want = CutInstance(n, _scalar_pairs(streams[1], n, 0.35, 0.5, 1.5)).to_json_dict()
+    else:
+        got = _random_quadratic(n, counted).to_json_dict()
+        H = np.zeros((n, n))
+        for u, v, w in _scalar_pairs(streams[1], n, 0.6, 0.2, 1.0):
+            H[u, v] = H[v, u] = -w
+        h = 0.5 * np.abs(H).sum(axis=1) + streams[1].uniform(0.0, 1.0, size=n)
+        want = MultilinearQuadraticInstance(n, float(streams[1].uniform(0.0, 0.5)), h,
+                                            H).to_json_dict()
+    assert got == want
+    # 19,900 pairs: one call per chunk of pairs left, each chunk a fraction of the last
+    assert counted.calls <= 2 * np.log2(n * n), counted.calls
+    assert streams[0].random() == streams[1].random()       # the same stream left
 
 
 @pytest.mark.parametrize("n", [21, 40])
