@@ -13,10 +13,12 @@ A marginal is a gradient taken at a vertex: at a 0/1 point S the u-th
 partial is f(S+u) - f(S-u), so gradient_batch answers both
 SetOracle.eval_marginals and the gradients of SetOracle.eval_extension.
 
-Every number an instance is built from must be finite; construction
-rejects NaN, infinities and integers beyond the float64 range with
-InvalidInstance, naming the field.  BoxDomain holds the box of a boxed
-quadratic, under the same rule.
+Every number an instance is built from must be a finite number;
+construction rejects NaN, infinities, integers beyond the float64 range,
+strings and booleans with InvalidInstance, naming the field.  BoxDomain
+holds the box of a boxed quadratic, under the same rule.  Edges and cover
+items are checked as arrays; a per-entry pass runs only to name the
+first bad one.
 
 Quadratic instances are their own extension: their Hessian has zero
 diagonal, so they are multilinear, and the set evaluation is just the
@@ -120,7 +122,7 @@ class CutInstance:
                   and ((ends[:w.size] != ends[w.size:]) & (0 <= w) & (w < np.inf)).all())
         except (TypeError, ValueError, OverflowError):  # no length, no number, no float64
             ok = False
-        for e in () if ok else edges:                   # the first bad edge raises
+        for e in () if ok else edges:                   # raises at the first bad edge
             _require(hasattr(e, "__len__") and len(e) == 3, f"edge {e!r} is not (u, v, w)")
             u, v = _index(e[0], n, "edge endpoint"), _index(e[1], n, "edge endpoint")
             w = float(_finite(e[2], f"edge weight on {(u, v)}"))
@@ -147,8 +149,8 @@ class CutInstance:
         return self._d - 2.0 * (X @ self._W)
 
     def to_json_dict(self):
-        return {"kind": "cut", "n": self.n, "edges": list(
-            map(list, zip(self._u.tolist(), self._v.tolist(), self._w.tolist())))}
+        edges = zip(self._u.tolist(), self._v.tolist(), self._w.tolist())
+        return {"kind": "cut", "n": self.n, "edges": [list(e) for e in edges]}
 
 
 class CoverageInstance:
@@ -424,7 +426,8 @@ def _random_cut(n, rng):
     _dense_budget(8 * n * n, f"n={n}")              # before the O(n^2) coins
     if n < 2:
         return CutInstance(n, [])
-    edges = list(zip(*(a.tolist() for a in _coin_pairs(rng, n, 0.35, 0.5, 1.5))))
+    u, v, w = _coin_pairs(rng, n, 0.35, 0.5, 1.5)
+    edges = list(zip(u.tolist(), v.tolist(), w.tolist()))
     if not edges:  # guarantee a non-trivial function
         u, v = rng.choice(n, size=2, replace=False)
         edges.append((int(u), int(v), float(rng.uniform(0.5, 1.5))))
