@@ -13,12 +13,10 @@ A marginal is a gradient taken at a vertex: at a 0/1 point S the u-th
 partial is f(S+u) - f(S-u), so gradient_batch answers both
 SetOracle.eval_marginals and the gradients of SetOracle.eval_extension.
 
-Every number an instance is built from must be a finite number;
+Every number an instance is built from must be a finite int or float:
 construction rejects NaN, infinities, integers beyond the float64 range,
-strings and booleans with InvalidInstance, naming the field.  BoxDomain
-holds the box of a boxed quadratic, under the same rule.  Edges and cover
-items are checked as arrays; a per-entry pass runs only to name the
-first bad one.
+strings and bools with InvalidInstance, naming the field.  BoxDomain
+holds the box of a boxed quadratic, under the same rule.
 
 Quadratic instances are their own extension: their Hessian has zero
 diagonal, so they are multilinear, and the set evaluation is just the
@@ -86,9 +84,8 @@ def _ids(values, bound):
 
 def _finite(values, name):
     """values as a float64 array, all finite; a str or bool is no number."""
-    if not isinstance(values, np.ndarray):
-        values = np.array(values, dtype=object)
-    _require(values.dtype.kind in "iuf" or _of_kind(values.flat), f"{name} must be numeric")
+    numeric = isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
+    _require(numeric or _of_kind(np.array(values, dtype=object).flat), f"{name} must be numeric")
     try:
         values = np.asarray(values, dtype=np.float64)
     except OverflowError:       # an integer beyond the float64 range
@@ -403,23 +400,19 @@ def hash_kind(kind):
 
 
 def _coin_pairs(rng, n, p, low, high):
-    """(u, v, weight) arrays of the pairs u < v, in row order, that pass a
-    coin of probability p, with the doubles of "per pair: rng.random() < p,
-    then its weight rng.uniform(low, high)", drawn in chunks of pairs left."""
+    """(u, v, weight) arrays of the pairs u < v that pass a coin of probability p, with
+    the doubles of "per pair in row order: rng.random() < p, then rng.uniform(low, high)"."""
     u, v = np.triu_indices(n, 1)
-    at, ws, i = [np.arange(0)], [np.zeros(0)], 0
-    while i < u.size:
-        d = rng.random(u.size - i)              # at least one double per pair left
-        k = np.arange(d.size)
+    d, hit = np.zeros(0), np.arange(0)
+    while u.size + hit.size > d.size:       # drawn: a coin per pair, a weight per hit
+        s = d.size + (d.size - 1 in hit[-1:])           # the next coin, past a pending weight
+        d = np.append(d, rng.random(u.size + hit.size - d.size))   # doubles certainly needed
+        k = np.arange(d.size - s)
         # a hit, a coin below p, is at an odd place in a run of doubles below p
-        h = np.flatnonzero((k - np.maximum.accumulate(np.where(d < p, -1, k))) % 2)
-        if h.size and h[-1] == d.size - 1:      # the last hit's weight is the next double
-            d = np.append(d, rng.random())
-        at.append(i + h - np.arange(h.size))    # a hit's pair: the coins before it
-        ws.append(d[h + 1])
-        i += d.size - h.size
-    at = np.concatenate(at)
-    return u[at], v[at], low + (high - low) * np.concatenate(ws)
+        run = k - np.maximum.accumulate(np.where(d[s:] < p, -1, k))
+        hit = np.append(hit, s + np.flatnonzero(run % 2))
+    at = hit - np.arange(hit.size)          # a hit's pair: the coins before it
+    return u[at], v[at], low + (high - low) * d[hit + 1]
 
 
 def _random_cut(n, rng):
