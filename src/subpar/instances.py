@@ -114,10 +114,10 @@ class CutInstance:
         edges = list(edges)
         try:        # every edge checked as arrays; the loop below names a bad one
             flat = list(chain.from_iterable(edges))
-            ends, w = _ids(flat[0::3] + flat[1::3], n), np.array(flat[2::3], dtype=np.float64)
-            ok = (set(map(len, edges)) <= {3} and ends is not None and _of_kind(flat[2::3])
-                  and ((ends[:w.size] != ends[w.size:]) & (0 <= w) & (w < np.inf)).all())
-        except (TypeError, ValueError, OverflowError):  # no length, no number, no float64
+            ends, w = _ids(flat[0::3] + flat[1::3], n), _finite(flat[2::3], "edge weights")
+            ok = (set(map(len, edges)) <= {3} and ends is not None and w.ndim == 1
+                  and ((ends[:w.size] != ends[w.size:]) & (w >= 0)).all())
+        except (TypeError, ValueError):     # no length, or no finite number (InvalidInstance)
             ok = False
         for e in () if ok else edges:                   # raises at the first bad edge
             _require(hasattr(e, "__len__") and len(e) == 3, f"edge {e!r} is not (u, v, w)")
