@@ -122,9 +122,10 @@ class CutInstance:
         for e in () if ok else edges:                   # raises at the first bad edge
             _require(hasattr(e, "__len__") and len(e) == 3, f"edge {e!r} is not (u, v, w)")
             u, v = _index(e[0], n, "edge endpoint"), _index(e[1], n, "edge endpoint")
-            w = float(_finite(e[2], f"edge weight on {(u, v)}"))
+            w = _finite(e[2], f"edge weight on {(u, v)}")
+            _require(w.ndim == 0, f"edge weight on {(u, v)} must be one number")
             _require(u != v, f"bad edge endpoint in {(u, v)}")
-            _require(w >= 0, f"negative edge weight {w} on {(u, v)}")
+            _require(w >= 0, f"negative edge weight {float(w)} on {(u, v)}")
         _require(ok, "each edge weight must be one number")
         (self._u, self._v), self._w = ends.reshape(2, -1), w
         # cut value as a quadratic form: f(S) = d.m - m.W.m with W the

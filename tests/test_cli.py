@@ -448,9 +448,10 @@ def test_negative_weight_instance_names_flag(tmp_path, optimize):
     ({"kind": "cut", "n": 3, "edges": [[0, 1, "1.5"]]}, "edge weight on (0, 1) must be numeric"),
     ({"kind": "cut", "n": 3, "edges": [[0, 1, True]]}, "edge weight on (0, 1) must be numeric"),
     ({"kind": "cut", "n": 3, "edges": [[0, 1, 1.0], [1, 2]]}, "edge [1, 2] is not (u, v, w)"),
+    ({"kind": "cut", "n": 3, "edges": [[0, 1, [1.0]]]}, "edge weight on (0, 1) must be one number"),
 ], ids=["cut", "coverage", "quadratic", "negative-quadratic-n21", "huge-cut", "huge-coverage",
         "huge-int-weight", "coverage-validation", "bool-n", "bool-endpoint", "string-weight",
-        "bool-weight", "short-edge"])
+        "bool-weight", "short-edge", "list-weight"])
 def test_non_finite_instance_names_flag(tmp_path, doc, message, optimize):
     p = tmp_path / "nonfinite.json"
     p.write_text(json.dumps(doc) + "\n")              # NaN and Infinity are JSON to Python

@@ -80,13 +80,14 @@ def test_cut_rejects_bad_edges():
     ([(0, 1, 1.0), 5], "edge 5 is not (u, v, w)"),
     ([(0, 1, "1.5")], "edge weight on (0, 1) must be numeric"),
     ([(0, 1, True)], "edge weight on (0, 1) must be numeric"),
+    ([(0, 1, 1.0), (1, 2, [2.0])], "edge weight on (1, 2) must be one number"),
     ([(0, 1, 1.0), (2, 2, 1.0), (0, 3, 1.0)], "bad edge endpoint in (2, 2)"),
     ([(0, 1, 1.0), (0, 2, -0.5), ("0", 1, 1.0)], "negative edge weight -0.5 on (0, 2)"),
     ([(0, 3, 1.0), (False, 1, 1.0)], "edge endpoint 3 out of range 0..2"),
     ([(1, 0, 1.0), (0, 1, np.nan), (0, 2 ** 70, 1.0)], "edge weight on (0, 1) must be finite"),
     ([(0, 2 ** 70, 1.0), (0, 1, np.nan)], f"edge endpoint {2 ** 70} out of range"),
-], ids=["short", "long", "scalar", "str-weight", "bool-weight", "self-loop", "negative",
-        "range-before-type", "nan-before-huge", "huge-before-nan"])
+], ids=["short", "long", "scalar", "str-weight", "bool-weight", "list-weight", "self-loop",
+        "negative", "range-before-type", "nan-before-huge", "huge-before-nan"])
 def test_cut_names_its_first_bad_edge(edges, message):
     # the edges are checked as arrays; the message names the first bad
     # edge, whatever is wrong with the later ones
