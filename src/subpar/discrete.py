@@ -26,7 +26,7 @@ import numpy as np
 
 from .continuous import (ParamOutOfRange, StateInvariantViolation, check_epsilon,
                          compute_rates, first_step, geometric_grid, preprocess_grid)
-from .oracles import _EVAL_CHUNK, ids_of, is_integer
+from .oracles import _EVAL_CHUNK, _distinct_rows, ids_of, is_integer
 from .reports import DiscreteIterationTrace
 
 
@@ -296,41 +296,6 @@ def discrete_update(set_oracle, X, Y, epsilon, seed, iteration, m):
                                    x_size=int(X2.sum()), y_size=int(Y2.sum()),
                                    rounds_used=r1 - r0, queries_used=q1 - q0)
     return X2, Y2, trace
-
-
-def _distinct_rows(m):
-    """The distinct rows of a boolean (B, w) matrix in first-seen order,
-    and for each row of m the index of its distinct row."""
-    B, w = m.shape
-    # w <= 16: the key is an integer below 2^w, each key's first row
-    # comes from a 2^w table and the present keys are ordered by it, so
-    # the B keys are never sorted
-    if w <= 16:
-        keys = m @ (1 << np.arange(w, dtype=np.intp))
-        first = np.full(1 << w, B, dtype=np.intp)
-        np.minimum.at(first, keys, np.arange(B))
-        present = np.flatnonzero(first < B)
-        order = present[np.argsort(first[present])]
-        rank = np.empty(1 << w, dtype=np.intp)
-        rank[order] = np.arange(order.size)
-        return m[first[order]], rank[keys]
-    # w <= 53: one float key per row, the sum of 2^u over its members.
-    # Every partial sum is an integer below 2^53, so the key is exact in
-    # any BLAS summation order; one matrix-vector product builds it, and
-    # np.unique sorts it about twice as fast as the byte-string key of
-    # the packed bits that the wider rows need
-    if w <= 53:
-        keys = m.astype(np.float64) @ 2.0 ** np.arange(w)
-    else:
-        packed = np.packbits(m, axis=1)
-        keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    # first-seen rather than sorted order: rows without repeats then
-    # come back row for row as they were given
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return m[first[order]], rank[inverse.reshape(-1)]
 
 
 def g_estimates(set_oracle, X, Y, r, deltas, seed, iteration, m):

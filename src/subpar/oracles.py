@@ -8,7 +8,11 @@ meter therefore have to gather every independently-computable query of a
 phase into a single batch -- issuing them one by one inflates the meter,
 which is the point of the instrument.  How a batch is computed does not
 change its cost, so the gateway starts no workers: it evaluates a batch
-within the call, slice by slice.
+within the call, slice by slice.  Two helpers make the gateway's two
+layout decisions: _slices cuts a round into equal runs of whole bases,
+for every slicing round, and _distinct_rows finds a batch's distinct
+rows in first-seen order, for the power-set cache and the discrete
+G-estimate round.
 
 A marginal-gain round (eval_marginals) asks, for every base set S of a
 batch and every element u, for f(S+u) - f(S-u); it is priced as the 2n
@@ -129,10 +133,55 @@ def all_subsets_matrix(n):
 # heap goes back to the OS after every slice and the next slice faults
 # its pages in afresh, until the process frees a larger mmapped block,
 # which raises the thresholds.
-# A longer batch is cut into equal slices, between half a chunk and a
-# chunk each: BLAS picks its kernel by batch shape, and a short tail
-# slice would run another kernel than the rest of its batch.
+# A longer round is cut into equal runs of whole bases (_slices), each
+# at most a chunk as far as whole bases allow: BLAS picks its kernel by
+# batch shape, and a short tail slice would run another kernel than the
+# rest of its batch.
 _EVAL_CHUNK = 1 << 14
+
+
+def _slices(count, width):
+    """The (lo, hi) runs of `count` bases of `width` rows each that a
+    round is evaluated in: one run per _EVAL_CHUNK rows, rounded up, but
+    never more runs than bases, their lengths differing by at most one
+    base, so that each holds at most _EVAL_CHUNK + width - 1 rows."""
+    parts = min(count, -(-count * width // _EVAL_CHUNK))
+    return [(i * count // parts, (i + 1) * count // parts) for i in range(parts)]
+
+
+def _distinct_rows(m):
+    """The distinct rows of a boolean (B, w) matrix in first-seen order,
+    and for each row of m the index of its distinct row."""
+    B, w = m.shape
+    # w <= 16: the key is an integer below 2^w, each key's first row
+    # comes from a 2^w table and the present keys are ordered by it, so
+    # the B keys are never sorted
+    if w <= 16:
+        keys = m @ (1 << np.arange(w, dtype=np.intp))
+        first = np.full(1 << w, B, dtype=np.intp)
+        np.minimum.at(first, keys, np.arange(B))
+        present = np.flatnonzero(first < B)
+        order = present[np.argsort(first[present])]
+        rank = np.empty(1 << w, dtype=np.intp)
+        rank[order] = np.arange(order.size)
+        return m[first[order]], rank[keys]
+    # w <= 53: one float key per row, the sum of 2^u over its members.
+    # Every partial sum is an integer below 2^53, so the key is exact in
+    # any BLAS summation order; one matrix-vector product builds it, and
+    # np.unique sorts it about twice as fast as the byte-string key of
+    # the packed bits that the wider rows need
+    if w <= 53:
+        keys = m.astype(np.float64) @ 2.0 ** np.arange(w)
+    else:
+        packed = np.packbits(m, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # first-seen rather than sorted order: rows without repeats then
+    # come back row for row as they were given
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return m[first[order]], rank[inverse.reshape(-1)]
 
 
 def default_threads():
@@ -150,8 +199,8 @@ class SetOracle:
     float (P, n) batch, and `gradient_batch(points)`, its (P, n)
     gradient; at a 0/1 row that is the matrix of f(S+u) - f(S-u).
     Every batch of sets handed to the gateway must pass members_matrix.
-    A batch is evaluated within the call, in equal slices of at most
-    _EVAL_CHUNK rows, one after another.  All mutability lives in the
+    A batch is evaluated within the call, in the runs of whole bases
+    that _slices gives, one after another.  All mutability lives in the
     accounting record, updated once per batch.
     """
 
@@ -228,15 +277,11 @@ class SetOracle:
         self.accounting.charge(B * width)
         marg = np.empty((B, n))
         vals = np.empty(B) if values else None
-        # slices of about one evaluation chunk bound the gradient's float
-        # temporaries; BLAS sums a row in an order that depends on its
-        # slice, so the step also fixes the output bits
-        step = max(1, _EVAL_CHUNK // width)
-        for lo in range(0, B, step):
-            blk = m[lo:lo + step]
-            marg[lo:lo + step] = self.instance.gradient_batch(blk.astype(np.float64))
+        for lo, hi in _slices(B, width):
+            blk = m[lo:hi]
+            marg[lo:hi] = self.instance.gradient_batch(blk.astype(np.float64))
             if values:
-                vals[lo:lo + step] = self._evaluate(blk)
+                vals[lo:hi] = self._evaluate(blk)
         if values:
             return self._finite(marg), self._finite(vals)
         return self._finite(marg)
@@ -275,35 +320,22 @@ class SetOracle:
         when it is evaluated."""
         n = m.shape[1]
         w = 1 if flips is None else len(flips) + 1
-        rows = len(m) * w
 
         def block(lo, hi):
+            # bases lo..hi, each with all w of its rows
             if flips is None:
                 return m[lo:hi]
-            # the bases that rows lo..hi come from, each with all w rows
-            b = lo // w
-            laid = np.repeat(m[b:-(-hi // w)], w, axis=0)
+            laid = np.repeat(m[lo:hi], w, axis=0)
             laid.reshape(-1, w, n)[:, np.arange(1, w), flips] ^= True
-            return laid[lo - b * w:hi - b * w]
+            return laid
 
         # small ground set, big batch: rows repeat heavily (pigeonhole),
         # so evaluate each distinct subset once and scatter the values
         # back.  Pure caching -- accounting was already charged per row.
-        if n <= 16 and rows >= 4 * (1 << n):
-            keys = block(0, rows) @ (1 << np.arange(n, dtype=np.int64))
-            seen = np.zeros(1 << n, dtype=bool)
-            seen[keys] = True
-            uniq = np.flatnonzero(seen)
-            table = (uniq[:, None] >> np.arange(n, dtype=np.int64)) & 1 == 1
-            vals = self.instance.evaluate_batch(table)
-            pos = np.empty(1 << n, dtype=np.int64)
-            pos[uniq] = np.arange(uniq.size)
-            return vals[pos[keys]].astype(np.float64, copy=False)
-        # equal slices of at most _EVAL_CHUNK rows, lengths differing by
-        # at most one, so every slice of a long batch is at least half one
-        out = np.empty(rows, dtype=np.float64)
-        parts = -(-rows // _EVAL_CHUNK)
-        cuts = np.arange(parts + 1) * rows // parts
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            out[lo:hi] = self.instance.evaluate_batch(block(lo, hi))
+        if n <= 16 and len(m) * w >= 4 * (1 << n):
+            distinct, which = _distinct_rows(block(0, len(m)))
+            return self.instance.evaluate_batch(distinct)[which].astype(np.float64, copy=False)
+        out = np.empty(len(m) * w, dtype=np.float64)
+        for lo, hi in _slices(len(m), w):
+            out[lo * w:hi * w] = self.instance.evaluate_batch(block(lo, hi))
         return out

@@ -11,11 +11,11 @@ import pytest
 
 from subpar import (CutInstance, DiscreteParams, ParamOutOfRange, SetOracle,
                     StateInvariantViolation, generate_random_instance, run_discrete)
-from subpar.discrete import (RoundTooLarge, _distinct_rows, _pair_draw, _stream, _streams,
+from subpar.discrete import (RoundTooLarge, _pair_draw, _stream, _streams,
                              discrete_preprocess, discrete_update, discrete_update_grid,
                              estimate_tau, finalize, g_estimates, round_step)
 import subpar.oracles as oracles
-from subpar.oracles import OracleAccounting
+from subpar.oracles import OracleAccounting, _distinct_rows
 
 from gain_oracle import expected_update_gain
 
@@ -289,7 +289,8 @@ def test_the_g_round_checks_its_buffer(monkeypatch):
 def test_the_g_round_checks_its_values_and_one_slice_of_rows(monkeypatch):
     # after the draw the round holds the float values of its U distinct
     # bases and their flips, and lays out one evaluation slice of flip
-    # rows at a time: a chunk plus the two part-bases at its ends
+    # rows at a time: whole bases, at most a chunk plus k rows, within
+    # the chunk plus 2(k+1) rows the check budgets
     import subpar.discrete as discrete
     n, m = 20, 10
     X, Y = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)

@@ -16,8 +16,8 @@ import subpar.oracles as oracles
 from subpar import (CutInstance, InvalidElement, MultilinearOracle, NonFiniteValue,
                     OracleAccounting, SetOracle, generate_random_instance, ids_of,
                     run_continuous)
-from subpar.discrete import _distinct_rows
-from subpar.oracles import OutOfBox, all_subsets_matrix, default_threads, members_matrix
+from subpar.oracles import (OutOfBox, _distinct_rows, _slices, all_subsets_matrix,
+                            default_threads, members_matrix)
 
 from conftest import power_set_extension
 
@@ -145,6 +145,42 @@ def test_chunked_evaluation_matches_its_slices(monkeypatch):
         assert so.accounting.snapshot() == (1, rows)
 
 
+@pytest.mark.parametrize("count, width, chunk", [
+    (1, 1, 64), (64, 1, 64), (65, 1, 64), (1000, 1, 64),
+    (50, 15, 60), (12, 4, 10), (7, 9, 64), (400, 301, 16384),
+    (3, 5, 4), (10, 100, 64),                        # a base wider than a chunk
+])
+def test_slices_are_equal_runs_of_whole_bases(monkeypatch, count, width, chunk):
+    # in order over 0..count, lengths differing by at most one base, each
+    # run at most chunk + width - 1 rows: one run per chunk of rows,
+    # rounded up, or one per base once a base is wider than a chunk
+    monkeypatch.setattr(oracles, "_EVAL_CHUNK", chunk)
+    runs = _slices(count, width)
+    assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]]
+    assert runs[-1][1] == count
+    bases = [hi - lo for lo, hi in runs]
+    assert min(bases) >= 1 and max(bases) - min(bases) <= 1
+    assert max(bases) * width <= chunk + width - 1
+    assert len(runs) == min(count, -(-count * width // chunk))
+
+
+def test_power_set_cache_evaluates_distinct_subsets_in_first_seen_order(monkeypatch):
+    # a round of at least 4 * 2^n rows over n <= 16 reaches the instance
+    # as its distinct subsets, each once, in the order they first occur
+    inst = CutInstance(8, [(0, 1, 1.0), (2, 3, 0.5), (1, 4, 2.0), (5, 7, 1.5)])
+    evaluate, seen = inst.evaluate_batch, []
+    monkeypatch.setattr(inst, "evaluate_batch",
+                        lambda m: seen.append(m.copy()) or evaluate(m))
+    m = np.random.default_rng(11).random((3000, 8)) < 0.3
+    got = SetOracle(inst).eval_batch(m)
+    first = {}
+    for row in m:
+        first.setdefault(row.tobytes(), row)
+    (rows,) = seen
+    assert np.array_equal(rows, np.array(list(first.values())))
+    assert np.array_equal(got, evaluate(m))
+
+
 def test_threads_default_to_core_count():
     assert default_threads() == (os.cpu_count() or 1)
 
@@ -219,18 +255,24 @@ def test_eval_gains_evaluate_each_base_once(monkeypatch):
 def test_eval_gains_without_repeats_keep_the_given_order(monkeypatch):
     # distinct bases go in first-seen order, so a batch without repeats
     # reaches the instance as each base followed by its k flips, base by
-    # base in the order given
+    # base in the order given; a round longer than a chunk is cut into
+    # whole bases, each slice a multiple of k+1 rows
     inst = generate_random_instance("cut", 18, 0)
     evaluate, seen = inst.evaluate_batch, []
     monkeypatch.setattr(inst, "evaluate_batch",
                         lambda m: seen.append(m.copy()) or evaluate(m))
     bases = np.random.default_rng(6).random((12, 18)) < 0.5
     elements = [4, 0, 17]
-    SetOracle(inst).eval_gains(bases, elements)
     want = np.repeat(bases, 4, axis=0).reshape(12, 4, 18)
     for j, u in enumerate(elements):
         want[:, 1 + j, u] ^= True
-    assert np.array_equal(np.concatenate(seen), want.reshape(-1, 18))
+    for chunk in (oracles._EVAL_CHUNK, 10):
+        monkeypatch.setattr(oracles, "_EVAL_CHUNK", chunk)
+        seen.clear()
+        SetOracle(inst).eval_gains(bases, elements)
+        assert np.array_equal(np.concatenate(seen), want.reshape(-1, 18))
+        assert len(seen) == -(-12 * 4 // chunk)
+        assert all(len(rows) % 4 == 0 for rows in seen)
 
 
 # _distinct_rows keys a base by a float up to n = 53, whose last bit
@@ -271,8 +313,8 @@ def _first_seen(m):
     return m[first[order]], rank[inverse.reshape(-1)]
 
 
-# the discrete G-estimate round's dedupe: widths up to 16 take the 2^w
-# table, 17 the float key
+# the dedupe of the gateway's power-set cache and of the discrete
+# G-estimate round: widths up to 16 take the 2^w table, 17 the float key
 @pytest.mark.parametrize("w", range(1, 18))
 @pytest.mark.parametrize("repeats", [True, False])
 def test_distinct_rows_keep_first_seen_order(w, repeats):
@@ -445,17 +487,25 @@ def test_cut_marginals_are_a_closed_form(triangle, spy_oracle):
 
 @pytest.mark.parametrize("kind", ["cut", "coverage"])
 def test_eval_marginals_round_is_its_slices_one_by_one(kind, monkeypatch):
-    # width 2n + 1 = 15 rows per base: a 60-row chunk holds 4 bases, so
-    # the 50-base round is 13 slices, and still one round
+    # width 2n + 1 = 15 rows per base: 50 bases are 750 rows, 13 chunks
+    # of 60, so the round is 13 equal runs of 3 or 4 whole bases, and
+    # still one round
     monkeypatch.setattr(oracles, "_EVAL_CHUNK", 60)
     inst = generate_random_instance(kind, 7, 2)
     bases = np.random.default_rng(4).random((50, 7)) < 0.5
+    cuts = [0, 3, 7, 11, 15, 19, 23, 26, 30, 34, 38, 42, 46, 50]
+    slices = [bases[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+    want_marg = np.concatenate([inst.gradient_batch(b.astype(np.float64)) for b in slices])
+    want_vals = np.concatenate([inst.evaluate_batch(b) for b in slices])
+    gradient, evaluate, sizes = inst.gradient_batch, inst.evaluate_batch, []
+    monkeypatch.setattr(inst, "gradient_batch",
+                        lambda p: sizes.append(("gradient", len(p))) or gradient(p))
+    monkeypatch.setattr(inst, "evaluate_batch",
+                        lambda m: sizes.append(("values", len(m))) or evaluate(m))
     so = SetOracle(inst)
     marg, vals = so.eval_marginals(bases, values=True)
-    slices = [bases[lo:lo + 4] for lo in range(0, 50, 4)]
-    assert np.array_equal(marg, np.concatenate([inst.gradient_batch(b.astype(np.float64))
-                                                for b in slices]))
-    assert np.array_equal(vals, np.concatenate([inst.evaluate_batch(b) for b in slices]))
+    assert sizes == [(call, len(b)) for b in slices for call in ("gradient", "values")]
+    assert np.array_equal(marg, want_marg) and np.array_equal(vals, want_vals)
     assert so.accounting.snapshot() == (1, 50 * 15)
 
 
