@@ -1,11 +1,12 @@
 """Constant-adaptivity maximization driver over a value+gradient oracle.
 
-One core loop serves two users: unconstrained submodular maximization
-through the multilinear extension (the oracle is a MultilinearOracle)
-and box-constrained maximization of a smooth diminishing-returns
-function (the oracle answers values and gradients directly).  The loop
-keeps a pair of points x <= y with y - x on the all-ones diagonal and
-contracts the pair until they meet:
+One core loop serves two users, both through a MultilinearOracle:
+unconstrained submodular maximization through the multilinear extension
+(exact or sampled mode) and box-constrained maximization of a smooth
+diminishing-returns function (direct mode, which answers the objective's
+values and gradients as they are).  The loop keeps a pair of points
+x <= y with y - x on the all-ones diagonal and contracts the pair until
+they meet:
 
   tau   = F at the all-halves point, a constant-factor proxy for OPT
   gamma = 4 * epsilon * tau, the progress each step must certify

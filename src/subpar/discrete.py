@@ -336,8 +336,9 @@ def g_estimates(set_oracle, X, Y, r, deltas, seed, iteration, m):
     np.greater_equal(u[:, 1], d * (1.0 - r), out=keep[:, :, 1])   # not R(d*(1-r))
     del u
     keep, which = _distinct_rows(keep.reshape(-1, k))
-    # the distinct bases' float values, and one evaluation slice of their flip rows
-    _check_round("G-estimate", 8 * len(keep) * (k + 1), (_EVAL_CHUNK + 2 * k + 2) * n)
+    # the distinct bases' float values, and one evaluation slice of their
+    # flip rows: whole bases of k+1 rows, so at most a chunk plus k rows
+    _check_round("G-estimate", 8 * len(keep) * (k + 1), (_EVAL_CHUNK + k) * n)
     bases = np.repeat(X[None], len(keep), axis=0)
     bases[:, idx] = keep
     gains = set_oracle.eval_gains(bases, idx, counts=np.bincount(which))

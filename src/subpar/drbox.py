@@ -1,11 +1,11 @@
 """Box-constrained maximization of smooth diminishing-returns objectives.
 
-The continuous driver in continuous.py only sees the ContinuousOracle
-protocol of multilinear.py (value_batch / gradient_batch /
-grad_and_value_batch / rounds_meter), so the same code path runs
-unchanged here: a MultilinearOracle in direct mode answers the protocol
-with the objective's closed-form values and gradients, charged as the
-points asked for, and the fractional iterate itself is the output — no
+The continuous driver in continuous.py reads only its oracle's batched
+protocol (n / value_batch / gradient_batch / grad_and_value_batch /
+rounds_meter), so the same code path runs unchanged here: a
+MultilinearOracle in direct mode answers the protocol with the
+objective's closed-form values and gradients, charged as the points
+asked for, and the fractional iterate itself is the output — no
 rounding step.  Exact `continuous` reads the same closed form, priced
 as a set oracle's power set.
 

@@ -24,9 +24,6 @@ mode, thresholding the shared panel at those forced arguments gives the
 panel's base set S with u added or removed, so the estimate is the mean
 over draws of the marginal f(S+u) - f(S-u): one marginal-gain round of
 the set oracle, answered by the gradient at the 0/1 draws.
-
-ContinuousOracle holds the batched protocol that the continuous driver
-reads; MultilinearOracle, in any mode, speaks it.
 """
 
 import numpy as np
@@ -78,16 +75,46 @@ def sample_set(x, rng):
     return rng.random(x.shape[0]) < x
 
 
-class ContinuousOracle:
-    """The continuous driver's batched protocol.  Each call checks its
-    batch with as_points and counts it: a value costs one F-query, a
-    partial F_PER_PARTIAL F-queries and one grad-query.  Subclasses give
-    n, rounds_meter and _answer(pts, grads, values), which answers in
-    one adaptive round with the gradients, the values or both."""
+class MultilinearOracle:
+    """Extension-value and gradient oracle over a batched set oracle,
+    speaking the continuous driver's batched protocol.
 
-    F_PER_PARTIAL = 0
-    F_queries = 0         # meters; the first count makes them per instance
-    grad_queries = 0
+    mode    -- "exact" (n <= EXACT_LIMIT), "direct" or "sampled"
+    samples -- draws per extension argument (sampled mode), an integer >= 1
+    rng     -- generator for sampled mode (fresh draws per argument)
+
+    Each call checks its batch with as_points and counts it: a value
+    costs one F-query, a partial one grad-query plus 2 F-queries in
+    exact and sampled mode (the difference of two F values) and 0 in
+    direct mode (a partial is an answer).  _answer(pts, grads, values)
+    answers in one adaptive round with the gradients, the values or
+    both; adaptive rounds and f-queries accumulate in the set oracle's
+    accounting.
+    """
+
+    def __init__(self, set_oracle, mode="exact", samples=1000, rng=None):
+        if mode not in ("exact", "direct", "sampled"):
+            raise ValueError(f"mode must be 'exact', 'direct' or 'sampled', got {mode!r}")
+        if mode == "exact" and set_oracle.n > EXACT_LIMIT:
+            raise ExactTooLarge(
+                f"exact mode needs n <= {EXACT_LIMIT}, got n={set_oracle.n}")
+        if not (is_integer(samples) and samples >= 1):
+            raise ValueError(f"MultilinearOracle needs an integer number of "
+                             f"samples >= 1, got {samples!r}")
+        self.set_oracle = set_oracle
+        self.mode = mode
+        self.samples = int(samples)
+        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.F_queries = 0
+        self.grad_queries = 0
+
+    @property
+    def n(self):
+        return self.set_oracle.n
+
+    @property
+    def rounds_meter(self):
+        return self.set_oracle.accounting
 
     def value_batch(self, points):
         return self._batch(points, grads=False, values=True)
@@ -101,47 +128,10 @@ class ContinuousOracle:
     def _batch(self, points, grads, values):
         pts = as_points(points, self.n)
         partials = pts.size if grads else 0
-        self.F_queries += (pts.shape[0] if values else 0) + self.F_PER_PARTIAL * partials
+        per_partial = 0 if self.mode == "direct" else 2
+        self.F_queries += (pts.shape[0] if values else 0) + per_partial * partials
         self.grad_queries += partials
         return self._answer(pts, grads, values)
-
-
-class MultilinearOracle(ContinuousOracle):
-    """Extension-value and gradient oracle over a batched set oracle.
-
-    mode    -- "exact" (n <= EXACT_LIMIT), "direct" or "sampled"
-    samples -- draws per extension argument (sampled mode), an integer >= 1
-    rng     -- generator for sampled mode (fresh draws per argument)
-
-    F_queries counts extension arguments answered; adaptive rounds and
-    f-queries accumulate in the set oracle's accounting.
-    """
-
-    F_PER_PARTIAL = 2     # a partial is the difference of two F values
-
-    def __init__(self, set_oracle, mode="exact", samples=1000, rng=None):
-        if mode not in ("exact", "direct", "sampled"):
-            raise ValueError(f"mode must be 'exact', 'direct' or 'sampled', got {mode!r}")
-        if mode == "exact" and set_oracle.n > EXACT_LIMIT:
-            raise ExactTooLarge(
-                f"exact mode needs n <= {EXACT_LIMIT}, got n={set_oracle.n}")
-        if not (is_integer(samples) and samples >= 1):
-            raise ValueError(f"MultilinearOracle needs an integer number of "
-                             f"samples >= 1, got {samples!r}")
-        if mode == "direct":    # a partial is an answer, not two F values
-            self.F_PER_PARTIAL = 0
-        self.set_oracle = set_oracle
-        self.mode = mode
-        self.samples = int(samples)
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-
-    @property
-    def n(self):
-        return self.set_oracle.n
-
-    @property
-    def rounds_meter(self):
-        return self.set_oracle.accounting
 
     def _answer(self, pts, grads, values):
         if self.mode != "sampled":

@@ -67,8 +67,10 @@ class OutOfBox(ValueError):
 class OracleAccounting:
     """Mutable round/query counters attached to an oracle gateway.
 
-    rounds   -- number of eval_batch calls issued so far
-    queries  -- total number of subset evaluations across all batches
+    rounds   -- number of rounds charged so far: every charging call
+                (eval_batch, eval_marginals, eval_gains, eval_extension)
+                counts one
+    queries  -- total number of subset evaluations charged across them
     """
 
     __slots__ = ("rounds", "queries")

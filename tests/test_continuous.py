@@ -16,19 +16,16 @@ from subpar import (MultilinearOracle, ParamOutOfRange, SetOracle,
 from subpar.continuous import (ContinuousState, compute_rates, first_step, pre_process,
                                preprocess_grid, update, update_grid)
 from subpar.instances import CutInstance
-from subpar.multilinear import ContinuousOracle
-from subpar.oracles import OracleAccounting
 
 
-class StubOracle(ContinuousOracle):
+class StubOracle(MultilinearOracle):
     """Scripted value/gradient oracle for exercising driver branches."""
 
     def __init__(self, n, value=1.0, base_grad=1.0, sweep_grad=None):
-        self.n = n
+        super().__init__(SetOracle(CutInstance(n, [])), mode="direct")
         self.value = value
         self.base_grad = base_grad       # gradient at x and y rows
         self.sweep_grad = sweep_grad     # +/- this at even/odd sweep rows
-        self.rounds_meter = OracleAccounting()
 
     def _answer(self, pts, grads, values):
         self.rounds_meter.charge(pts.shape[0])

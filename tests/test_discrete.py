@@ -277,7 +277,7 @@ def test_the_g_round_checks_its_buffer(monkeypatch):
     so = SetOracle(generate_random_instance("cut", 6, 0))
     X, Y = np.zeros(6, dtype=bool), np.ones(6, dtype=bool)
     grid = discrete_update_grid(0.2)
-    assert 16 * grid.size * 60 * 6 > (oracles._EVAL_CHUNK + 2 * 7) * 6
+    assert 16 * grid.size * 60 * 6 > (oracles._EVAL_CHUNK + 6) * 6
     monkeypatch.setattr(discrete, "ROUND_BYTES", 16 * grid.size * 60 * 6 - 1)
     with pytest.raises(RoundTooLarge, match="G-estimate"):
         g_estimates(so, X, Y, np.full(6, 0.5), grid, 0, 0, 60)
@@ -289,8 +289,8 @@ def test_the_g_round_checks_its_buffer(monkeypatch):
 def test_the_g_round_checks_its_values_and_one_slice_of_rows(monkeypatch):
     # after the draw the round holds the float values of its U distinct
     # bases and their flips, and lays out one evaluation slice of flip
-    # rows at a time: whole bases, at most a chunk plus k rows, within
-    # the chunk plus 2(k+1) rows the check budgets
+    # rows at a time: whole bases of k+1 rows, at most a chunk plus k
+    # rows, which is what the check budgets
     import subpar.discrete as discrete
     n, m = 20, 10
     X, Y = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
@@ -304,7 +304,7 @@ def test_the_g_round_checks_its_values_and_one_slice_of_rows(monkeypatch):
                         or eval_gains(b, e, counts=counts))
     g_estimates(so, X, Y, np.full(n, 0.5), grid, 0, 0, m)
     (U,) = given
-    row_slice = (oracles._EVAL_CHUNK + 2 * (n + 1)) * n
+    row_slice = (oracles._EVAL_CHUNK + n) * n             # k = n undecided
     assert checks == [(16 * grid.size * m * n,), (8 * U * (n + 1), row_slice)]
     assert max(checks[0][0], 8 * U * (n + 1)) < row_slice
     monkeypatch.setattr(discrete, "ROUND_BYTES", row_slice - 1)

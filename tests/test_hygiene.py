@@ -3,8 +3,9 @@ every local a function assigns is read by that function, every
 parameter of a package function is read by it, the package holds no
 assert statement, every gateway method that charges rounds is
 counted by the tests' spy, every instance kind and test fake speaks
-the same three-method protocol, and every package name the benchmark
-hooks into still exists.
+the same three-method protocol, the continuous driver reads only the
+oracle protocol MultilinearOracle answers, and every package name the
+benchmark hooks into still exists.
 
 The checks walk the AST of the package and of the tests.  An imported
 name counts as used when the module reads it anywhere (an attribute
@@ -183,6 +184,27 @@ def test_instances_speak_one_protocol():
             and node.value.attr == "instance"
             and isinstance(node.value.value, ast.Name) and node.value.value.id == "self"}
     assert read == INSTANCE_PROTOCOL | {"n"}, sorted(read)
+
+
+ORACLE_PROTOCOL = {"n", "value_batch", "gradient_batch", "grad_and_value_batch",
+                   "rounds_meter"}
+
+
+def test_the_continuous_driver_reads_one_oracle_protocol():
+    # no base class states what the core loop reads of its oracle, so a
+    # read of anything else (the mode, the set oracle) fails here, and a
+    # MultilinearOracle, the only oracle the drivers build, answers it all
+    from subpar import CutInstance, MultilinearOracle, SetOracle
+    tree = ast.parse((ROOT / "src" / "subpar" / "continuous.py").read_text())
+    read = {node.attr for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.name in ("pre_process", "update", "run_core")
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "oracle"}
+    assert read == ORACLE_PROTOCOL, sorted(read)
+    oracle = MultilinearOracle(SetOracle(CutInstance(2, [])), mode="direct")
+    missing = [name for name in ORACLE_PROTOCOL if not hasattr(oracle, name)]
+    assert not missing, missing
 
 
 def test_benchmark_hooks_resolve():
